@@ -47,6 +47,7 @@ from .stability import (
 from .critical import (
     CriticalKernel,
     DefectClass,
+    alpha_preserving_edge,
     classify_defect,
     critical_reduce,
     defect,
@@ -61,6 +62,7 @@ from .structure import (
     is_odd_cycle,
     odd_cycle_matching_decomposition,
     perfect_matching_tight10,
+    spanning_certificate,
     spanning_embedding,
     two_cycles_or_subdivision_decomposition,
     validate_decomposition,
@@ -70,6 +72,7 @@ from .enumeration import (
     FilterSpec,
     VerificationReport,
     atlas_read,
+    atlas_record,
     atlas_write,
     enumerate_canonical,
     enumerate_filtered,

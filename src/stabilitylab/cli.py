@@ -21,8 +21,10 @@ from dataclasses import asdict
 from . import __version__
 from .critical import critical_reduce
 from .enumeration import (
+    DEFAULT_RANGES,
     FilterSpec,
     THEOREM_IDS,
+    atlas_record,
     atlas_write,
     filtered_records,
     verify_theorem,
@@ -41,17 +43,7 @@ from .graphs import (
 )
 from .independence import alpha
 from .stability import is_stable
-from .structure import (
-    Decomposition,
-    KIND_ODD_CYCLE_PLUS_MATCHING,
-    KIND_PERFECT_MATCHING,
-    five_graph_decomposition,
-    is_odd_cycle,
-    odd_cycle_matching_decomposition,
-    perfect_matching_tight10,
-    two_cycles_or_subdivision_decomposition,
-    validate_decomposition,
-)
+from .structure import spanning_certificate
 
 SCHEMA = "stabilitylab.report/1"
 
@@ -113,17 +105,6 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
         print(json.dumps(report, separators=(",", ":"), sort_keys=False))
-
-
-def _decomposition_dict(d: Decomposition) -> dict:
-    return {
-        "kind": d.kind,
-        "cycles": [list(c) for c in d.cycles],
-        "matching": [list(e) for e in d.matching],
-        "embedding": list(d.embedding) if d.embedding is not None else None,
-        "name": d.name,
-        "branch_paths": [list(p) for p in d.branch_paths],
-    }
 
 
 # -- published output schema -------------------------------------------------
@@ -200,39 +181,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_classify(args) -> int:
     g, g6 = _read_graph(args)
-    if args.k == 1:
-        if g.n % 2 == 0:
-            d = Decomposition(
-                kind=KIND_PERFECT_MATCHING, matching=perfect_matching_tight10(g)
-            )
-            validate_decomposition(g, d)
-        else:
-            d = odd_cycle_matching_decomposition(g)
-    elif args.k == 2:
-        if g.n % 2 == 0:
-            d = two_cycles_or_subdivision_decomposition(g)
-        else:
-            from .errors import InvariantViolation
-            from .stability import is_tight_stable
-
-            if not is_tight_stable(g, 2, 0):
-                raise ValueError("input is not tight (2,0)-stable")
-            if not is_odd_cycle(g):
-                raise InvariantViolation("odd tight (2,0)-stable graph is not an odd cycle")
-            cyc = [0]
-            prev, cur = None, 0
-            while len(cyc) < g.n:
-                cand = [u for u in g.neighbors(cur) if u != prev]
-                nxt = min(cand)
-                cyc.append(nxt)
-                prev, cur = cur, nxt
-            d = Decomposition(kind=KIND_ODD_CYCLE_PLUS_MATCHING, cycles=(tuple(cyc),))
-            validate_decomposition(g, d)
-    elif args.k == 3:
-        d = five_graph_decomposition(g)
-    else:
-        raise _UsageError("--k must be 1, 2 or 3")
-    _emit(_envelope("classify", _graph_digest(g6), _decomposition_dict(d)), args.pretty)
+    d = spanning_certificate(g, args.k)
+    _emit(_envelope("classify", _graph_digest(g6), asdict(d)), args.pretty)
     return EXIT_OK
 
 
@@ -318,7 +268,7 @@ def _cmd_enumerate(args) -> int:
         "n": args.n,
         "scanned": scanned,
         "emitted": len(records),
-        "filters": {k: v for k, v in asdict(spec).items() if v is not None},
+        "filters": spec.to_dict(),
         "atlas": args.atlas,
     }
     _emit(_envelope("enumerate", {"args": {"n": args.n}}, result), args.pretty)
@@ -328,7 +278,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     values = tuple(args.n) if args.n else None
     if args.n_max is not None:
-        base = verify_defaults(args.theorem)
+        base = DEFAULT_RANGES.get(args.theorem, ())
         values = tuple(v for v in base if v <= args.n_max) if base else values
     report = verify_theorem(
         args.theorem,
@@ -338,7 +288,12 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
     )
     if args.atlas:
-        atlas_write(_match_records(args.theorem, report), args.atlas)
+        provenance = {
+            "version": __version__,
+            "parameters": {"theorem": args.theorem, **report.parameter_range},
+        }
+        graphs = (parse_graph6(g6) for g6 in report.matches)
+        atlas_write((atlas_record(g, FilterSpec(), provenance) for g in graphs), args.atlas)
     _emit(_envelope("verify", {"args": {"theorem": args.theorem}}, report.to_dict()), args.pretty)
     if report.verdict != "verified":
         for g6 in report.counterexamples:
@@ -347,41 +302,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _match_records(theorem_id: str, report) -> list:
-    from .enumeration import AtlasRecord
-    from .graphs import is_connected, min_degree
-    from .independence import alpha as _alpha_of
-
-    records = []
-    for g6 in report.matches:
-        g = parse_graph6(g6)
-        records.append(
-            AtlasRecord(
-                g6=g6,
-                n=g.n,
-                alpha=_alpha_of(g).alpha,
-                flags={"connected": is_connected(g), "min_degree": min_degree(g)},
-                provenance={
-                    "version": __version__,
-                    "parameters": {"theorem": theorem_id, **report.parameter_range},
-                },
-            )
-        )
-    return records
-
-
-def verify_defaults(theorem_id: str) -> tuple[int, ...]:
-    from .enumeration import _DEFAULT_RANGES
-
-    return _DEFAULT_RANGES.get(theorem_id, ())
-
-
 # -- parser ------------------------------------------------------------------
 
 
 def _add_graph_flags(p: _Parser) -> None:
     p.add_argument("--g6", help="graph6 string")
     p.add_argument("--file", help="file holding a graph6 string ('-' for stdin)")
+
+
+def _jobs(text: str) -> int:
+    """Worker count from ``--jobs`` or ``$STABILITYLAB_JOBS``: a positive integer."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs or STABILITYLAB_JOBS) must be a positive integer, got {text!r}"
+        )
+    return jobs
 
 
 def build_parser() -> _Parser:
@@ -442,11 +381,12 @@ def build_parser() -> _Parser:
 
     for p2 in sub.choices.values():
         p2.add_argument("--pretty", action="store_true", help="indented JSON output")
+    default_jobs = _jobs(os.environ.get("STABILITYLAB_JOBS", "1"))
     for name in ("enumerate", "verify"):
         sub.choices[name].add_argument(
             "--jobs",
-            type=int,
-            default=int(os.environ.get("STABILITYLAB_JOBS", "1")),
+            type=_jobs,
+            default=default_jobs,
             help="worker processes (default $STABILITYLAB_JOBS or 1)",
         )
     return parser
@@ -464,14 +404,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.cmd](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import catalog
 from .canonical import is_isomorphic
-from .graphs import Graph, delete_edge, is_connected, min_degree
+from .graphs import Graph, bits, delete_edge, is_connected, min_degree
 from .independence import alpha_mask
 
 CLASS_ODD_CYCLE = "odd_cycle"
@@ -27,17 +27,24 @@ def _alpha(g: Graph) -> int:
     return alpha_mask(g.adj, (1 << g.n) - 1)[0]
 
 
+def alpha_preserving_edge(adj: tuple[int, ...], n: int, a: int) -> tuple[int, int] | None:
+    """First edge (u < v, in ``Graph.edges()`` order) whose removal keeps the
+    independence number at ``a``, or ``None`` when the graph is alpha-critical."""
+    full = (1 << n) - 1
+    for u in range(n):
+        for v in bits(adj[u] >> (u + 1) << (u + 1)):
+            rows = list(adj)
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            if alpha_mask(tuple(rows), full)[0] == a:
+                return u, v
+    return None
+
+
 def is_alpha_critical(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """True iff every edge removal raises alpha; else returns one preserving edge."""
-    a = _alpha(g)
-    full = (1 << g.n) - 1
-    for u, v in g.edges():
-        adj = list(g.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        if alpha_mask(tuple(adj), full)[0] == a:
-            return False, (u, v)
-    return True, None
+    edge = alpha_preserving_edge(g.adj, g.n, _alpha(g))
+    return edge is None, edge
 
 
 @dataclass(frozen=True)
@@ -54,20 +61,12 @@ def critical_reduce(g: Graph) -> CriticalKernel:
     and are reproducible but not canonical.
     """
     a = _alpha(g)
-    full = (1 << g.n) - 1
     current = g
     removed: list[tuple[int, int]] = []
-    while True:
-        for u, v in current.edges():
-            adj = list(current.adj)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            if alpha_mask(tuple(adj), full)[0] == a:
-                current = delete_edge(current, (u, v))
-                removed.append((u, v))
-                break
-        else:
-            return CriticalKernel(current, tuple(removed))
+    while (edge := alpha_preserving_edge(current.adj, g.n, a)) is not None:
+        current = delete_edge(current, edge)
+        removed.append(edge)
+    return CriticalKernel(current, tuple(removed))
 
 
 def defect(g: Graph) -> int:

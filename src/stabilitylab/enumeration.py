@@ -25,24 +25,13 @@ from typing import Callable, Iterator
 
 from . import __version__
 from .canonical import canonical_data, neighbor_lists, refine_colors
-from .critical import CLASS_NAMED, classify_defect
+from .critical import CLASS_NAMED, alpha_preserving_edge, classify_defect
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, bits
 from .independence import alpha_mask, independent_sets_of_size
 from .stability import stable_fast, tight_stable_fast
-from .structure import (
-    Decomposition,
-    KIND_PERFECT_MATCHING,
-    five_graph_decomposition,
-    hall_matching,
-    is_even_subdivision_k4,
-    is_odd_cycle,
-    odd_cycle_matching_decomposition,
-    perfect_matching_tight10,
-    two_cycles_or_subdivision_decomposition,
-    validate_decomposition,
-)
+from .structure import hall_matching, is_even_subdivision_k4, is_odd_cycle, spanning_certificate
 
 Code = tuple[int, ...]
 
@@ -118,15 +107,17 @@ def _is_canonical_child(code: Code, n: int) -> bool:
     return data.orbit[vstar] == data.orbit[n - 1]
 
 
+def _canonical_children(parent: Code, n: int) -> Iterator[Code]:
+    """Children of ``parent`` on ``n`` vertices whose deletion parent it is."""
+    for subset in _subset_reps(parent):
+        child = _child_code(parent, subset)
+        if _is_canonical_child(child, n):
+            yield child
+
+
 def extend_level(parents: list[Code], n: int) -> list[Code]:
     """All canonical graphs on ``n`` vertices whose deletion parent is listed."""
-    out = []
-    for parent in parents:
-        for subset in _subset_reps(parent):
-            child = _child_code(parent, subset)
-            if _is_canonical_child(child, n):
-                out.append(child)
-    return out
+    return [child for parent in parents for child in _canonical_children(parent, n)]
 
 
 _LEVELS: dict[int, list[bytes]] = {1: [pack_code((0,))]}
@@ -148,14 +139,11 @@ def enumerate_canonical(n: int) -> Iterator[Graph]:
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"vertex count {n} outside 1..{MAX_ENUM_N}")
     if n <= _CACHE_MAX_N:
-        for code in _cached_level(n):
-            yield Graph(n, code)
-        return
-    for parent in _cached_level(n - 1):
-        for subset in _subset_reps(parent):
-            child = _child_code(parent, subset)
-            if _is_canonical_child(child, n):
-                yield Graph(n, child)
+        codes = _cached_level(n)
+    else:
+        codes = (c for parent in _cached_level(n - 1) for c in _canonical_children(parent, n))
+    for code in codes:
+        yield Graph(n, code)
 
 
 # -- filters -----------------------------------------------------------------
@@ -173,14 +161,9 @@ class FilterSpec:
     stable: tuple[int, int] | None = None
     tight: tuple[int, int] | None = None
 
-    def needs_alpha(self) -> bool:
-        return (
-            self.alpha is not None
-            or self.defect is not None
-            or self.alpha_critical is not None
-            or self.stable is not None
-            or self.tight is not None
-        )
+    def to_dict(self) -> dict:
+        """The filters that are set, as recorded in atlas provenance and reports."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _code_connected(code: Code, n: int) -> bool:
@@ -195,89 +178,121 @@ def _code_connected(code: Code, n: int) -> bool:
     return comp == (1 << n) - 1
 
 
-def _code_alpha_critical(code: Code, n: int, a: int) -> bool:
-    full = (1 << n) - 1
-    for v in range(n):
-        row = code[v] >> (v + 1) << (v + 1)
-        for u in bits(row):
-            adj = list(code)
-            adj[v] &= ~(1 << u)
-            adj[u] &= ~(1 << v)
-            if alpha_mask(tuple(adj), full)[0] == a:
-                return False
+def _min_degree(code: Code) -> int:
+    return min(row.bit_count() for row in code)
+
+
+_NOT_CLASSIFIED = object()  # equal to no stored flag value
+
+
+def _classification(code: Code, n: int, a: int, wit: int) -> object:
+    try:
+        return classify_defect(Graph(n, code)).classification
+    except ValueError:  # not connected or not alpha-critical
+        return _NOT_CLASSIFIED
+
+
+def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], object]:
+    """The function recomputing atlas flag ``key`` from ``(code, n, alpha, witness)``.
+
+    ``connected`` and ``min_degree`` ignore alpha and the witness.  Unknown
+    and malformed keys raise ``ValueError``.
+    """
+    if key == "connected":
+        return lambda code, n, a, wit: _code_connected(code, n)
+    if key == "min_degree":
+        return lambda code, n, a, wit: _min_degree(code)
+    if key == "defect":
+        return lambda code, n, a, wit: n - 2 * a
+    if key == "alpha_critical":
+        return lambda code, n, a, wit: alpha_preserving_edge(code, n, a) is None
+    if key == "classification":
+        return _classification
+    for kind in ("stable", "tight"):
+        if key.startswith(kind + "_"):
+            k, l = (int(x) for x in key[len(kind) + 1 :].split("_"))
+            tight = kind == "tight"
+
+            def stability(code: Code, n: int, a: int, wit: int) -> bool:
+                if not n > k > l >= 0 or tight and a != (n - k + 1) // 2 + l:
+                    return False
+                return stable_fast(code, n, k, l, a, wit)
+
+            return stability
+    raise ValueError(f"unknown flag {key!r}")
+
+
+def _required_flags(spec: FilterSpec) -> dict:
+    """Atlas flags every match of ``spec`` carries, with the values it requires."""
+    keys = ("connected", "defect", "alpha_critical")
+    flags = {key: getattr(spec, key) for key in keys if getattr(spec, key) is not None}
+    for kind in ("stable", "tight"):
+        if (params := getattr(spec, kind)) is not None:
+            flags[f"{kind}_{params[0]}_{params[1]}"] = True
+    return flags
+
+
+def _spec_tests(spec: FilterSpec) -> list[tuple]:
+    """The tests of ``spec`` as (evaluator, required value, needs alpha),
+    graph-only tests first; built once per chunk, not once per graph."""
+    tests = []
+    if spec.min_degree is not None:
+        tests.append((lambda code, n, a, wit: _min_degree(code) >= spec.min_degree, True, False))
+    for key, want in _required_flags(spec).items():  # "connected" first: no alpha needed
+        tests.append((_flag_evaluator(key), want, key != "connected"))
+    if spec.alpha is not None:
+        tests.append((lambda code, n, a, wit: a, spec.alpha, True))
+    return tests
+
+
+def _passes(code: Code, n: int, tests: list[tuple]) -> bool:
+    a = wit = None
+    for evaluate, want, needs_alpha in tests:
+        if needs_alpha and a is None:
+            a, wit = alpha_mask(code, (1 << n) - 1)
+        if evaluate(code, n, a, wit) != want:
+            return False
     return True
 
 
-def _passes(code: Code, n: int, spec: FilterSpec) -> tuple[bool, int | None]:
-    """Evaluate the filter stack; returns (verdict, alpha or None if unused)."""
-    if spec.min_degree is not None and min(r.bit_count() for r in code) < spec.min_degree:
-        return False, None
-    if spec.connected is not None and _code_connected(code, n) != spec.connected:
-        return False, None
-    if not spec.needs_alpha():
-        return True, None
-    a, wit = alpha_mask(code, (1 << n) - 1)
-    if spec.alpha is not None and a != spec.alpha:
-        return False, a
-    if spec.defect is not None and n - 2 * a != spec.defect:
-        return False, a
-    if spec.alpha_critical is not None and _code_alpha_critical(code, n, a) != spec.alpha_critical:
-        return False, a
-    for params, need_tight in ((spec.stable, False), (spec.tight, True)):
-        if params is None:
-            continue
-        k, l = params
-        if not n > k > l >= 0:
-            return False, a
-        if need_tight and a != (n - k + 1) // 2 + l:
-            return False, a
-        if not stable_fast(code, n, k, l, a, wit):
-            return False, a
-    return True, a
-
-
-def _scan_chunk(args: tuple[list[bytes], int, FilterSpec]) -> tuple[int, list[bytes]]:
-    packed_parents, n, spec = args
+def _scan_chunk(args: tuple[list[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
+    """Extend each parent by one vertex and keep the children passing the filter."""
+    parents, n, spec = args
+    tests = _spec_tests(spec)
     scanned = 0
-    matches: list[bytes] = []
-    for blob in packed_parents:
-        parent = unpack_code(blob)
-        for subset in _subset_reps(parent):
-            child = _child_code(parent, subset)
-            if not _is_canonical_child(child, n):
-                continue
+    matches: list[Code] = []
+    for parent in parents:
+        for child in _canonical_children(parent, n):
             scanned += 1
-            if _passes(child, n, spec)[0]:
-                matches.append(pack_code(child))
+            if _passes(child, n, tests):
+                matches.append(child)
     return scanned, matches
 
 
-def _filter_chunk(args: tuple[list[bytes], int, FilterSpec]) -> tuple[int, list[bytes]]:
-    packed_codes, n, spec = args
-    matches = [b for b in packed_codes if _passes(unpack_code(b), n, spec)[0]]
-    return len(packed_codes), matches
+def _filter_chunk(args: tuple[list[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
+    codes, n, spec = args
+    tests = _spec_tests(spec)
+    return len(codes), [c for c in codes if _passes(c, n, tests)]
 
 
-def _scan_level(
-    parents: list[Code], n: int, spec: FilterSpec, jobs: int = 1
+#: below these input sizes a chunk function runs in-process whatever ``jobs``
+_SCAN_SERIAL_BELOW = 64
+_FILTER_SERIAL_BELOW = 1024
+
+
+def _pooled(
+    chunk_fn, items: list[Code], n: int, spec: FilterSpec, jobs: int, serial_below: int
 ) -> tuple[int, list[Code]]:
-    """Extend parents by one vertex and filter, optionally across processes."""
-    if jobs <= 1 or len(parents) < 64:
-        scanned, matches = _scan_chunk(([pack_code(p) for p in parents], n, spec))
-        return scanned, sorted(unpack_code(b) for b in matches)
-    packed = [pack_code(p) for p in parents]
-    step = max(1, (len(packed) + jobs * 4 - 1) // (jobs * 4))
-    chunks = [
-        (packed[i : i + step], n, spec) for i in range(0, len(packed), step)
-    ]
-    ctx = get_context("fork")
-    scanned = 0
-    matches: list[bytes] = []
-    with ctx.Pool(jobs) as pool:
-        for got_scanned, got_matches in pool.imap_unordered(_scan_chunk, chunks):
-            scanned += got_scanned
-            matches.extend(got_matches)
-    return scanned, sorted(unpack_code(b) for b in matches)
+    """Run ``chunk_fn`` over ``items``, split into about four chunks per worker
+    process; returns (classes scanned, sorted matches)."""
+    if jobs <= 1 or len(items) < serial_below:
+        results = [chunk_fn((items, n, spec))]
+    else:
+        step = max(1, (len(items) + jobs * 4 - 1) // (jobs * 4))
+        chunks = [(items[i : i + step], n, spec) for i in range(0, len(items), step)]
+        with get_context("fork").Pool(jobs) as pool:
+            results = list(pool.imap_unordered(chunk_fn, chunks))
+    return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
 
 
 def _filtered_scan(
@@ -297,29 +312,10 @@ def _filtered_scan(
             kk = size - (n - k)
             children = extend_level(frontier, size)
             frontier = [c for c in children if tight_stable_fast(c, size, kk, 0)]
-        return _scan_level(frontier, n, spec, jobs)
+        return _pooled(_scan_chunk, frontier, n, spec, jobs, _SCAN_SERIAL_BELOW)
     if n <= _CACHE_MAX_N:
-        return _filter_level(_cached_level(n), n, spec, jobs)
-    return _scan_level(_cached_level(n - 1), n, spec, jobs)
-
-
-def _filter_level(
-    codes: list[Code], n: int, spec: FilterSpec, jobs: int = 1
-) -> tuple[int, list[Code]]:
-    if jobs <= 1 or len(codes) < 1024:
-        matches = [c for c in codes if _passes(c, n, spec)[0]]
-        return len(codes), sorted(matches)
-    packed = [pack_code(c) for c in codes]
-    step = max(1, (len(packed) + jobs * 4 - 1) // (jobs * 4))
-    chunks = [(packed[i : i + step], n, spec) for i in range(0, len(packed), step)]
-    ctx = get_context("fork")
-    total = 0
-    matches_b: list[bytes] = []
-    with ctx.Pool(jobs) as pool:
-        for cnt, got in pool.imap_unordered(_filter_chunk, chunks):
-            total += cnt
-            matches_b.extend(got)
-    return total, sorted(unpack_code(b) for b in matches_b)
+        return _pooled(_filter_chunk, _cached_level(n), n, spec, jobs, _FILTER_SERIAL_BELOW)
+    return _pooled(_scan_chunk, _cached_level(n - 1), n, spec, jobs, _SCAN_SERIAL_BELOW)
 
 
 # -- atlas records -----------------------------------------------------------
@@ -334,21 +330,15 @@ class AtlasRecord:
     provenance: dict
 
 
-def _flags_for(code: Code, n: int, spec: FilterSpec) -> dict:
-    flags: dict[str, object] = {
-        "connected": _code_connected(code, n),
-        "min_degree": min(r.bit_count() for r in code),
-    }
-    a = alpha_mask(code, (1 << n) - 1)[0]
-    if spec.defect is not None:
-        flags["defect"] = n - 2 * a
-    if spec.alpha_critical is not None:
-        flags["alpha_critical"] = _code_alpha_critical(code, n, a)
-    if spec.stable is not None:
-        flags[f"stable_{spec.stable[0]}_{spec.stable[1]}"] = True
-    if spec.tight is not None:
-        flags[f"tight_{spec.tight[0]}_{spec.tight[1]}"] = True
-    return flags
+def atlas_record(g: Graph, spec: FilterSpec, provenance: dict) -> AtlasRecord:
+    """Record of a graph that passed ``spec``: the flags ``spec`` requires
+    carry their required values; ``connected`` and ``min_degree`` are always
+    present."""
+    flags = {"min_degree": _min_degree(g.adj), **_required_flags(spec)}
+    if "connected" not in flags:
+        flags["connected"] = _code_connected(g.adj, g.n)
+    alpha = alpha_mask(g.adj, (1 << g.n) - 1)[0]
+    return AtlasRecord(write_graph6(g), g.n, alpha, flags, provenance)
 
 
 def filtered_records(
@@ -361,20 +351,9 @@ def filtered_records(
     scanned, matches = _filtered_scan(n, spec, prune=hereditary_prune, jobs=jobs)
     provenance = {
         "version": __version__,
-        "parameters": {"n": n, "filters": _spec_dict(spec), "prune": hereditary_prune},
+        "parameters": {"n": n, "filters": spec.to_dict(), "prune": hereditary_prune},
     }
-    records = []
-    for code in matches:
-        g = Graph(n, code)
-        records.append(
-            AtlasRecord(
-                g6=write_graph6(g),
-                n=n,
-                alpha=alpha_mask(code, (1 << n) - 1)[0],
-                flags=_flags_for(code, n, spec),
-                provenance=provenance,
-            )
-        )
+    records = [atlas_record(Graph(n, code), spec, provenance) for code in matches]
     records.sort(key=lambda r: r.g6)
     return scanned, records
 
@@ -388,10 +367,6 @@ def enumerate_filtered(
     """Atlas records for every graph on ``n`` vertices passing ``spec``,
     emitted in sorted graph6 order."""
     yield from filtered_records(n, spec, hereditary_prune, jobs)[1]
-
-
-def _spec_dict(spec: FilterSpec) -> dict:
-    return {k: v for k, v in asdict(spec).items() if v is not None}
 
 
 def atlas_write(records, path) -> None:
@@ -410,35 +385,6 @@ def _record_line(rec: AtlasRecord) -> str:
         "provenance": rec.provenance,
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=False)
-
-
-def _check_flag(g: Graph, key: str, value, a: int) -> bool:
-    from .graphs import is_connected as _conn, min_degree as _mindeg
-
-    if key == "connected":
-        return _conn(g) == value
-    if key == "min_degree":
-        return _mindeg(g) == value
-    if key == "defect":
-        return g.n - 2 * a == value
-    if key == "alpha_critical":
-        return _code_alpha_critical(g.adj, g.n, a) == value
-    if key == "classification":
-        try:
-            return classify_defect(g).classification == value
-        except ValueError:
-            return False
-    for prefix, need_tight in (("stable_", False), ("tight_", True)):
-        if key.startswith(prefix):
-            k, l = (int(x) for x in key[len(prefix) :].split("_"))
-            if not g.n > k > l >= 0:
-                return False
-            wit = alpha_mask(g.adj, (1 << g.n) - 1)[1]
-            actual = stable_fast(g.adj, g.n, k, l, a, wit)
-            if need_tight:
-                actual = actual and a == (g.n - k + 1) // 2 + l
-            return actual == value
-    raise ValueError(f"unknown flag {key!r}")
 
 
 def atlas_read(path) -> list[AtlasRecord]:
@@ -463,11 +409,11 @@ def atlas_read(path) -> list[AtlasRecord]:
             g = parse_graph6(rec.g6)
             if g.n != rec.n:
                 raise ValueError(f"{path}:{lineno}: stored n={rec.n} but graph has {g.n}")
-            a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
+            a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
             if a != rec.alpha:
                 raise ValueError(f"{path}:{lineno}: stored alpha={rec.alpha} but recomputed {a}")
             for key, value in rec.flags.items():
-                if not _check_flag(g, key, value, a):
+                if _flag_evaluator(key)(g.adj, g.n, a, wit) != value:
                     raise ValueError(f"{path}:{lineno}: flag {key}={value!r} fails recomputation")
             records.append(rec)
     return records
@@ -486,17 +432,11 @@ class VerificationReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "parameter_range": self.parameter_range,
-            "graphs_scanned": self.graphs_scanned,
-            "matches": self.matches,
-            "counterexamples": self.counterexamples,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
-_DEFAULT_RANGES = {
+#: sizes each pipeline scans by default; COR defaults to n = k + 7
+DEFAULT_RANGES = {
     "T1a": (2, 4, 6, 8),
     "T1b": (3, 5, 7, 9),
     "T1c": (5, 7, 9),
@@ -510,22 +450,18 @@ _DEFAULT_RANGES = {
 THEOREM_IDS = ("T1a", "T1b", "T1c", "T1d", "T2", "COR", "L21", "AND", "SUR")
 
 
-def _certificate_check(builder: Callable[[Graph], object]) -> Callable[[Graph], bool]:
+def _certificate_check(k: int) -> Callable[[Graph], bool]:
+    """Match test: the spanning certificate of tight (k,0)-stability builds;
+    a failed construction makes the match a counterexample."""
+
     def check(g: Graph) -> bool:
         try:
-            builder(g)
+            spanning_certificate(g, k)
             return True
         except (InvariantViolation, ValueError):
             return False
 
     return check
-
-
-def _t1a_check(g: Graph) -> bool:
-    matching = perfect_matching_tight10(g)
-    d = Decomposition(kind=KIND_PERFECT_MATCHING, matching=matching)
-    validate_decomposition(g, d)
-    return True
 
 
 def verify_theorem(
@@ -550,7 +486,7 @@ def verify_theorem(
         values = n_values if n_values is not None else (k + 7,)
         use_prune = True if prune is None else prune
     else:
-        values = n_values if n_values is not None else _DEFAULT_RANGES[theorem_id]
+        values = n_values if n_values is not None else DEFAULT_RANGES[theorem_id]
         use_prune = False if prune is None else prune
     for n in values:
         cap = MAX_ENUM_N if theorem_id == "COR" else 9
@@ -594,11 +530,11 @@ def _pipeline_for(theorem_id: str, n: int, k: int | None):
     if theorem_id == "T1a":
         if n % 2:
             raise ValueError("T1a applies to even sizes")
-        return FilterSpec(tight=(1, 0)), _t1a_check
+        return FilterSpec(tight=(1, 0)), _certificate_check(1)
     if theorem_id == "T1b":
         if n % 2 == 0:
             raise ValueError("T1b applies to odd sizes")
-        return FilterSpec(tight=(1, 0)), _certificate_check(odd_cycle_matching_decomposition)
+        return FilterSpec(tight=(1, 0)), _certificate_check(1)
     if theorem_id == "T1c":
         if n % 2 == 0:
             raise ValueError("T1c applies to odd sizes")
@@ -606,9 +542,9 @@ def _pipeline_for(theorem_id: str, n: int, k: int | None):
     if theorem_id == "T1d":
         if n % 2:
             raise ValueError("T1d applies to even sizes")
-        return FilterSpec(tight=(2, 0)), _certificate_check(two_cycles_or_subdivision_decomposition)
+        return FilterSpec(tight=(2, 0)), _certificate_check(2)
     if theorem_id == "T2":
-        return FilterSpec(tight=(3, 0)), _certificate_check(five_graph_decomposition)
+        return FilterSpec(tight=(3, 0)), _certificate_check(3)
     if theorem_id == "COR":
         return FilterSpec(tight=(k, 0)), None
     if theorem_id == "L21":

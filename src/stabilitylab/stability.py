@@ -3,9 +3,9 @@
 A graph is (k,l)-stable when deleting any k vertices lowers the independence
 number by at most l; it is tight when the independence number also meets the
 ceiling ``floor((n-k+1)/2) + l``, the largest value a (k,l)-stable graph can
-attain.  The lexicographic subset scan in :func:`is_stable` is the reference
-semantics; :func:`stable_fast` is an equivalent boolean-only path used by
-the enumeration pipelines.
+attain.  One lexicographic k-subset scan serves :func:`is_stable`, whose
+witness is the first violating subset, :func:`max_alpha_drop` and
+:func:`stable_fast`, the boolean-only path the enumeration pipelines use.
 
 An equivalent formulation, usable as another fast path: the graph is
 (k,l)-stable iff no k vertices form a transversal of the family of
@@ -26,7 +26,7 @@ Code = tuple[int, ...]
 
 
 def _check_params(n: int, k: int, l: int) -> None:
-    if not (isinstance(k, int) and isinstance(l, int)):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (k, l)):
         raise ValueError("k and l must be integers")
     if not k > l >= 0:
         raise ValueError(f"require k > l >= 0, got k={k}, l={l}")
@@ -38,6 +38,16 @@ def stability_bound(n: int, k: int, l: int) -> int:
     """Largest independence number a (k,l)-stable graph on n vertices can have."""
     _check_params(n, k, l)
     return (n - k + 1) // 2 + l
+
+
+def _removal_alphas(adj: Code, n: int, k: int):
+    """Yield ``(subset, alpha after removing it)`` for every k-subset, lexicographically."""
+    full = (1 << n) - 1
+    for sub in combinations(range(n), k):
+        smask = 0
+        for v in sub:
+            smask |= 1 << v
+        yield sub, alpha_mask(adj, full ^ smask)[0]
 
 
 @dataclass(frozen=True)
@@ -54,14 +64,10 @@ class StabilityReport:
 def is_stable(g: Graph, k: int, l: int) -> StabilityReport:
     """Scan all k-subsets lexicographically; the witness is the first violator."""
     _check_params(g.n, k, l)
-    full = (1 << g.n) - 1
-    a = alpha_mask(g.adj, full)[0]
+    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
     bound = stability_bound(g.n, k, l)
-    for sub in combinations(range(g.n), k):
-        smask = 0
-        for v in sub:
-            smask |= 1 << v
-        if alpha_mask(g.adj, full ^ smask)[0] < a - l:
+    for sub, rest in _removal_alphas(g.adj, g.n, k):
+        if rest < a - l:
             return StabilityReport(k, l, False, sub, a, bound, False)
     return StabilityReport(k, l, True, None, a, bound, a == bound)
 
@@ -75,14 +81,10 @@ def max_alpha_drop(g: Graph, k: int) -> int:
     """Largest decrease of the independence number over all k-subset removals."""
     if not 1 <= k < g.n:
         raise ValueError(f"require 1 <= k < n, got k={k}, n={g.n}")
-    full = (1 << g.n) - 1
-    a = alpha_mask(g.adj, full)[0]
+    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
     worst = 0
-    for sub in combinations(range(g.n), k):
-        smask = 0
-        for v in sub:
-            smask |= 1 << v
-        worst = max(worst, a - alpha_mask(g.adj, full ^ smask)[0])
+    for _, rest in _removal_alphas(g.adj, g.n, k):
+        worst = max(worst, a - rest)
         if worst == min(a, k):
             break
     return worst
@@ -117,13 +119,7 @@ def stable_fast(adj: Code, n: int, k: int, l: int, a: int, witness_mask: int) ->
                 return False
     if k == 1:
         return True  # the parameter domain forces l = 0, so singles were checked
-    for sub in combinations(range(n), k):
-        smask = 0
-        for v in sub:
-            smask |= 1 << v
-        if alpha_mask(adj, full ^ smask)[0] < a - l:
-            return False
-    return True
+    return all(rest >= a - l for _, rest in _removal_alphas(adj, n, k))
 
 
 def tight_stable_fast(adj: Code, n: int, k: int, l: int) -> bool:

@@ -155,10 +155,7 @@ def _check_subdivision_paths(g: Graph, paths: tuple[tuple[int, ...], ...]) -> li
     terminals = sorted({v for e in ends for v in e})
     if len(terminals) != 4:
         raise ValueError("branch endpoints do not span four terminals")
-    want = sorted(
-        (terminals[i], terminals[j]) for i in range(4) for j in range(i + 1, 4)
-    )
-    if sorted(ends) != want:
+    if sorted(ends) != list(combinations(terminals, 2)):
         raise ValueError("branch endpoints do not form a 4-clique pattern")
     if len(set(internal)) != len(internal) or set(internal) & set(terminals):
         raise ValueError("branch interiors overlap")
@@ -407,10 +404,7 @@ def is_even_subdivision_k4(g: Graph) -> SubdivisionStructure | None:
         return None
     ends = sorted((p[0], p[-1]) for p in paths)
     term_sorted = sorted(terminals)
-    want = sorted(
-        (term_sorted[i], term_sorted[j]) for i in range(4) for j in range(i + 1, 4)
-    )
-    if ends != want:
+    if ends != list(combinations(term_sorted, 2)):
         return None
     internal = [v for p in paths for v in p[1:-1]]
     if len(internal) != g.n - 4 or len(set(internal)) != len(internal):
@@ -532,5 +526,35 @@ def five_graph_decomposition(g: Graph) -> Decomposition:
         if emb is None:
             raise InvariantViolation("isomorphic kernel failed to embed")
         d = Decomposition(kind=KIND_NAMED_SPANNING, name=name, embedding=emb)
+    validate_decomposition(g, d)
+    return d
+
+
+def spanning_certificate(g: Graph, k: int) -> Decomposition:
+    """Validated spanning certificate of a tight (k,0)-stable graph, k in {1, 2, 3}.
+
+    Picks the builder by k and parity: a perfect matching or an odd cycle
+    plus matching for k=1, two odd cycles or an even subdivision of the
+    4-clique for even n and k=2 (odd n is a single odd cycle), and a named
+    spanning graph for k=3.
+    """
+    if k == 1 and g.n % 2 == 0:
+        d = Decomposition(kind=KIND_PERFECT_MATCHING, matching=perfect_matching_tight10(g))
+    elif k == 1:
+        return odd_cycle_matching_decomposition(g)
+    elif k == 2 and g.n % 2 == 0:
+        return two_cycles_or_subdivision_decomposition(g)
+    elif k == 2:
+        if not is_tight_stable(g, 2, 0):
+            raise ValueError("input is not tight (2,0)-stable")
+        if not is_odd_cycle(g):
+            raise InvariantViolation("odd tight (2,0)-stable graph is not an odd cycle")
+        d = Decomposition(
+            kind=KIND_ODD_CYCLE_PLUS_MATCHING, cycles=(_trace_cycle(g, tuple(range(g.n))),)
+        )
+    elif k == 3:
+        return five_graph_decomposition(g)
+    else:
+        raise ValueError(f"spanning certificates exist for k in 1..3, got k={k}")
     validate_decomposition(g, d)
     return d

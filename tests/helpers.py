@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from stabilitylab.graphs import Graph, bits, from_edges
+from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges
 
 
 def naive_alpha(g: Graph) -> int:
@@ -22,6 +22,15 @@ def naive_alpha(g: Graph) -> int:
         if all(g.adj[v] & mask == 0 for v in bits(mask)):
             best = mask.bit_count()
     return best
+
+
+def naive_removal_alphas(g: Graph, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """(k-subset, independence number after deleting it) for every k-subset in
+    lexicographic order: the plain reference scan that stability is defined by."""
+    return [
+        (sub, naive_alpha(delete_vertices(g, sub)[0]))
+        for sub in combinations(range(g.n), k)
+    ]
 
 
 def naive_independent_sets(g: Graph, t: int) -> list[tuple[int, ...]]:

@@ -191,3 +191,15 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "verify", "--theorem", "nope")
     assert code == 1
+
+
+def test_bad_jobs_environment_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("STABILITYLAB_JOBS", "abc")
+    code, out, err = run(capsys, "alpha", "--g6", "Dhc")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_non_positive_jobs_exit_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--theorem", "T1c", "--n", "5", "--jobs", jobs)
+    assert code == 1 and out == "" and "error:" in err

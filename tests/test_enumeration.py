@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import labeled_codes
+from stabilitylab import structure
 from stabilitylab.canonical import canonical_key, is_isomorphic
 from stabilitylab.enumeration import (
     FilterSpec,
@@ -13,6 +14,7 @@ from stabilitylab.enumeration import (
     enumerate_filtered,
     verify_theorem,
 )
+from stabilitylab.errors import InvariantViolation
 from stabilitylab.graph6 import parse_graph6
 from stabilitylab.graphs import clique, cycle
 
@@ -71,6 +73,19 @@ def test_parallel_determinism():
     seq = [r.g6 for r in enumerate_filtered(7, spec, jobs=1)]
     par = [r.g6 for r in enumerate_filtered(7, spec, jobs=2)]
     assert seq == par and seq == sorted(seq)
+
+
+def test_pooled_scan_agrees_with_filtered_level():
+    # the augmenting scan (used at n=10 and after the prune) through the worker
+    # pool gives the same classes and matches as filtering the cached level
+    from stabilitylab.enumeration import _SCAN_SERIAL_BELOW, _cached_level, _pooled, _scan_chunk
+
+    spec = FilterSpec(tight=(1, 0))
+    parents = _cached_level(6)
+    assert len(parents) >= _SCAN_SERIAL_BELOW  # so jobs=2 forks
+    for jobs in (1, 2):
+        got = _pooled(_scan_chunk, parents, 7, spec, jobs, _SCAN_SERIAL_BELOW)
+        assert got == _filtered_scan(7, spec)
 
 
 def test_atlas_roundtrip(tmp_path):
@@ -154,3 +169,15 @@ def test_verify_negative_path():
     assert rep.verdict == "refuted"
     assert rep.counterexamples == rep.matches
     assert len(rep.matches) == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, InvariantViolation])
+def test_t1a_certificate_failure_is_a_counterexample(monkeypatch, error):
+    # a perfect matching that cannot be built refutes T1a like T1b, T1d and T2
+    def fail(g):
+        raise error("no perfect matching")
+
+    monkeypatch.setattr(structure, "perfect_matching_tight10", fail)
+    rep = verify_theorem("T1a", n_values=(4,))
+    assert rep.verdict == "refuted"
+    assert rep.counterexamples == rep.matches and rep.matches

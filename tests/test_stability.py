@@ -1,5 +1,8 @@
 import pytest
 
+from helpers import naive_alpha, naive_removal_alphas
+from stabilitylab.catalog import _brute_critical
+from stabilitylab.critical import alpha_preserving_edge, is_alpha_critical
 from stabilitylab.enumeration import enumerate_canonical
 from stabilitylab.graphs import (
     add_isolated,
@@ -7,6 +10,7 @@ from stabilitylab.graphs import (
     clique,
     cone,
     cycle,
+    delete_edge,
     disjoint_union,
     even_subdivision_k4,
     path,
@@ -91,6 +95,29 @@ def test_fast_path_agrees_with_reference_scan():
                 )
 
 
+def test_folded_kernels_match_independent_oracles():
+    # every class with n <= 7, k <= 3, l < k against scans built on naive_alpha
+    # and the catalog's brute-force criticality test, not on alpha_mask
+    for n in range(1, 8):
+        for g in enumerate_canonical(n):
+            a, wit = alpha_mask(g.adj, (1 << n) - 1)
+            assert a == naive_alpha(g)
+            for k in range(1, min(3, n - 1) + 1):
+                scan = naive_removal_alphas(g, k)
+                assert max_alpha_drop(g, k) == max(a - rest for _, rest in scan)
+                for l in range(k):
+                    first = next((sub for sub, rest in scan if rest < a - l), None)
+                    rep = is_stable(g, k, l)
+                    assert (rep.stable, rep.witness) == (first is None, first)
+                    assert stable_fast(g.adj, n, k, l, a, wit) == (first is None)
+            edge = alpha_preserving_edge(g.adj, n, a)
+            first_edge = next(
+                (e for e in g.edges() if naive_alpha(delete_edge(g, e)) == a), None
+            )
+            assert edge == first_edge
+            assert is_alpha_critical(g) == (_brute_critical(g), edge)
+
+
 def test_monotonicity_over_stream():
     # stability survives lowering k and raising l
     for n in range(4, 7):
@@ -142,3 +169,5 @@ def test_rejects_undefined_parameter_domain():
         is_stable(cycle(5), 5, 0)  # n <= k is rejected, not guessed
     with pytest.raises(ValueError):
         is_stable(cycle(5), 0, 0)
+    with pytest.raises(ValueError):
+        is_stable(cycle(5), True, False)  # bool is not an integer parameter

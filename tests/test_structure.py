@@ -26,6 +26,7 @@ from stabilitylab.structure import (
     is_odd_cycle,
     odd_cycle_matching_decomposition,
     perfect_matching_tight10,
+    spanning_certificate,
     spanning_embedding,
     two_cycles_or_subdivision_decomposition,
     validate_decomposition,
@@ -168,6 +169,20 @@ def test_two_cycles_or_subdivision():
 
     with pytest.raises(ValueError):
         two_cycles_or_subdivision_decomposition(cycle(6))  # not tight (2,0)
+
+
+def test_spanning_certificate_dispatch():
+    # one entry point picks the builder by k and parity and validates the result
+    assert spanning_certificate(cycle(6), 1).kind == KIND_PERFECT_MATCHING
+    assert spanning_certificate(cycle(7), 1).kind == KIND_ODD_CYCLE_PLUS_MATCHING
+    assert spanning_certificate(disjoint_union(cycle(3), cycle(5)), 2).kind == KIND_TWO_ODD_CYCLES
+    d = spanning_certificate(cycle(9), 2)
+    assert d.kind == KIND_ODD_CYCLE_PLUS_MATCHING and d.cycles == ((0, 1, 2, 3, 4, 5, 6, 7, 8),)
+    assert spanning_certificate(catalog.named_graph("H7"), 3).name == "H7"
+    with pytest.raises(ValueError):
+        spanning_certificate(cycle(7), 3)  # not tight (3,0)
+    with pytest.raises(ValueError):
+        spanning_certificate(cycle(9), 4)
 
 
 def test_spanning_embedding():
