@@ -1,7 +1,10 @@
 """Canonical labeling, isomorphism testing, and automorphism orbits.
 
 The labeling is computed in-house by iterated color refinement plus
-individualization with backtracking.  Cells of every intermediate partition
+individualization with backtracking.  Refinement starts from the degree
+ranks (:func:`degree_ranks`), which is exactly the first refinement round
+from the unit partition, so starting there changes no color and no key.
+Cells of every intermediate partition
 are kept in an isomorphism-invariant order (new colors are ranked by sorted
 signature), which gives two properties the enumeration module relies on:
 
@@ -23,13 +26,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .graphs import Graph, bits
+from .graphs import Graph
 
 Code = tuple[int, ...]
 
 
 def neighbor_lists(adj: Code) -> list[list[int]]:
-    return [list(bits(m)) for m in adj]
+    out = []
+    for m in adj:
+        nb = []
+        while m:
+            low = m & -m
+            nb.append(low.bit_length() - 1)
+            m ^= low
+        out.append(nb)
+    return out
+
+
+def degree_ranks(adj: Code) -> list[int]:
+    """Each vertex's rank among the distinct degrees: the first refinement
+    round from the unit partition, so refining from it gives the same colors."""
+    degs = [m.bit_count() for m in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
+    return [rank[d] for d in degs]
 
 
 def refine_colors(nlists: list[list[int]], colors: list[int]) -> list[int]:
@@ -42,10 +61,8 @@ def refine_colors(nlists: list[list[int]], colors: list[int]) -> list[int]:
     n = len(nlists)
     ncolors = len(set(colors))
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in nlists[v])))
-            for v in range(n)
-        ]
+        at = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(at, nb)))) for c, nb in zip(colors, nlists)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
         k = len(rank)
@@ -88,7 +105,7 @@ def _is_automorphism(adj: Code, nlists: list[list[int]], sigma: tuple[int, ...])
 def canonical_data(adj: Code) -> CanonicalData:
     n = len(adj)
     nlists = neighbor_lists(adj)
-    base = refine_colors(nlists, [0] * n)
+    base = refine_colors(nlists, degree_ranks(adj))
     if len(set(base)) == n:
         # Discrete equitable partition: the automorphism group is trivial.
         order = [0] * n

@@ -21,11 +21,11 @@ from dataclasses import asdict
 from . import __version__
 from .critical import critical_reduce
 from .enumeration import (
-    DEFAULT_RANGES,
     FilterSpec,
     THEOREM_IDS,
     atlas_record,
     atlas_write,
+    default_sizes,
     filtered_records,
     verify_theorem,
     _record_line,
@@ -278,8 +278,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     values = tuple(args.n) if args.n else None
     if args.n_max is not None:
-        base = DEFAULT_RANGES.get(args.theorem, ())
-        values = tuple(v for v in base if v <= args.n_max) if base else values
+        base = values or default_sizes(args.theorem, args.k)
+        values = tuple(v for v in base if v <= args.n_max)
+        if not values:
+            raise _UsageError(f"--n-max {args.n_max} leaves none of the sizes {list(base)}")
     report = verify_theorem(
         args.theorem,
         n_values=values,
@@ -374,7 +376,7 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="run a verification pipeline")
     v.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     v.add_argument("--n", type=int, action="append", help="size to scan (repeatable)")
-    v.add_argument("--n-max", type=int, help="restrict the default range to sizes <= N")
+    v.add_argument("--n-max", type=int, help="scan only the sizes (given or default) that are <= N")
     v.add_argument("--k", type=int)
     v.add_argument("--no-prune", action="store_true")
     v.add_argument("--atlas", help="also write one atlas record per match to this file")

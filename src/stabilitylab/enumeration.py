@@ -4,10 +4,14 @@ Generation is vertex-by-vertex canonical augmentation: a parent on n-1
 vertices is extended by one new vertex attached to every subset of the
 parent (one representative per orbit of the parent's automorphism group),
 and the child survives iff the new vertex lies in the child's canonical
-deletion orbit.  A child-side fast path decides most cases from the
-equitable partition alone: the canonical deletion vertex always sits in the
-last cell, so the new vertex is rejected when outside it and accepted when
-the cell is a singleton.
+deletion orbit.  The canonical deletion vertex always sits in the last cell
+of the equitable partition, which refinement from degree ranks keeps among
+the vertices of largest degree.  So the new vertex must have the largest
+degree, a test decided on the attachment subset before any child is built;
+a child whose new vertex is the only one of largest degree is accepted
+without refinement.  Otherwise the equitable partition decides most cases:
+the new vertex is rejected when outside the last cell and accepted when the
+cell is a singleton; only the rest need the full canonical labeling.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The optional hereditary prune cuts partial
@@ -24,7 +28,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterator
 
 from . import __version__
-from .canonical import canonical_data, neighbor_lists, refine_colors
+from .canonical import canonical_data, degree_ranks, neighbor_lists, refine_colors
 from .critical import CLASS_NAMED, alpha_preserving_edge, classify_defect
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
@@ -54,21 +58,31 @@ def unpack_code(data: bytes) -> Code:
 
 def _permute_mask(mask: int, sigma: tuple[int, ...]) -> int:
     out = 0
-    for v in bits(mask):
-        out |= 1 << sigma[v]
+    while mask:
+        low = mask & -mask
+        out |= 1 << sigma[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
 def _subset_reps(parent: Code) -> list[int]:
-    """One attachment subset per orbit of the parent's automorphism group."""
-    np = len(parent)
-    total = 1 << np
+    """One attachment subset per orbit of the parent's automorphism group,
+    the least of each orbit in ascending order, keeping only subsets S that
+    give the new vertex the largest degree in the child:
+    |S| >= max degree + [S meets a max-degree vertex].  Automorphisms keep
+    both sides, so the gate removes whole orbits."""
+    degs = [row.bit_count() for row in parent]
+    top = max(degs)
+    hubs = sum(1 << v for v, d in enumerate(degs) if d == top)
+    masks = [
+        m for m in range(1 << len(parent)) if m.bit_count() >= top + (m & hubs != 0)
+    ]
     gens = canonical_data(parent).generators
     if not gens:
-        return list(range(total))
-    seen = bytearray(total)
+        return masks
+    seen = bytearray(1 << len(parent))
     reps = []
-    for m in range(total):
+    for m in masks:
         if seen[m]:
             continue
         reps.append(m)
@@ -93,10 +107,12 @@ def _child_code(parent: Code, subset: int) -> Code:
 
 
 def _is_canonical_child(code: Code, n: int) -> bool:
-    degs = [row.bit_count() for row in code]
-    if degs[n - 1] < max(degs):
-        return False
-    colors = refine_colors(neighbor_lists(code), [0] * n)
+    """Whether the new vertex ``n - 1`` lies in the child's canonical deletion
+    orbit; the attachment subset already gave it the largest degree."""
+    ranks = degree_ranks(code)
+    if ranks.count(ranks[n - 1]) == 1:
+        return True  # the last cell is {n - 1} from the start
+    colors = refine_colors(neighbor_lists(code), ranks)
     cmax = max(colors)
     if colors[n - 1] != cmax:
         return False
@@ -122,14 +138,23 @@ def extend_level(parents: list[Code], n: int) -> list[Code]:
 
 _LEVELS: dict[int, list[bytes]] = {1: [pack_code((0,))]}
 
+#: OEIS A000088: graphs on n = 1..9 vertices up to isomorphism
+CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+
 
 def _cached_level(n: int) -> list[Code]:
+    """Level ``n``, built on the largest cached level and checked against
+    the known class count before it is cached."""
     if n > _CACHE_MAX_N:
         raise ValueError(f"levels beyond {_CACHE_MAX_N} vertices are not cached")
     top = max(k for k in _LEVELS if k <= n)
     level = [unpack_code(b) for b in _LEVELS[top]]
     for m in range(top + 1, n + 1):
         level = extend_level(level, m)
+        if len(level) != CLASS_COUNTS[m - 1]:
+            raise InvariantViolation(
+                f"level {m} has {len(level)} classes, expected {CLASS_COUNTS[m - 1]}"
+            )
         _LEVELS[m] = [pack_code(c) for c in level]
     return level
 
@@ -210,7 +235,10 @@ def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], o
         return _classification
     for kind in ("stable", "tight"):
         if key.startswith(kind + "_"):
-            k, l = (int(x) for x in key[len(kind) + 1 :].split("_"))
+            try:
+                k, l = map(int, key[len(kind) + 1 :].split("_"))
+            except ValueError:
+                raise ValueError(f"malformed flag {key!r}") from None
             tight = kind == "tight"
 
             def stability(code: Code, n: int, a: int, wit: int) -> bool:
@@ -404,7 +432,10 @@ def atlas_read(path) -> list[AtlasRecord]:
                     flags=obj["flags"],
                     provenance=obj.get("provenance", {}),
                 )
-            except (KeyError, json.JSONDecodeError) as exc:
+                if not isinstance(rec.flags, dict):
+                    raise TypeError("flags is not an object")
+                evaluators = {key: _flag_evaluator(key) for key in rec.flags}
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed atlas record ({exc})")
             g = parse_graph6(rec.g6)
             if g.n != rec.n:
@@ -413,7 +444,7 @@ def atlas_read(path) -> list[AtlasRecord]:
             if a != rec.alpha:
                 raise ValueError(f"{path}:{lineno}: stored alpha={rec.alpha} but recomputed {a}")
             for key, value in rec.flags.items():
-                if _flag_evaluator(key)(g.adj, g.n, a, wit) != value:
+                if evaluators[key](g.adj, g.n, a, wit) != value:
                     raise ValueError(f"{path}:{lineno}: flag {key}={value!r} fails recomputation")
             records.append(rec)
     return records
@@ -450,6 +481,13 @@ DEFAULT_RANGES = {
 THEOREM_IDS = ("T1a", "T1b", "T1c", "T1d", "T2", "COR", "L21", "AND", "SUR")
 
 
+def default_sizes(theorem_id: str, k: int | None = None) -> tuple[int, ...]:
+    """Sizes ``verify_theorem`` scans when none are given."""
+    if theorem_id == "COR":
+        return ((3 if k is None else k) + 7,)
+    return DEFAULT_RANGES[theorem_id]
+
+
 def _certificate_check(k: int) -> Callable[[Graph], bool]:
     """Match test: the spanning certificate of tight (k,0)-stability builds;
     a failed construction makes the match a counterexample."""
@@ -483,11 +521,10 @@ def verify_theorem(
         k = 3 if k is None else k
         if k != 3:
             raise ValueError("the size-bound check is only enumerable for k=3")
-        values = n_values if n_values is not None else (k + 7,)
         use_prune = True if prune is None else prune
     else:
-        values = n_values if n_values is not None else DEFAULT_RANGES[theorem_id]
         use_prune = False if prune is None else prune
+    values = n_values if n_values is not None else default_sizes(theorem_id, k)
     for n in values:
         cap = MAX_ENUM_N if theorem_id == "COR" else 9
         if not 1 <= n <= cap:

@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
+from stabilitylab.canonical import canonical_data, neighbor_lists, refine_colors
 from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges
 
 
@@ -84,6 +85,44 @@ def brute_orbits(g: Graph) -> tuple[int, ...]:
         reps.setdefault(r, v)
         out.append(reps[r])
     return tuple(out)
+
+
+def reference_canonical_children(parent: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Canonical children of ``parent`` on ``n`` vertices by the ungated path:
+    the least attachment subset of every orbit of the parent's automorphism
+    group, ascending, each child kept iff its new vertex has the largest
+    degree, ends in the last cell of the partition refined from the unit
+    partition, and shares an orbit with the canonical deletion vertex."""
+    gens = canonical_data(parent).generators
+    seen, reps = set(), []
+    for m in range(1 << len(parent)):
+        if m in seen:
+            continue
+        reps.append(m)
+        orbit, stack = {m}, [m]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = sum(1 << g[v] for v in bits(x))
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        seen |= orbit
+    children = []
+    for m in reps:
+        child = tuple(
+            [row | 1 << (n - 1) if m >> v & 1 else row for v, row in enumerate(parent)] + [m]
+        )
+        degs = [row.bit_count() for row in child]
+        if degs[n - 1] < max(degs):
+            continue
+        colors = refine_colors(neighbor_lists(child), [0] * n)
+        if colors[n - 1] != max(colors):
+            continue
+        data = canonical_data(child)
+        if data.orbit[data.order[n - 1]] == data.orbit[n - 1]:
+            children.append(child)
+    return children
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -2,14 +2,17 @@ import random
 
 from hypothesis import given
 
-from helpers import brute_orbits, graphs_st, random_graph
+from helpers import brute_orbits, graphs_st, labeled_codes, random_graph
 from stabilitylab import catalog
 from stabilitylab.canonical import (
     automorphism_orbits,
     canonical_data,
     canonical_form,
     canonical_key,
+    degree_ranks,
     is_isomorphic,
+    neighbor_lists,
+    refine_colors,
 )
 from stabilitylab.graphs import Graph, bits, clique, cycle, from_edges, path
 
@@ -98,3 +101,12 @@ def test_generators_are_automorphisms():
 def test_key_invariant_under_reversal_relabeling(g):
     perm = list(reversed(range(g.n)))
     assert canonical_key(g.adj) == canonical_key(_relabel(g, perm).adj)
+
+
+def test_refinement_from_degree_ranks_matches_unit_start():
+    rng = random.Random(2014)
+    codes = [code for n in range(1, 7) for code in labeled_codes(n)]
+    codes += [random_graph(rng, rng.randint(7, 20), rng.random()).adj for _ in range(500)]
+    for adj in codes:
+        nl = neighbor_lists(adj)
+        assert refine_colors(nl, degree_ranks(adj)) == refine_colors(nl, [0] * len(adj))

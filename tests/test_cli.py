@@ -165,6 +165,23 @@ def test_verify_subcommand(capsys):
     assert len(rep["result"]["matches"]) == 2
 
 
+def test_verify_n_max_caps_explicit_sizes(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "T1c", "--n", "7", "--n-max", "7")
+    assert code == 0
+    assert last_report(out)["result"]["parameter_range"]["n_values"] == [7]
+
+
+def test_verify_n_max_caps_cor_default(capsys):
+    # COR defaults to n = k + 7 = 10; a cap of 7 leaves no size
+    code, out, err = run(capsys, "verify", "--theorem", "COR", "--n-max", "7")
+    assert code == 1 and out == "" and err.startswith("error:") and "[10]" in err
+
+
+def test_verify_n_max_leaving_no_size_exits_one(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "T1c", "--n", "7", "--n-max", "5")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_verify_atlas_output(capsys, tmp_path):
     from stabilitylab.enumeration import atlas_read
 

@@ -1,12 +1,15 @@
 import json
+import re
 
 import pytest
 
-from helpers import labeled_codes
-from stabilitylab import structure
+from helpers import labeled_codes, reference_canonical_children
+from stabilitylab import enumeration, structure
 from stabilitylab.canonical import canonical_key, is_isomorphic
 from stabilitylab.enumeration import (
     FilterSpec,
+    _cached_level,
+    _canonical_children,
     _filtered_scan,
     atlas_read,
     atlas_write,
@@ -32,6 +35,25 @@ def test_counts_no_duplicates_n7():
     keys = [canonical_key(g.adj) for g in enumerate_canonical(7)]
     assert len(keys) == KNOWN_COUNTS[7]
     assert len(set(keys)) == KNOWN_COUNTS[7]
+
+
+def test_gated_children_match_ungated_reference():
+    # the degree gate on attachment subsets and the early accept keep the
+    # same children in the same order as gating each built child
+    for size in range(1, 7):
+        for parent in _cached_level(size):
+            assert list(_canonical_children(parent, size + 1)) == reference_canonical_children(
+                parent, size + 1
+            )
+
+
+def test_class_count_mismatch_raises(monkeypatch):
+    extend = enumeration.extend_level
+    monkeypatch.setattr(enumeration, "_LEVELS", {1: enumeration._LEVELS[1]})
+    monkeypatch.setattr(enumeration, "extend_level", lambda parents, n: extend(parents, n)[1:])
+    with pytest.raises(InvariantViolation, match="level 2 has 1 classes, expected 2"):
+        _cached_level(4)
+    assert set(enumeration._LEVELS) == {1}
 
 
 def test_enumerate_range_check():
@@ -119,6 +141,22 @@ def test_atlas_rejects_tampered_flag(tmp_path):
     obj["flags"]["min_degree"] = 7
     p.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ValueError, match="min_degree"):
+        atlas_read(p)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{"stable_x_0": True}, {"stable_1": True}, [["connected", True]], "connected"],
+    ids=["stable_x_0", "stable_1", "flags-list", "flags-string"],
+)
+def test_atlas_rejects_malformed_flags_with_line(tmp_path, flags):
+    recs = list(enumerate_filtered(5, FilterSpec(tight=(2, 0))))
+    p = tmp_path / "atlas.jsonl"
+    atlas_write(recs, p)
+    obj = json.loads(p.read_text().splitlines()[0])
+    obj["flags"] = flags
+    p.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:1: malformed atlas record")):
         atlas_read(p)
 
 

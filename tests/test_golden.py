@@ -1,7 +1,8 @@
 """Output bytes pinned by sha256.
 
-Refactors of the scan, filter, record and certificate code must leave what
-users see unchanged: the ``enumerate`` record stream, atlas files, and every
+Refactors of the generation, scan, filter, record and certificate code must
+leave what users see unchanged: the ``enumerate`` record stream (unfiltered
+up to n = 8, all 12,346 classes in emitted order), atlas files, and every
 ``verify`` report and atlas at n <= 7.  Each case pins the exit code, the
 digest of standard output (the atlas path replaced by ``ATLAS``) and the
 digest of the atlas file.  A digest changes only with an intended change of
@@ -19,6 +20,13 @@ from stabilitylab.cli import main
 #: must give the jobs=1 bytes; no even subdivision of the 4-clique has 7
 #: vertices, so the defect-2 filter is also pinned at n=6
 CASES = {
+    "enumerate --n 8": (
+        ["enumerate", "--n", "8"],
+        False,
+        (0,
+         "330bdf62ea1de3c6cbc3c7106b815a3109a7ab29ff80151522e31d962f6bb99f",
+         None),
+    ),
     "enumerate --n 7": (
         ["enumerate", "--n", "7"],
         False,
