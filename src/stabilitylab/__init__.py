@@ -75,6 +75,6 @@ from .enumeration import (
     atlas_record,
     atlas_write,
     enumerate_canonical,
-    enumerate_filtered,
+    filtered_records,
     verify_theorem,
 )

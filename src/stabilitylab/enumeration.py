@@ -386,17 +386,6 @@ def filtered_records(
     return scanned, records
 
 
-def enumerate_filtered(
-    n: int,
-    spec: FilterSpec,
-    hereditary_prune: bool = False,
-    jobs: int = 1,
-) -> Iterator[AtlasRecord]:
-    """Atlas records for every graph on ``n`` vertices passing ``spec``,
-    emitted in sorted graph6 order."""
-    yield from filtered_records(n, spec, hereditary_prune, jobs)[1]
-
-
 def atlas_write(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:

@@ -3,15 +3,16 @@
 A graph is (k,l)-stable when deleting any k vertices lowers the independence
 number by at most l; it is tight when the independence number also meets the
 ceiling ``floor((n-k+1)/2) + l``, the largest value a (k,l)-stable graph can
-attain.  One lexicographic k-subset scan serves :func:`is_stable`, whose
-witness is the first violating subset, :func:`max_alpha_drop` and
-:func:`stable_fast`, the boolean-only path the enumeration pipelines use.
+attain.  Equivalently, no k vertices hit every independent set of size alpha-l.
 
-An equivalent formulation, usable as another fast path: the graph is
-(k,l)-stable iff no k vertices form a transversal of the family of
-independent sets of size alpha-l (a removal drops alpha below alpha-l
-exactly when it hits every such set).  This implementation keeps the subset
-scan, which the reports' witness semantics are defined against.
+One scan, :func:`_first_violator`, serves :func:`is_stable` (the witness is
+the first violating subset), :func:`stable_fast` and :func:`max_alpha_drop`.
+It walks the k-subsets lexicographically, looking for a removal that leaves
+alpha below a floor, and keeps ``known``: independent sets, every one of size
+>= the floor (the full-graph witness, then the witness of each probe that did
+not violate).  A subset disjoint from one of them cannot violate, so it is
+skipped without an alpha call and the first violator is the one the plain
+scan finds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, bits, degrees
+from .graphs import Graph, degrees
 from .independence import alpha_mask
 
 Code = tuple[int, ...]
@@ -40,14 +41,22 @@ def stability_bound(n: int, k: int, l: int) -> int:
     return (n - k + 1) // 2 + l
 
 
-def _removal_alphas(adj: Code, n: int, k: int):
-    """Yield ``(subset, alpha after removing it)`` for every k-subset, lexicographically."""
+def _first_violator(
+    adj: Code, n: int, k: int, floor: int, known: list[int]
+) -> tuple[int, ...] | None:
+    """First k-subset whose removal leaves alpha < ``floor``; extends ``known``."""
     full = (1 << n) - 1
     for sub in combinations(range(n), k):
         smask = 0
         for v in sub:
             smask |= 1 << v
-        yield sub, alpha_mask(adj, full ^ smask)[0]
+        if any(not w & smask for w in known):
+            continue
+        rest, wit = alpha_mask(adj, full ^ smask)
+        if rest < floor:
+            return sub
+        known.append(wit)
+    return None
 
 
 @dataclass(frozen=True)
@@ -64,30 +73,27 @@ class StabilityReport:
 def is_stable(g: Graph, k: int, l: int) -> StabilityReport:
     """Scan all k-subsets lexicographically; the witness is the first violator."""
     _check_params(g.n, k, l)
-    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
+    a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
     bound = stability_bound(g.n, k, l)
-    for sub, rest in _removal_alphas(g.adj, g.n, k):
-        if rest < a - l:
-            return StabilityReport(k, l, False, sub, a, bound, False)
-    return StabilityReport(k, l, True, None, a, bound, a == bound)
+    witness = _first_violator(g.adj, g.n, k, a - l, [wit])
+    stable = witness is None
+    return StabilityReport(k, l, stable, witness, a, bound, stable and a == bound)
 
 
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
-    report = is_stable(g, k, l)
-    return report.stable and report.tight
+    return is_stable(g, k, l).tight
 
 
 def max_alpha_drop(g: Graph, k: int) -> int:
     """Largest decrease of the independence number over all k-subset removals."""
-    if not 1 <= k < g.n:
-        raise ValueError(f"require 1 <= k < n, got k={k}, n={g.n}")
-    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
-    worst = 0
-    for _, rest in _removal_alphas(g.adj, g.n, k):
-        worst = max(worst, a - rest)
-        if worst == min(a, k):
-            break
-    return worst
+    _check_params(g.n, k, 0)
+    a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
+    known = [wit]
+    drop = 0
+    # floors only fall, so ``known`` stays valid; no k-removal drops alpha by more than min(a, k)
+    while drop < min(a, k) and _first_violator(g.adj, g.n, k, a - drop, known):
+        drop += 1
+    return drop
 
 
 def min_degree_necessary(g: Graph, k: int) -> tuple[bool, int | None]:
@@ -96,30 +102,17 @@ def min_degree_necessary(g: Graph, k: int) -> tuple[bool, int | None]:
     Removing a vertex's closed neighborhood always lowers the independence
     number, so a vertex of degree < k yields a violating removal set.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     for v, d in enumerate(degrees(g)):
         if d < k:
             return False, v
     return True, None
 
 
-# -- boolean-only fast path -------------------------------------------------
-#
-# Equivalent to is_stable(...).stable: a failing k-subset exists iff one is
-# found by the staged scan below.  A single vertex can force a drop only if
-# it lies in every maximum independent set, hence in the witness, which cuts
-# the size-1 stage to at most alpha probes.
-
 def stable_fast(adj: Code, n: int, k: int, l: int, a: int, witness_mask: int) -> bool:
-    full = (1 << n) - 1
-    if l == 0:
-        for v in bits(witness_mask):
-            if alpha_mask(adj, full ^ (1 << v))[0] < a:
-                return False
-    if k == 1:
-        return True  # the parameter domain forces l = 0, so singles were checked
-    return all(rest >= a - l for _, rest in _removal_alphas(adj, n, k))
+    """``is_stable(...).stable`` from a precomputed alpha and its witness mask."""
+    return _first_violator(adj, n, k, a - l, [witness_mask]) is None
 
 
 def tight_stable_fast(adj: Code, n: int, k: int, l: int) -> bool:

@@ -227,6 +227,18 @@ def _minimal_violator(g: Graph, z: list[int]) -> tuple[int, ...]:
     return tuple(current)
 
 
+def _saturated_tight10(g: Graph) -> tuple[tuple[int, ...], Matching]:
+    """First independent set of size floor(n/2) of a tight (1,0)-stable graph,
+    with the matching that saturates it into its complement."""
+    if not is_tight_stable(g, 1, 0):
+        raise ValueError("input is not tight (1,0)-stable")
+    a_set = next(independent_sets_of_size(g, g.n // 2))
+    cert = hall_matching(g, a_set)
+    if cert.matching is None:
+        raise InvariantViolation("a (1,0)-stable graph must saturate its maximum independent set")
+    return a_set, cert.matching
+
+
 def perfect_matching_tight10(g: Graph) -> Matching:
     """Perfect matching of an even tight (1,0)-stable graph.
 
@@ -235,14 +247,7 @@ def perfect_matching_tight10(g: Graph) -> Matching:
     """
     if g.n % 2:
         raise ValueError("needs an even vertex count")
-    if not is_tight_stable(g, 1, 0):
-        raise ValueError("input is not tight (1,0)-stable")
-    half = g.n // 2
-    a_set = next(independent_sets_of_size(g, half))
-    cert = hall_matching(g, a_set)
-    if cert.matching is None:
-        raise InvariantViolation("a (1,0)-stable graph must saturate its maximum independent set")
-    return cert.matching
+    return _saturated_tight10(g)[1]
 
 
 # -- odd cycle + matching ----------------------------------------------------
@@ -256,18 +261,13 @@ def odd_cycle_matching_decomposition(g: Graph) -> Decomposition:
     """
     if g.n % 2 == 0:
         raise ValueError("needs an odd vertex count")
-    if not is_tight_stable(g, 1, 0):
-        raise ValueError("input is not tight (1,0)-stable")
-    m = (g.n - 1) // 2
-    a_set = next(independent_sets_of_size(g, m))
-    cert = hall_matching(g, a_set)
-    if cert.matching is None:
-        raise InvariantViolation("a (1,0)-stable graph must saturate its maximum independent set")
+    a_set, matching = _saturated_tight10(g)
+    m = len(a_set)
     amask = 0
     for v in a_set:
         amask |= 1 << v
     pairs: list[tuple[int, int]] = []
-    for x, y in cert.matching:
+    for x, y in matching:
         pairs.append((x, y) if amask >> x & 1 else (y, x))
     pairs.sort()
     a_of = [p[0] for p in pairs]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from stabilitylab.canonical import canonical_data, neighbor_lists, refine_colors
 from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges
+from stabilitylab.independence import alpha_mask
 
 
 def naive_alpha(g: Graph) -> int:
@@ -32,6 +33,18 @@ def naive_removal_alphas(g: Graph, k: int) -> list[tuple[tuple[int, ...], int]]:
         (sub, naive_alpha(delete_vertices(g, sub)[0]))
         for sub in combinations(range(g.n), k)
     ]
+
+
+def plain_removal_alphas(adj: tuple[int, ...], n: int, k: int):
+    """Yield ``(subset, alpha after removing it)`` for every k-subset in
+    lexicographic order, one ``alpha_mask`` call each and nothing skipped: the
+    reference for the witness-cached stability scan."""
+    full = (1 << n) - 1
+    for sub in combinations(range(n), k):
+        smask = 0
+        for v in sub:
+            smask |= 1 << v
+        yield sub, alpha_mask(adj, full ^ smask)[0]
 
 
 def naive_independent_sets(g: Graph, t: int) -> list[tuple[int, ...]]:

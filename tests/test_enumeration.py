@@ -14,7 +14,7 @@ from stabilitylab.enumeration import (
     atlas_read,
     atlas_write,
     enumerate_canonical,
-    enumerate_filtered,
+    filtered_records,
     verify_theorem,
 )
 from stabilitylab.errors import InvariantViolation
@@ -68,7 +68,7 @@ def test_enumerate_range_check():
     [(5, (2, 0), "C5"), (7, (2, 0), "C7"), (4, (3, 0), "K4")],
 )
 def test_filtered_singletons(n, kl, expected):
-    recs = list(enumerate_filtered(n, FilterSpec(tight=kl)))
+    recs = filtered_records(n, FilterSpec(tight=kl))[1]
     assert len(recs) == 1
     g = parse_graph6(recs[0].g6)
     target = cycle(n) if expected.startswith("C") else clique(4)
@@ -92,8 +92,8 @@ def test_prune_requires_tight_filter():
 
 def test_parallel_determinism():
     spec = FilterSpec(tight=(1, 0))
-    seq = [r.g6 for r in enumerate_filtered(7, spec, jobs=1)]
-    par = [r.g6 for r in enumerate_filtered(7, spec, jobs=2)]
+    seq = [r.g6 for r in filtered_records(7, spec, jobs=1)[1]]
+    par = [r.g6 for r in filtered_records(7, spec, jobs=2)[1]]
     assert seq == par and seq == sorted(seq)
 
 
@@ -111,7 +111,7 @@ def test_pooled_scan_agrees_with_filtered_level():
 
 
 def test_atlas_roundtrip(tmp_path):
-    recs = list(enumerate_filtered(6, FilterSpec(stable=(1, 0))))
+    recs = filtered_records(6, FilterSpec(stable=(1, 0)))[1]
     p = tmp_path / "atlas6.jsonl"
     atlas_write(recs, p)
     first = p.read_bytes()
@@ -122,7 +122,7 @@ def test_atlas_roundtrip(tmp_path):
 
 
 def test_atlas_rejects_tampered_alpha(tmp_path):
-    recs = list(enumerate_filtered(5, FilterSpec(tight=(2, 0))))
+    recs = filtered_records(5, FilterSpec(tight=(2, 0)))[1]
     p = tmp_path / "atlas.jsonl"
     atlas_write(recs, p)
     lines = p.read_text().splitlines()
@@ -134,7 +134,7 @@ def test_atlas_rejects_tampered_alpha(tmp_path):
 
 
 def test_atlas_rejects_tampered_flag(tmp_path):
-    recs = list(enumerate_filtered(5, FilterSpec(tight=(2, 0))))
+    recs = filtered_records(5, FilterSpec(tight=(2, 0)))[1]
     p = tmp_path / "atlas.jsonl"
     atlas_write(recs, p)
     obj = json.loads(p.read_text().splitlines()[0])
@@ -150,7 +150,7 @@ def test_atlas_rejects_tampered_flag(tmp_path):
     ids=["stable_x_0", "stable_1", "flags-list", "flags-string"],
 )
 def test_atlas_rejects_malformed_flags_with_line(tmp_path, flags):
-    recs = list(enumerate_filtered(5, FilterSpec(tight=(2, 0))))
+    recs = filtered_records(5, FilterSpec(tight=(2, 0)))[1]
     p = tmp_path / "atlas.jsonl"
     atlas_write(recs, p)
     obj = json.loads(p.read_text().splitlines()[0])
@@ -168,7 +168,7 @@ def test_atlas_empty(tmp_path):
 
 
 def test_full_atlas_count_n6(tmp_path):
-    recs = list(enumerate_filtered(6, FilterSpec()))
+    recs = filtered_records(6, FilterSpec())[1]
     assert len(recs) == 156
     p = tmp_path / "all6.jsonl"
     atlas_write(recs, p)

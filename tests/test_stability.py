@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from helpers import naive_alpha, naive_removal_alphas
+from helpers import naive_alpha, naive_removal_alphas, plain_removal_alphas, random_graph
 from stabilitylab.catalog import _brute_critical
 from stabilitylab.critical import alpha_preserving_edge, is_alpha_critical
 from stabilitylab.enumeration import enumerate_canonical
@@ -13,6 +15,7 @@ from stabilitylab.graphs import (
     delete_edge,
     disjoint_union,
     even_subdivision_k4,
+    from_edges,
     path,
 )
 from stabilitylab.independence import alpha_mask
@@ -118,6 +121,65 @@ def test_folded_kernels_match_independent_oracles():
             assert is_alpha_critical(g) == (_brute_critical(g), edge)
 
 
+def _assert_matches_plain_scan(g):
+    # verdict, first witness, tightness and largest drop of the witness-cached
+    # scan against every k-subset probed by alpha_mask, nothing skipped
+    a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
+    for k in range(1, min(3, g.n - 1) + 1):
+        scan = list(plain_removal_alphas(g.adj, g.n, k))
+        assert max_alpha_drop(g, k) == max(a - rest for _, rest in scan)
+        for l in range(k):
+            first = next((sub for sub, rest in scan if rest < a - l), None)
+            rep = is_stable(g, k, l)
+            assert (rep.stable, rep.witness) == (first is None, first)
+            assert rep.tight == (first is None and a == stability_bound(g.n, k, l))
+            assert stable_fast(g.adj, g.n, k, l, a, wit) == (first is None)
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_cached_scan_matches_plain_scan():
+    rng = random.Random(4242)
+    cases = [random_graph(rng, rng.randint(9, 16), rng.uniform(0.2, 0.5)) for _ in range(200)]
+    cases += [_relabeled(cycle(n), rng) for n in range(4, 17)]
+    cases += [
+        _relabeled(disjoint_union(cycle(a), cycle(b)), rng)
+        for a in range(3, 9)
+        for b in range(a, 9)
+    ]
+    for g in cases:
+        _assert_matches_plain_scan(g)
+
+
+def test_cached_scan_skips_subsets_missing_a_known_set(monkeypatch):
+    # the plain scan makes 1 + C(n, 2) alpha calls here (466 on C31); the
+    # cache of witnesses leaves at most one per vertex
+    from stabilitylab import stability
+
+    calls = []
+
+    def counting_alpha(adj, mask):
+        calls.append(mask)
+        return alpha_mask(adj, mask)
+
+    monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
+    for g in (cycle(31), disjoint_union(cycle(15), cycle(15))):
+        for probe in (lambda: is_stable(g, 2, 0).stable, lambda: max_alpha_drop(g, 2) == 0):
+            calls.clear()
+            assert probe()
+            assert len(calls) <= g.n
+
+
+@pytest.mark.extended
+def test_cached_scan_matches_plain_scan_every_class_n8():
+    for g in enumerate_canonical(8):
+        _assert_matches_plain_scan(g)
+
+
 def test_monotonicity_over_stream():
     # stability survives lowering k and raising l
     for n in range(4, 7):
@@ -171,3 +233,9 @@ def test_rejects_undefined_parameter_domain():
         is_stable(cycle(5), 0, 0)
     with pytest.raises(ValueError):
         is_stable(cycle(5), True, False)  # bool is not an integer parameter
+    for k in (True, 1.5, 0, 5):  # max_alpha_drop needs an integer 1 <= k < n
+        with pytest.raises(ValueError):
+            max_alpha_drop(cycle(5), k)
+    for k in (True, 2.5, 0):
+        with pytest.raises(ValueError):
+            min_degree_necessary(cycle(5), k)
