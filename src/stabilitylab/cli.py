@@ -278,7 +278,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     values = tuple(args.n) if args.n else None
     if args.n_max is not None:
-        base = values or default_sizes(args.theorem, args.k)
+        base = values or default_sizes(args.theorem)
         values = tuple(v for v in base if v <= args.n_max)
         if not values:
             raise _UsageError(f"--n-max {args.n_max} leaves none of the sizes {list(base)}")

@@ -103,8 +103,16 @@ def classify_defect(g: Graph) -> DefectClass:
         if is_even_subdivision_k4(g) is not None:
             return DefectClass(d, CLASS_EVEN_SUBDIVISION_K4)
     elif d == 3 and min_degree(g) >= 3:
-        for name in CLASS_NAMED:
-            target = catalog.named_graph(name)
-            if target.n == g.n and is_isomorphic(g, target):
-                return DefectClass(d, name)
+        name = named_class(g)
+        if name is not None:
+            return DefectClass(d, name)
     return DefectClass(d, CLASS_OTHER)
+
+
+def named_class(g: Graph) -> str | None:
+    """The name in ``CLASS_NAMED`` whose catalog graph is isomorphic to ``g``, or ``None``."""
+    for name in CLASS_NAMED:
+        target = catalog.named_graph(name)
+        if target.n == g.n and is_isomorphic(g, target):
+            return name
+    return None

@@ -18,6 +18,9 @@ independence-number work.  The optional hereditary prune cuts partial
 graphs at sizes n-j (j < k) that are not tight (k-j,0)-stable, which is
 sound because tightness at size n forces tightness of every vertex-deleted
 subgraph.
+
+Levels up to 9 vertices are cached as the tuples of adjacency-row codes
+that ``extend_level`` returns, checked against the known class counts.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from . import __version__
-from .canonical import canonical_data, degree_ranks, neighbor_lists, refine_colors
+from . import __version__, catalog
+from .canonical import canonical_data, canonical_key, degree_ranks, neighbor_lists, refine_colors
 from .critical import CLASS_NAMED, alpha_preserving_edge, classify_defect
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
@@ -40,17 +43,7 @@ from .structure import hall_matching, is_even_subdivision_k4, is_odd_cycle, span
 Code = tuple[int, ...]
 
 MAX_ENUM_N = 10
-_CACHE_MAX_N = 9  # level lists kept in memory; size-10 scans stream
-
-
-def pack_code(code: Code) -> bytes:
-    return b"".join(row.to_bytes(2, "little") for row in code)
-
-
-def unpack_code(data: bytes) -> Code:
-    return tuple(
-        int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)
-    )
+_CACHE_MAX_N = 9  # levels kept in memory; size-10 scans stream
 
 
 # -- canonical augmentation --------------------------------------------------
@@ -131,32 +124,30 @@ def _canonical_children(parent: Code, n: int) -> Iterator[Code]:
             yield child
 
 
-def extend_level(parents: list[Code], n: int) -> list[Code]:
+def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
     """All canonical graphs on ``n`` vertices whose deletion parent is listed."""
     return [child for parent in parents for child in _canonical_children(parent, n)]
 
 
-_LEVELS: dict[int, list[bytes]] = {1: [pack_code((0,))]}
+_LEVELS: dict[int, tuple[Code, ...]] = {1: ((0,),)}
 
 #: OEIS A000088: graphs on n = 1..9 vertices up to isomorphism
 CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
-def _cached_level(n: int) -> list[Code]:
+def _cached_level(n: int) -> tuple[Code, ...]:
     """Level ``n``, built on the largest cached level and checked against
     the known class count before it is cached."""
     if n > _CACHE_MAX_N:
         raise ValueError(f"levels beyond {_CACHE_MAX_N} vertices are not cached")
-    top = max(k for k in _LEVELS if k <= n)
-    level = [unpack_code(b) for b in _LEVELS[top]]
-    for m in range(top + 1, n + 1):
-        level = extend_level(level, m)
+    for m in range(max(k for k in _LEVELS if k <= n) + 1, n + 1):
+        level = tuple(extend_level(_LEVELS[m - 1], m))
         if len(level) != CLASS_COUNTS[m - 1]:
             raise InvariantViolation(
                 f"level {m} has {len(level)} classes, expected {CLASS_COUNTS[m - 1]}"
             )
-        _LEVELS[m] = [pack_code(c) for c in level]
-    return level
+        _LEVELS[m] = level
+    return _LEVELS[n]
 
 
 def enumerate_canonical(n: int) -> Iterator[Graph]:
@@ -283,7 +274,7 @@ def _passes(code: Code, n: int, tests: list[tuple]) -> bool:
     return True
 
 
-def _scan_chunk(args: tuple[list[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
+def _scan_chunk(args: tuple[Sequence[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
     """Extend each parent by one vertex and keep the children passing the filter."""
     parents, n, spec = args
     tests = _spec_tests(spec)
@@ -297,7 +288,7 @@ def _scan_chunk(args: tuple[list[Code], int, FilterSpec]) -> tuple[int, list[Cod
     return scanned, matches
 
 
-def _filter_chunk(args: tuple[list[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
+def _filter_chunk(args: tuple[Sequence[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
     codes, n, spec = args
     tests = _spec_tests(spec)
     return len(codes), [c for c in codes if _passes(c, n, tests)]
@@ -309,7 +300,7 @@ _FILTER_SERIAL_BELOW = 1024
 
 
 def _pooled(
-    chunk_fn, items: list[Code], n: int, spec: FilterSpec, jobs: int, serial_below: int
+    chunk_fn, items: Sequence[Code], n: int, spec: FilterSpec, jobs: int, serial_below: int
 ) -> tuple[int, list[Code]]:
     """Run ``chunk_fn`` over ``items``, split into about four chunks per worker
     process; returns (classes scanned, sorted matches)."""
@@ -455,28 +446,6 @@ class VerificationReport:
         return asdict(self)
 
 
-#: sizes each pipeline scans by default; COR defaults to n = k + 7
-DEFAULT_RANGES = {
-    "T1a": (2, 4, 6, 8),
-    "T1b": (3, 5, 7, 9),
-    "T1c": (5, 7, 9),
-    "T1d": (4, 6, 8),
-    "T2": (4, 5, 6, 7, 8, 9),
-    "L21": (2, 3, 4, 5, 6, 7, 8),
-    "AND": (4, 6, 8),
-    "SUR": (5, 7, 9),
-}
-
-THEOREM_IDS = ("T1a", "T1b", "T1c", "T1d", "T2", "COR", "L21", "AND", "SUR")
-
-
-def default_sizes(theorem_id: str, k: int | None = None) -> tuple[int, ...]:
-    """Sizes ``verify_theorem`` scans when none are given."""
-    if theorem_id == "COR":
-        return ((3 if k is None else k) + 7,)
-    return DEFAULT_RANGES[theorem_id]
-
-
 def _certificate_check(k: int) -> Callable[[Graph], bool]:
     """Match test: the spanning certificate of tight (k,0)-stability builds;
     a failed construction makes the match a counterexample."""
@@ -491,6 +460,56 @@ def _certificate_check(k: int) -> Callable[[Graph], bool]:
     return check
 
 
+def _l21_check(g: Graph) -> bool:
+    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
+    for a_set in independent_sets_of_size(g, a):
+        cert = hall_matching(g, a_set)
+        if cert.matching is None or len(cert.matching) != a:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """What one theorem scans: the filter, the test each match must pass
+    (``None``: every match is a counterexample), the default sizes and the
+    parity every size must have (``None``: any)."""
+
+    spec: FilterSpec
+    check: Callable[[Graph], bool] | None
+    sizes: tuple[int, ...]
+    parity: int | None = None
+
+
+_PIPELINES: dict[str, _Pipeline] = {
+    "T1a": _Pipeline(FilterSpec(tight=(1, 0)), _certificate_check(1), (2, 4, 6, 8), 0),
+    "T1b": _Pipeline(FilterSpec(tight=(1, 0)), _certificate_check(1), (3, 5, 7, 9), 1),
+    "T1c": _Pipeline(FilterSpec(tight=(2, 0)), is_odd_cycle, (5, 7, 9), 1),
+    "T1d": _Pipeline(FilterSpec(tight=(2, 0)), _certificate_check(2), (4, 6, 8), 0),
+    "T2": _Pipeline(FilterSpec(tight=(3, 0)), _certificate_check(3), (4, 5, 6, 7, 8, 9)),
+    # a tight (3,0)-stable graph has at most 9 vertices: any match refutes it
+    "COR": _Pipeline(FilterSpec(tight=(3, 0)), None, (10,)),
+    "L21": _Pipeline(FilterSpec(stable=(1, 0)), _l21_check, (2, 3, 4, 5, 6, 7, 8)),
+    "AND": _Pipeline(
+        FilterSpec(connected=True, defect=2, alpha_critical=True),
+        lambda g: is_even_subdivision_k4(g) is not None,
+        (4, 6, 8),
+    ),
+    "SUR": _Pipeline(
+        FilterSpec(min_degree=3, connected=True, defect=3, alpha_critical=True),
+        lambda g: classify_defect(g).classification in CLASS_NAMED,
+        (5, 7, 9),
+    ),
+}
+
+THEOREM_IDS = tuple(_PIPELINES)
+
+
+def default_sizes(theorem_id: str) -> tuple[int, ...]:
+    """Sizes ``verify_theorem`` scans when none are given."""
+    return _PIPELINES[theorem_id].sizes
+
+
 def verify_theorem(
     theorem_id: str,
     n_values: tuple[int, ...] | None = None,
@@ -502,42 +521,43 @@ def verify_theorem(
 
     Every pipeline scans the filtered enumeration stream at the requested
     sizes and attempts the corresponding certificate construction on each
-    match; a failed construction or recognizer is a counterexample.
+    match; a failed construction or recognizer is a counterexample.  Every
+    size is checked before the first scan.
     """
-    if theorem_id not in THEOREM_IDS:
+    if theorem_id not in _PIPELINES:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
+    pipeline = _PIPELINES[theorem_id]
+    cap, prune_default = _CACHE_MAX_N, False
     if theorem_id == "COR":
         k = 3 if k is None else k
         if k != 3:
             raise ValueError("the size-bound check is only enumerable for k=3")
-        use_prune = True if prune is None else prune
-    else:
-        use_prune = False if prune is None else prune
-    values = n_values if n_values is not None else default_sizes(theorem_id, k)
+        cap, prune_default = MAX_ENUM_N, True
+    use_prune = prune_default if prune is None else prune
+    values = pipeline.sizes if n_values is None else n_values
     for n in values:
-        cap = MAX_ENUM_N if theorem_id == "COR" else 9
         if not 1 <= n <= cap:
             raise ValueError(f"size {n} outside 1..{cap} for {theorem_id}")
+    for n in values:
+        if pipeline.parity is not None and n % 2 != pipeline.parity:
+            raise ValueError(f"{theorem_id} applies to {('even', 'odd')[pipeline.parity]} sizes")
 
     scanned_total = 0
     matches: list[str] = []
     counterexamples: list[str] = []
 
     for n in values:
-        spec, match_test = _pipeline_for(theorem_id, n, k)
-        scanned, codes = _filtered_scan(n, spec, prune=use_prune, jobs=jobs)
+        scanned, codes = _filtered_scan(n, pipeline.spec, prune=use_prune, jobs=jobs)
         scanned_total += scanned
         for code in codes:
             g = Graph(n, code)
             g6 = write_graph6(g)
             matches.append(g6)
-            if match_test is not None and not match_test(g):
+            if pipeline.check is None or not pipeline.check(g):
                 counterexamples.append(g6)
         if theorem_id == "SUR":
             counterexamples.extend(_sur_missing(n, codes))
 
-    if theorem_id == "COR":
-        counterexamples = list(matches)
     verdict = "verified" if not counterexamples else "refuted"
     params: dict = {"n_values": list(values), "prune": use_prune}
     if theorem_id == "COR":
@@ -552,59 +572,12 @@ def verify_theorem(
     )
 
 
-def _pipeline_for(theorem_id: str, n: int, k: int | None):
-    if theorem_id == "T1a":
-        if n % 2:
-            raise ValueError("T1a applies to even sizes")
-        return FilterSpec(tight=(1, 0)), _certificate_check(1)
-    if theorem_id == "T1b":
-        if n % 2 == 0:
-            raise ValueError("T1b applies to odd sizes")
-        return FilterSpec(tight=(1, 0)), _certificate_check(1)
-    if theorem_id == "T1c":
-        if n % 2 == 0:
-            raise ValueError("T1c applies to odd sizes")
-        return FilterSpec(tight=(2, 0)), is_odd_cycle
-    if theorem_id == "T1d":
-        if n % 2:
-            raise ValueError("T1d applies to even sizes")
-        return FilterSpec(tight=(2, 0)), _certificate_check(2)
-    if theorem_id == "T2":
-        return FilterSpec(tight=(3, 0)), _certificate_check(3)
-    if theorem_id == "COR":
-        return FilterSpec(tight=(k, 0)), None
-    if theorem_id == "L21":
-        return FilterSpec(stable=(1, 0)), _l21_check
-    if theorem_id == "AND":
-        return (
-            FilterSpec(connected=True, defect=2, alpha_critical=True),
-            lambda g: is_even_subdivision_k4(g) is not None,
-        )
-    if theorem_id == "SUR":
-        return (
-            FilterSpec(min_degree=3, connected=True, defect=3, alpha_critical=True),
-            lambda g: classify_defect(g).classification in CLASS_NAMED,
-        )
-    raise ValueError(theorem_id)
-
-
-def _l21_check(g: Graph) -> bool:
-    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
-    for a_set in independent_sets_of_size(g, a):
-        cert = hall_matching(g, a_set)
-        if cert.matching is None or len(cert.matching) != a:
-            return False
-    return True
-
-
 def _sur_expected(n: int) -> tuple[str, ...]:
-    return {5: ("K5",), 7: ("H7",), 9: ("H9", "T9")}.get(n, ())
+    """The named defect-3 graphs on ``n`` vertices."""
+    return tuple(name for name in CLASS_NAMED if catalog.named_graph(name).n == n)
 
 
 def _sur_missing(n: int, codes: list[Code]) -> list[str]:
-    from . import catalog
-    from .canonical import canonical_key
-
     found = {canonical_key(code) for code in codes}
     missing = []
     for name in _sur_expected(n):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import catalog
-from .canonical import is_isomorphic
-from .critical import critical_reduce
+from .critical import critical_reduce, named_class
 from .errors import InvariantViolation
 from .graphs import (
     Graph,
@@ -514,12 +513,7 @@ def five_graph_decomposition(g: Graph) -> Decomposition:
         kernel = critical_reduce(g).kernel
         if not is_connected(kernel):
             raise InvariantViolation("critical kernel of an odd tight (3,0)-stable graph must be connected")
-        name = None
-        for cand in ("K5", "H7", "H9", "T9"):
-            target = catalog.named_graph(cand)
-            if target.n == g.n and is_isomorphic(kernel, target):
-                name = cand
-                break
+        name = named_class(kernel)
         if name is None:
             raise InvariantViolation("kernel matches none of the named defect-3 graphs")
         emb = spanning_embedding(kernel, catalog.named_graph(name))

@@ -172,7 +172,7 @@ def test_verify_n_max_caps_explicit_sizes(capsys):
 
 
 def test_verify_n_max_caps_cor_default(capsys):
-    # COR defaults to n = k + 7 = 10; a cap of 7 leaves no size
+    # COR defaults to n = 10; a cap of 7 leaves no size
     code, out, err = run(capsys, "verify", "--theorem", "COR", "--n-max", "7")
     assert code == 1 and out == "" and err.startswith("error:") and "[10]" in err
 

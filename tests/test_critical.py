@@ -8,6 +8,7 @@ from stabilitylab.critical import (
     critical_reduce,
     defect,
     is_alpha_critical,
+    named_class,
 )
 from stabilitylab.enumeration import enumerate_canonical
 from stabilitylab.graphs import (
@@ -66,6 +67,15 @@ def test_classify_defect_examples():
     assert classify_defect(cycle(9)).classification == "odd_cycle"
     assert classify_defect(catalog.named_graph("H7")).classification == "H7"
     assert classify_defect(clique(2)).classification == "other"  # defect 0
+
+
+def test_named_class_finds_each_catalog_graph_relabeled():
+    for name in ("K5", "H7", "H9", "T9"):
+        g = catalog.named_graph(name)
+        flipped = from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+        assert named_class(flipped) == name
+    assert named_class(catalog.named_graph("K4")) is None
+    assert named_class(cycle(9)) is None
 
 
 def test_classify_defect_requires_hypotheses():

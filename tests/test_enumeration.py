@@ -7,12 +7,16 @@ from helpers import labeled_codes, reference_canonical_children
 from stabilitylab import enumeration, structure
 from stabilitylab.canonical import canonical_key, is_isomorphic
 from stabilitylab.enumeration import (
+    _CACHE_MAX_N,
+    MAX_ENUM_N,
+    THEOREM_IDS,
     FilterSpec,
     _cached_level,
     _canonical_children,
     _filtered_scan,
     atlas_read,
     atlas_write,
+    default_sizes,
     enumerate_canonical,
     filtered_records,
     verify_theorem,
@@ -54,6 +58,12 @@ def test_class_count_mismatch_raises(monkeypatch):
     with pytest.raises(InvariantViolation, match="level 2 has 1 classes, expected 2"):
         _cached_level(4)
     assert set(enumeration._LEVELS) == {1}
+
+
+def test_cached_level_is_the_cached_tuple():
+    level = _cached_level(7)
+    assert isinstance(level, tuple) and len(level) == KNOWN_COUNTS[7]
+    assert level is _cached_level(7)
 
 
 def test_enumerate_range_check():
@@ -182,6 +192,56 @@ def test_verify_rejects_unknown_inputs():
         verify_theorem("COR", k=4)
     with pytest.raises(ValueError):
         verify_theorem("T1c", n_values=(4,))  # wrong parity
+
+
+@pytest.mark.parametrize(
+    "theorem_id,sizes,message",
+    [
+        ("T1c", (5, 4), "T1c applies to odd sizes"),
+        ("T1a", (2, 7), "T1a applies to even sizes"),
+        ("T1a", (2, 11), "size 11 outside 1..9 for T1a"),
+    ],
+)
+def test_verify_checks_every_size_before_scanning(monkeypatch, theorem_id, sizes, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("scanned before every size was checked")
+
+    monkeypatch.setattr(enumeration, "_filtered_scan", fail)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_theorem(theorem_id, n_values=sizes)
+
+
+#: the sizes each pipeline scans by default
+EXPECTED_DEFAULT_SIZES = {
+    "T1a": (2, 4, 6, 8),
+    "T1b": (3, 5, 7, 9),
+    "T1c": (5, 7, 9),
+    "T1d": (4, 6, 8),
+    "T2": (4, 5, 6, 7, 8, 9),
+    "COR": (10,),
+    "L21": (2, 3, 4, 5, 6, 7, 8),
+    "AND": (4, 6, 8),
+    "SUR": (5, 7, 9),
+}
+
+
+def test_theorem_ids_keep_their_order():
+    assert THEOREM_IDS == tuple(EXPECTED_DEFAULT_SIZES)
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_default_sizes_respect_parity_and_cap(theorem_id):
+    sizes = default_sizes(theorem_id)
+    assert sizes == EXPECTED_DEFAULT_SIZES[theorem_id]
+    parity = enumeration._PIPELINES[theorem_id].parity
+    cap = MAX_ENUM_N if theorem_id == "COR" else _CACHE_MAX_N
+    assert all(1 <= n <= cap and parity in (None, n % 2) for n in sizes)
+
+
+def test_sur_expects_the_named_graphs_by_order():
+    assert [enumeration._sur_expected(n) for n in range(4, 11)] == [
+        (), ("K5",), (), ("H7",), (), ("H9", "T9"), ()
+    ]
 
 
 def test_verify_reports_are_consistent():
