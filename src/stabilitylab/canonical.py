@@ -16,6 +16,16 @@ signature), which gives two properties the enumeration module relies on:
 Discovered automorphisms prune the search and accumulate into the orbit
 partition that callers use for canonical-augmentation tests.
 
+:func:`shares_orbit` proves vertices to be in one orbit without the search:
+it follows one fixed path per vertex (individualize it, then the least
+vertex of the first non-singleton cell, down to a discrete leaf).  Two
+leaves with the same key and the two vertices at the same position give an
+automorphism mapping one vertex to the other.  A False answer proves
+nothing, so callers fall back to :func:`canonical_data`.  Inside one cell
+of an equitable partition the individualized vertex always lands at the
+cell's first position; the position test matters for vertices of
+different cells.
+
 Functions here work on raw adjacency tuples (``adj[v]`` = neighbor bitmask)
 so the enumeration hot path avoids object overhead; thin wrappers accept
 :class:`~stabilitylab.graphs.Graph` values.
@@ -24,6 +34,7 @@ so the enumeration hot path avoids object overhead; thin wrappers accept
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InvariantViolation
 from .graphs import Graph
@@ -90,6 +101,49 @@ def _leaf_key(nlists: list[list[int]], pos: list[int]) -> Code:
             r |= 1 << pos[u]
         rows[pos[v]] = r
     return tuple(rows)
+
+
+def _target_cell(colors: list[int]) -> list[int] | None:
+    """The first non-singleton cell, in vertex order; None if the partition is discrete."""
+    cell_of: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cell_of.setdefault(c, []).append(v)
+    for c in sorted(cell_of):
+        if len(cell_of[c]) > 1:
+            return cell_of[c]
+    return None
+
+
+def _individualize(nlists: list[list[int]], colors: list[int], v: int) -> list[int]:
+    """Give ``v`` a cell of its own just before the rest of its cell, then refine."""
+    child = [2 * c for c in colors]
+    child[v] -= 1
+    return refine_colors(nlists, child)
+
+
+def _fixed_leaf(nlists: list[list[int]], colors: list[int], v: int) -> tuple[Code, int]:
+    """Leaf key and position of ``v`` at the end of one fixed search path:
+    individualize ``v``, then the least vertex of the first non-singleton
+    cell, until the partition is discrete."""
+    colors = _individualize(nlists, colors, v)
+    while (target := _target_cell(colors)) is not None:
+        colors = _individualize(nlists, colors, target[0])
+    return _leaf_key(nlists, colors), colors[v]
+
+
+def shares_orbit(
+    nlists: list[list[int]], colors: list[int], z: int, others: Iterable[int]
+) -> bool:
+    """True only if every vertex ``w`` of ``others`` is in the automorphism
+    orbit of ``z``; False proves nothing.
+
+    It holds when the fixed leaf of each ``w`` has the key of the fixed leaf
+    of ``z`` and puts ``w`` at the position where that leaf puts ``z``: the
+    relabeling of one leaf onto the other is then an automorphism mapping
+    ``z`` to ``w``.  ``colors`` may be any vertex coloring.
+    """
+    leaf = _fixed_leaf(nlists, colors, z)
+    return all(_fixed_leaf(nlists, colors, w) == leaf for w in others)
 
 
 def _is_automorphism(adj: Code, nlists: list[list[int]], sigma: tuple[int, ...]) -> bool:
@@ -170,14 +224,7 @@ def canonical_data(adj: Code) -> CanonicalData:
 
     def search(colors: list[int]) -> None:
         nonlocal first_key, first_pos, best_key, best_pos
-        cell_of: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cell_of.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cell_of):
-            if len(cell_of[c]) > 1:
-                target = cell_of[c]
-                break
+        target = _target_cell(colors)
         if target is None:
             key = _leaf_key(nlists, colors)
             if first_key is None:
@@ -193,13 +240,11 @@ def canonical_data(adj: Code) -> CanonicalData:
             return
 
         tried: list[int] = []
-        for w in sorted(target):
+        for w in target:
             if any(equivalent_here(colors, w, t) for t in tried):
                 continue
             tried.append(w)
-            child = [2 * c for c in colors]
-            child[w] -= 1
-            search(refine_colors(nlists, child))
+            search(_individualize(nlists, colors, w))
 
     search(list(base))
     key, pos = best_key, best_pos

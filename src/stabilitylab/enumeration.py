@@ -1,17 +1,27 @@
 """Canonical generation of all non-isomorphic graphs and the verification pipelines.
 
 Generation is vertex-by-vertex canonical augmentation: a parent on n-1
-vertices is extended by one new vertex attached to every subset of the
+vertices is extended by one new vertex z attached to every subset of the
 parent (one representative per orbit of the parent's automorphism group),
-and the child survives iff the new vertex lies in the child's canonical
-deletion orbit.  The canonical deletion vertex always sits in the last cell
-of the equitable partition, which refinement from degree ranks keeps among
-the vertices of largest degree.  So the new vertex must have the largest
-degree, a test decided on the attachment subset before any child is built;
-a child whose new vertex is the only one of largest degree is accepted
-without refinement.  Otherwise the equitable partition decides most cases:
-the new vertex is rejected when outside the last cell and accepted when the
-cell is a singleton; only the rest need the full canonical labeling.
+and the child survives iff z lies in the child's canonical deletion orbit.
+The canonical deletion vertex always sits in the last cell of the equitable
+partition, and refinement from degree ranks only splits cells in place, so
+that cell lies inside the last cell of every earlier refinement round.  The
+gate runs these tests in order, each exact, and stops at the first that
+decides:
+
+1. z must have the largest degree, decided on the attachment subset before
+   any child is built;
+2. z alone of largest degree: accept;
+3. the second refinement round, on the largest-degree cell only: another
+   vertex with a larger sorted list of neighbour degrees rejects, a list
+   of z's larger than all others accepts, and only ties go on;
+4. the equitable partition: z outside its last cell rejects, a singleton
+   last cell accepts;
+5. every other vertex of the last cell proved to be in z's orbit by
+   :func:`~stabilitylab.canonical.shares_orbit` accepts, since the
+   canonical deletion vertex is one of them;
+6. the full canonical labeling decides the rest.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The optional hereditary prune cuts partial
@@ -31,7 +41,14 @@ from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
 
 from . import __version__, catalog
-from .canonical import canonical_data, canonical_key, degree_ranks, neighbor_lists, refine_colors
+from .canonical import (
+    canonical_data,
+    canonical_key,
+    degree_ranks,
+    neighbor_lists,
+    refine_colors,
+    shares_orbit,
+)
 from .critical import CLASS_NAMED, alpha_preserving_edge, classify_defect
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
@@ -100,20 +117,32 @@ def _child_code(parent: Code, subset: int) -> Code:
 
 
 def _is_canonical_child(code: Code, n: int) -> bool:
-    """Whether the new vertex ``n - 1`` lies in the child's canonical deletion
-    orbit; the attachment subset already gave it the largest degree."""
-    ranks = degree_ranks(code)
-    if ranks.count(ranks[n - 1]) == 1:
-        return True  # the last cell is {n - 1} from the start
-    colors = refine_colors(neighbor_lists(code), ranks)
-    cmax = max(colors)
-    if colors[n - 1] != cmax:
+    """Whether the new vertex ``z = n - 1`` lies in the child's canonical
+    deletion orbit; the attachment subset already gave it the largest degree."""
+    z = n - 1
+    degs = [row.bit_count() for row in code]
+    top = [v for v in range(z) if degs[v] == degs[z]]
+    if not top:
+        return True  # the last cell is {z} from the start
+    # the second refinement round, on the top-degree cell only
+    zsig = sorted(degs[u] for u in bits(code[z]))
+    tied = False
+    for v in top:
+        sig = sorted(degs[u] for u in bits(code[v]))
+        if sig > zsig:
+            return False
+        tied = tied or sig == zsig
+    if not tied:
+        return True
+    nlists = neighbor_lists(code)
+    colors = refine_colors(nlists, degree_ranks(code))
+    if colors[z] != max(colors):
         return False
-    if colors.count(cmax) == 1:
+    cell = [v for v in top if colors[v] == colors[z]]
+    if not cell or shares_orbit(nlists, colors, z, cell):
         return True
     data = canonical_data(code)
-    vstar = data.order[n - 1]
-    return data.orbit[vstar] == data.orbit[n - 1]
+    return data.orbit[data.order[z]] == data.orbit[z]
 
 
 def _canonical_children(parent: Code, n: int) -> Iterator[Code]:
@@ -299,18 +328,35 @@ _SCAN_SERIAL_BELOW = 64
 _FILTER_SERIAL_BELOW = 1024
 
 
+def _run_chunk(job: tuple[Callable, tuple]) -> tuple[int, list[Code]]:
+    """``chunk_fn(chunk)`` for ``job = (chunk_fn, chunk)``.  An exception it
+    raises comes back as the same type with n and the graph6 of the chunk's
+    first and last item in front of its message."""
+    chunk_fn, chunk = job
+    try:
+        return chunk_fn(chunk)
+    except Exception as exc:
+        items, n, _ = chunk
+        first, last = (write_graph6(Graph(len(c), c)) for c in (items[0], items[-1]))
+        try:
+            named = type(exc)(f"n={n}, chunk {first} to {last}: {exc}")
+        except Exception:
+            raise exc from None  # a type that takes other arguments keeps its message
+        raise named from exc
+
+
 def _pooled(
     chunk_fn, items: Sequence[Code], n: int, spec: FilterSpec, jobs: int, serial_below: int
 ) -> tuple[int, list[Code]]:
     """Run ``chunk_fn`` over ``items``, split into about four chunks per worker
     process; returns (classes scanned, sorted matches)."""
     if jobs <= 1 or len(items) < serial_below:
-        results = [chunk_fn((items, n, spec))]
+        results = [_run_chunk((chunk_fn, (items, n, spec)))]
     else:
         step = max(1, (len(items) + jobs * 4 - 1) // (jobs * 4))
-        chunks = [(items[i : i + step], n, spec) for i in range(0, len(items), step)]
+        tasks = [(chunk_fn, (items[i : i + step], n, spec)) for i in range(0, len(items), step)]
         with get_context("fork").Pool(jobs) as pool:
-            results = list(pool.imap_unordered(chunk_fn, chunks))
+            results = list(pool.imap_unordered(_run_chunk, tasks))
     return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
 
 
@@ -533,6 +579,8 @@ def verify_theorem(
         if k != 3:
             raise ValueError("the size-bound check is only enumerable for k=3")
         cap, prune_default = MAX_ENUM_N, True
+    elif k is not None:
+        raise ValueError(f"k applies only to COR, not to {theorem_id}")
     use_prune = prune_default if prune is None else prune
     values = pipeline.sizes if n_values is None else n_values
     for n in values:

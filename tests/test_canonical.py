@@ -13,6 +13,7 @@ from stabilitylab.canonical import (
     is_isomorphic,
     neighbor_lists,
     refine_colors,
+    shares_orbit,
 )
 from stabilitylab.graphs import Graph, bits, clique, cycle, from_edges, path
 
@@ -71,19 +72,22 @@ def _all_small(n):
     return list(enumerate_canonical(n))
 
 
+def _petersen():
+    return from_edges(
+        10,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
+    )
+
+
 def test_orbit_structure_of_named_graphs():
     assert len(set(automorphism_orbits(clique(4)))) == 1
     assert len(set(automorphism_orbits(cycle(9)))) == 1
     p4 = path(4)
     orb = automorphism_orbits(p4)
     assert orb[0] == orb[3] and orb[1] == orb[2] and orb[0] != orb[1]
-    petersen = from_edges(
-        10,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
-    )
-    assert len(set(automorphism_orbits(petersen))) == 1
+    assert len(set(automorphism_orbits(_petersen()))) == 1
 
 
 def test_generators_are_automorphisms():
@@ -110,3 +114,26 @@ def test_refinement_from_degree_ranks_matches_unit_start():
     for adj in codes:
         nl = neighbor_lists(adj)
         assert refine_colors(nl, degree_ranks(adj)) == refine_colors(nl, [0] * len(adj))
+
+
+def test_shares_orbit_proves_only_true_orbits():
+    # a True answer is a proof for every listed vertex, whichever cells the
+    # vertices come from; vertex-transitive graphs are proved one orbit
+    rng = random.Random(31)
+    graphs = [g for n in range(1, 7) for g in _all_small(n)]
+    graphs += [random_graph(rng, 7, 0.4) for _ in range(15)]
+    proved = 0
+    for g in graphs:
+        orbits = brute_orbits(g)
+        nl = neighbor_lists(g.adj)
+        colors = refine_colors(nl, degree_ranks(g.adj))
+        for z in range(g.n):
+            others = [w for w in range(g.n) if w != z]
+            for group in [[w] for w in others] + [others]:
+                if shares_orbit(nl, colors, z, group):
+                    assert all(orbits[w] == orbits[z] for w in group), (g.adj, z, group)
+                    proved += 1
+    assert proved > 1000
+    for g in (cycle(9), clique(5), _petersen()):
+        nl = neighbor_lists(g.adj)
+        assert shares_orbit(nl, refine_colors(nl, degree_ranks(g.adj)), 0, range(1, g.n))

@@ -177,6 +177,11 @@ def test_verify_n_max_caps_cor_default(capsys):
     assert code == 1 and out == "" and err.startswith("error:") and "[10]" in err
 
 
+def test_verify_k_outside_cor_exits_one(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "T1c", "--n", "5", "--k", "7")
+    assert code == 1 and out == "" and err.startswith("error:") and "COR" in err
+
+
 def test_verify_n_max_leaving_no_size_exits_one(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "T1c", "--n", "7", "--n-max", "5")
     assert code == 1 and out == "" and err.startswith("error:")

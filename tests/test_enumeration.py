@@ -1,11 +1,13 @@
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
 
-from helpers import labeled_codes, reference_canonical_children
+from helpers import labeled_codes, random_graph, reference_canonical_children
 from stabilitylab import enumeration, structure
-from stabilitylab.canonical import canonical_key, is_isomorphic
+from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic
 from stabilitylab.enumeration import (
     _CACHE_MAX_N,
     MAX_ENUM_N,
@@ -13,7 +15,10 @@ from stabilitylab.enumeration import (
     FilterSpec,
     _cached_level,
     _canonical_children,
+    _child_code,
     _filtered_scan,
+    _is_canonical_child,
+    _subset_reps,
     atlas_read,
     atlas_write,
     default_sizes,
@@ -22,8 +27,8 @@ from stabilitylab.enumeration import (
     verify_theorem,
 )
 from stabilitylab.errors import InvariantViolation
-from stabilitylab.graph6 import parse_graph6
-from stabilitylab.graphs import clique, cycle
+from stabilitylab.graph6 import parse_graph6, write_graph6
+from stabilitylab.graphs import Graph, clique, cycle, from_edges
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -49,6 +54,99 @@ def test_gated_children_match_ungated_reference():
             assert list(_canonical_children(parent, size + 1)) == reference_canonical_children(
                 parent, size + 1
             )
+
+
+def _full_labeling_gate(code, n):
+    """The plain canonical-augmentation test: the new vertex shares an
+    automorphism orbit with the canonical deletion vertex."""
+    data = canonical_data(code)
+    return data.orbit[data.order[n - 1]] == data.orbit[n - 1]
+
+
+def _cycle_like(rng, m):
+    """A graph on ``m`` vertices whose equal degrees leave many ties:
+    a cycle, a circulant, a union of cycles, a prism or a cycle with chords."""
+    ring = [(v, (v + 1) % m) for v in range(m)]
+    kind = rng.randrange(5)
+    if kind == 1:
+        step = rng.randint(2, m // 2)
+        ring += [(v, (v + step) % m) for v in range(m)]
+    elif kind == 2:
+        cut = rng.randint(3, m - 3)
+        ring = [(v, (v + 1) % cut) for v in range(cut)]
+        ring += [(cut + v, cut + (v + 1) % (m - cut)) for v in range(m - cut)]
+    elif kind == 3 and m % 2 == 0:
+        h = m // 2
+        ring = [(v, (v + 1) % h) for v in range(h)] + [(h + v, h + (v + 1) % h) for v in range(h)]
+        ring += [(v, h + v) for v in range(h)]
+    elif kind == 4:
+        for _ in range(rng.randint(1, 2)):
+            u, v = rng.sample(range(m), 2)
+            ring.append((u, v))
+    edges = {(min(u, v), max(u, v)) for u, v in ring if u != v}
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return from_edges(m, [(perm[u], perm[v]) for u, v in edges]).adj
+
+
+def _random_gate_candidates(seed, count):
+    """Seeded children on 10..13 vertices whose new vertex has the largest
+    degree, half of them on cycle-like parents."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(9, 12)
+        if rng.random() < 0.5:
+            parent = _cycle_like(rng, m)
+        else:
+            parent = random_graph(rng, m, rng.choice([0.2, 0.35, 0.5, 0.8])).adj
+        degs = [row.bit_count() for row in parent]
+        top = max(degs)
+        hubs = sum(1 << v for v, d in enumerate(degs) if d == top)
+        size = rng.randint(top, min(m, top + 2))
+        subset = sum(1 << v for v in rng.sample(range(m), size))
+        if size >= top + (subset & hubs != 0):
+            out.append((_child_code(parent, subset), m + 1))
+    return out
+
+
+def test_gate_matches_full_labeling(monkeypatch):
+    # every degree-gated candidate on levels 1-7 and seeded larger ones: the
+    # shortcuts of _is_canonical_child decide exactly as the full labeling
+    candidates = [
+        (_child_code(parent, subset), m + 1)
+        for m in range(1, 8)
+        for parent in _cached_level(m)
+        for subset in _subset_reps(parent)
+    ]
+    candidates += _random_gate_candidates(6, 2400)
+    seen = {}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            seen[name] = result
+            return result
+
+        monkeypatch.setattr(enumeration, name, wrapper)
+
+    for name in ("refine_colors", "shares_orbit", "canonical_data"):
+        spy(name, getattr(enumeration, name))
+    branches = Counter()
+    for code, n in candidates:
+        seen.clear()
+        got = _is_canonical_child(code, n)
+        assert got == _full_labeling_gate(code, n), code
+        degs = [row.bit_count() for row in code]
+        if "refine_colors" not in seen:
+            ties = degs.count(degs[n - 1]) > 1
+            branches[("round-2 " if ties else "top-degree ") + ("accept" if got else "reject")] += 1
+        elif "canonical_data" in seen:
+            branches["fallback"] += 1
+        elif seen.get("shares_orbit"):
+            branches["one-orbit accept"] += 1
+    for branch in ("round-2 accept", "round-2 reject", "one-orbit accept", "fallback"):
+        assert branches[branch] > 0, branches
 
 
 def test_class_count_mismatch_raises(monkeypatch):
@@ -118,6 +216,27 @@ def test_pooled_scan_agrees_with_filtered_level():
     for jobs in (1, 2):
         got = _pooled(_scan_chunk, parents, 7, spec, jobs, _SCAN_SERIAL_BELOW)
         assert got == _filtered_scan(7, spec)
+
+
+def _failing_chunk(args):
+    raise InvariantViolation("chunk failed")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_failure_names_its_chunk(monkeypatch, jobs):
+    # a chunk's exception keeps its type and gives n and the graph6 of the
+    # first and last item of the chunk that raised
+    monkeypatch.setattr(enumeration, "_filter_chunk", _failing_chunk)
+    items = _cached_level(7)
+    step = (len(items) + 4 * jobs - 1) // (4 * jobs) if jobs > 1 else len(items)
+    bounds = {
+        (write_graph6(Graph(7, c[0])), write_graph6(Graph(7, c[-1])))
+        for c in (items[i : i + step] for i in range(0, len(items), step))
+    }
+    with pytest.raises(InvariantViolation) as info:
+        _filtered_scan(7, FilterSpec(tight=(1, 0)), jobs=jobs)
+    match = re.fullmatch(r"n=7, chunk (\S+) to (\S+): chunk failed", str(info.value))
+    assert match and match.groups() in bounds
 
 
 def test_atlas_roundtrip(tmp_path):
@@ -209,6 +328,16 @@ def test_verify_checks_every_size_before_scanning(monkeypatch, theorem_id, sizes
     monkeypatch.setattr(enumeration, "_filtered_scan", fail)
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_theorem(theorem_id, n_values=sizes)
+
+
+@pytest.mark.parametrize("theorem_id", [t for t in THEOREM_IDS if t != "COR"])
+def test_verify_rejects_k_outside_cor(monkeypatch, theorem_id):
+    def fail(*args, **kwargs):
+        raise AssertionError("scanned although k was given")
+
+    monkeypatch.setattr(enumeration, "_filtered_scan", fail)
+    with pytest.raises(ValueError, match=f"^k applies only to COR, not to {theorem_id}$"):
+        verify_theorem(theorem_id, k=3)
 
 
 #: the sizes each pipeline scans by default

@@ -3,9 +3,10 @@
 Refactors of the generation, scan, filter, record and certificate code must
 leave what users see unchanged: the ``enumerate`` record stream (unfiltered
 up to n = 8, all 12,346 classes in emitted order), atlas files, and every
-``verify`` report and atlas at n <= 7.  Each case pins the exit code, the
-digest of standard output (the atlas path replaced by ``ATLAS``) and the
-digest of the atlas file.  A digest changes only with an intended change of
+``verify`` report and atlas at n <= 7, and the codes of level 9 in the
+order generation returns them.  Each CLI case pins the exit code, the digest
+of standard output (the atlas path replaced by ``ATLAS``) and the digest of
+the atlas file.  A digest changes only with an intended change of
 output; regenerate it then, and say so in the change log.
 """
 
@@ -14,6 +15,7 @@ import hashlib
 import pytest
 
 from stabilitylab.cli import main
+from stabilitylab.enumeration import _cached_level
 
 #: verify runs every default size up to 7 (COR, whose default is n=10, runs
 #: 4..7); L21 at n=7 is past the serial threshold, so jobs=2 uses the pool and
@@ -152,3 +154,14 @@ def run_case(argv, with_atlas, tmp_path, capsys):
 def test_output_bytes_unchanged(name, tmp_path, capsys):
     argv, with_atlas, pinned = CASES[name]
     assert run_case(argv, with_atlas, tmp_path, capsys) == pinned
+
+
+#: sha256 of level 9, one code per line, its rows as decimal integers
+#: separated by single spaces, lines joined by newlines
+LEVEL_9 = (274668, "fa22f5e92f967b73ae654bfaf294c9fd6a158dde193ccfc3c7daea30f9c3d030")
+
+
+def test_level_nine_codes_unchanged():
+    level = _cached_level(9)
+    text = "\n".join(" ".join(map(str, code)) for code in level)
+    assert (len(level), _sha(text.encode())) == LEVEL_9
