@@ -11,6 +11,7 @@ subcommands compose in shell pipelines.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -308,8 +309,9 @@ def _cmd_verify(args) -> int:
 
 
 def _add_graph_flags(p: _Parser) -> None:
-    p.add_argument("--g6", help="graph6 string")
-    p.add_argument("--file", help="file holding a graph6 string ('-' for stdin)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--g6", help="graph6 string")
+    source.add_argument("--file", help="file holding a graph6 string ('-' for stdin)")
 
 
 def _jobs(text: str) -> int:
@@ -325,7 +327,11 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: building it costs more
+    than most single-graph commands.  ``--jobs`` defaults to ``None``;
+    ``main`` fills it from ``$STABILITYLAB_JOBS`` on every call."""
     parser = _Parser(prog="stabilitylab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -383,12 +389,10 @@ def build_parser() -> _Parser:
 
     for p2 in sub.choices.values():
         p2.add_argument("--pretty", action="store_true", help="indented JSON output")
-    default_jobs = _jobs(os.environ.get("STABILITYLAB_JOBS", "1"))
     for name in ("enumerate", "verify"):
         sub.choices[name].add_argument(
             "--jobs",
             type=_jobs,
-            default=default_jobs,
             help="worker processes (default $STABILITYLAB_JOBS or 1)",
         )
     return parser
@@ -407,7 +411,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
+        # read on every call, and checked even for commands without --jobs
+        default_jobs = _jobs(os.environ.get("STABILITYLAB_JOBS", "1"))
         args = build_parser().parse_args(argv)
+        if getattr(args, "jobs", None) is None:
+            args.jobs = default_jobs
         return _HANDLERS[args.cmd](args)
     except (ValueError, OSError, KeyError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -282,10 +282,20 @@ def _required_flags(spec: FilterSpec) -> dict:
 
 def _spec_tests(spec: FilterSpec) -> list[tuple]:
     """The tests of ``spec`` as (evaluator, required value, needs alpha),
-    graph-only tests first; built once per chunk, not once per graph."""
+    graph-only tests first; built once per chunk, not once per graph.
+
+    A (k,0) stability or tightness filter raises the minimum-degree floor to
+    k: a vertex of degree below k has a closed neighborhood of at most k
+    vertices meeting every maximum independent set, so deleting it lowers
+    alpha (``min_degree_necessary``).  The floor only rejects graphs the
+    stability test would reject, before any alpha is computed.
+    """
+    floors = [spec.min_degree] if spec.min_degree is not None else []
+    floors += [kl[0] for kl in (spec.stable, spec.tight) if kl is not None and kl[1] == 0]
     tests = []
-    if spec.min_degree is not None:
-        tests.append((lambda code, n, a, wit: _min_degree(code) >= spec.min_degree, True, False))
+    if floors:
+        floor = max(floors)
+        tests.append((lambda code, n, a, wit: _min_degree(code) >= floor, True, False))
     for key, want in _required_flags(spec).items():  # "connected" first: no alpha needed
         tests.append((_flag_evaluator(key), want, key != "connected"))
     if spec.alpha is not None:

@@ -26,6 +26,51 @@ def naive_alpha(g: Graph) -> int:
     return best
 
 
+def plain_alpha_mask(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """``alpha_mask`` as it was before the clique-cover bound: the oracle for
+    its ``(size, witness_mask)``.
+
+    Maximum independent set within ``mask``: returns ``(size, witness_mask)``.
+
+    Branch and bound: pick a maximum-degree vertex of the remaining subgraph,
+    branch on including it (dropping its closed neighborhood) before excluding
+    it, and prune when the remaining vertex count cannot beat the incumbent.
+    The first maximum found under this fixed order is the witness.
+    """
+    best = 0
+    best_set = 0
+
+    def bb(avail: int, size: int, chosen: int) -> None:
+        nonlocal best, best_set
+        if size + avail.bit_count() <= best:
+            return
+        if not avail:
+            best, best_set = size, chosen
+            return
+        bv = -1
+        bd = -1
+        rest = avail
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            d = (adj[v] & avail).bit_count()
+            if d > bd:
+                bd, bv = d, v
+        if bd == 0:
+            # Everything left is isolated within the subgraph: take it all.
+            total = size + avail.bit_count()
+            if total > best:
+                best, best_set = total, chosen | avail
+            return
+        v = bv
+        bb(avail & ~(adj[v] | (1 << v)), size + 1, chosen | (1 << v))
+        bb(avail & ~(1 << v), size, chosen)
+
+    bb(mask, 0, 0)
+    return best, best_set
+
+
 def naive_removal_alphas(g: Graph, k: int) -> list[tuple[tuple[int, ...], int]]:
     """(k-subset, independence number after deleting it) for every k-subset in
     lexicographic order: the plain reference scan that stability is defined by."""

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from stabilitylab.canonical import is_isomorphic
-from stabilitylab.cli import main, validate_report
+from stabilitylab import cli
+from stabilitylab.cli import build_parser, main, validate_report
 from stabilitylab.graph6 import parse_graph6, write_graph6
 from stabilitylab.graphs import cycle, disjoint_union, even_subdivision_k4
 
@@ -38,6 +39,12 @@ def test_alpha_k2(capsys):
 def test_alpha_missing_file(capsys):
     code, out, err = run(capsys, "alpha", "--file", "does-not-exist.g6")
     assert code == 1 and out == "" and "error" in err
+
+
+def test_g6_and_file_are_exclusive(capsys, tmp_path):
+    code, out, err = run(capsys, "alpha", "--g6", "D?{", "--file", str(tmp_path / "absent.g6"))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error:") and "--g6" in err
 
 
 def test_check_subcommand(capsys):
@@ -225,3 +232,28 @@ def test_bad_jobs_environment_exits_one(capsys, monkeypatch):
 def test_non_positive_jobs_exit_one(capsys, jobs):
     code, out, err = run(capsys, "verify", "--theorem", "T1c", "--n", "5", "--jobs", jobs)
     assert code == 1 and out == "" and "error:" in err
+
+
+def test_parser_built_once_and_jobs_environment_read_per_call(capsys, monkeypatch):
+    build_parser.cache_clear()
+    seen_jobs = []
+    real_verify = cli.verify_theorem
+
+    def spy(*args, **kwargs):
+        seen_jobs.append(kwargs["jobs"])
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_theorem", spy)
+    monkeypatch.delenv("STABILITYLAB_JOBS", raising=False)
+    # L21 at n=7 is past the serial threshold, so two jobs use the pool
+    verify = ("verify", "--theorem", "L21", "--n", "7")
+    code, serial_out, _ = run(capsys, *verify)
+    assert code == 0
+    monkeypatch.setenv("STABILITYLAB_JOBS", "abc")
+    code, out, err = run(capsys, "alpha", "--g6", "Dhc")
+    assert code == 1 and out == "" and err.startswith("error:")
+    monkeypatch.setenv("STABILITYLAB_JOBS", "2")
+    assert run(capsys, *verify) == (0, serial_out, "")
+    assert run(capsys, *verify, "--jobs", "1") == (0, serial_out, "")
+    assert seen_jobs == [1, 2, 1]
+    assert build_parser.cache_info().misses == 1

@@ -183,6 +183,36 @@ def test_filtered_singletons(n, kl, expected):
     assert is_isomorphic(g, target)
 
 
+@pytest.mark.parametrize("kind", ["stable", "tight"])
+def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
+    """A (k,0) filter folds min degree >= k into the one graph-only degree
+    test: graphs below it are rejected without an alpha call, and no class up
+    to 7 vertices changes its verdict."""
+    real_alpha = enumeration.alpha_mask
+    calls = []
+
+    def counting_alpha(adj, mask):
+        calls.append(adj)
+        return real_alpha(adj, mask)
+
+    monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
+    for k in (1, 2, 3):
+        stability = enumeration._flag_evaluator(f"{kind}_{k}_0")
+        for min_degree in (None, k - 1, k + 1):
+            tests = enumeration._spec_tests(FilterSpec(min_degree=min_degree, **{kind: (k, 0)}))
+            assert [needs_alpha for _, _, needs_alpha in tests] == [False, True]
+            for n in range(1, 8):
+                for code in _cached_level(n):
+                    degree = min(row.bit_count() for row in code)
+                    want = (min_degree is None or degree >= min_degree) and stability(
+                        code, n, *real_alpha(code, (1 << n) - 1)
+                    )
+                    calls.clear()
+                    assert enumeration._passes(code, n, tests) == want
+                    if degree < k:
+                        assert calls == []
+
+
 def test_prune_soundness_small():
     for n, k in ((6, 2), (7, 2), (8, 2), (7, 3), (8, 3)):
         spec = FilterSpec(tight=(k, 0))

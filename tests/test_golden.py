@@ -3,8 +3,9 @@
 Refactors of the generation, scan, filter, record and certificate code must
 leave what users see unchanged: the ``enumerate`` record stream (unfiltered
 up to n = 8, all 12,346 classes in emitted order), atlas files, and every
-``verify`` report and atlas at n <= 7, and the codes of level 9 in the
-order generation returns them.  Each CLI case pins the exit code, the digest
+``verify`` report and atlas at n <= 7, the codes of level 9 in the
+order generation returns them, and the reports (witnesses included) of the
+single-graph commands on a fixed set of graphs.  Each CLI case pins the exit code, the digest
 of standard output (the atlas path replaced by ``ATLAS``) and the digest of
 the atlas file.  A digest changes only with an intended change of
 output; regenerate it then, and say so in the change log.
@@ -165,3 +166,68 @@ def test_level_nine_codes_unchanged():
     level = _cached_level(9)
     text = "\n".join(" ".join(map(str, code)) for code in level)
     assert (len(level), _sha(text.encode())) == LEVEL_9
+
+
+#: single-graph commands run on each graph below, ``--g6`` after the command
+#: name; ``classify`` takes the graph's k
+SINGLE_GRAPH_COMMANDS = (
+    ("alpha",),
+    ("check", "--k", "2", "--l", "0", "--tight"),
+    ("check", "--k", "3", "--l", "1"),
+    ("reduce",),
+    ("classify", "--k"),
+)
+
+#: graph -> (graph6, classify k, exit codes, sha256 of every command's exit
+#: code, a newline and its standard output, in command order).  The witnesses
+#: in these reports are user-visible and depend on the alpha search order.
+#: The catalog graphs and the cycles keep their library labeling; C7+C9 is
+#: ``disjoint_union(cycle(7), cycle(9))``, the subdivision is
+#: ``even_subdivision_k4((4, 2, 4, 2, 2, 2))`` and the G(n, p) graphs were
+#: drawn from ``random.Random(7)``, one ``random() < p`` per vertex pair in
+#: lexicographic order, in the order listed.
+SINGLE_GRAPH_CASES = {
+    "K4": ("C~", "3", (0, 0, 0, 0, 0),
+           "2ca9e03a5b3e675d724d1efc2c01d565404558d0ce81f1f51d7da99c7f338be7"),
+    "K5": ("D~{", "3", (0, 2, 0, 0, 0),
+           "007b1ce2121020e3ac424e4853582f81ccbf419ed9fbe7dfb73658ba80d42623"),
+    "H7": ("FqhPw", "3", (0, 2, 0, 0, 0),
+           "f217dc706f8fd4ba19b49e8f7c135c414c99e6ddf90cbaf6f1e9378835b097c1"),
+    "H9": ("HLr?GSr", "3", (0, 2, 0, 0, 0),
+           "d5664ac9f8c94bea15d72fa2d67e9ce2a881c019b1243db51cc7c859c7eeb015"),
+    "T9": ("HyciKCp", "3", (0, 2, 0, 0, 0),
+           "2398cd384f63edc897f1c190f8bf44ba4b44c8e5715d641bcc407733cad61811"),
+    "C19": ("RhCGGC@?G?_@?@??_?G?@??C??K??G", "2", (0, 0, 0, 0, 0),
+            "8eadde1d84d0a0840473202c0a864e97cd734d8b45ef164c6877518a64bf46b0"),
+    "C21": ("ThCGGC@?G?_@?@??_?G?@??C??G??G??E??@", "2", (0, 0, 0, 0, 0),
+            "ea8a61ac06a0e00ab0afd98c90e41226fe348a4ca4dba011acec664f21ba97b5"),
+    "C7+C9": ("OhCKG?@?G?_@?@??_?GA@", "2", (0, 0, 0, 0, 0),
+              "65ed0f9abdb9462d471e3b8503d07ffddbb21fa78a3035df3cedc000977df462"),
+    "even subdivision of K4, n=20": (
+        "S?_GIE?GK??@?@C?g?@?@O??O?H???_?C", "2", (0, 0, 0, 0, 0),
+        "5ab40637ac531eca0cfaaa2e56821d222332346a0ffc285f883efac7d2c498e2"),
+    "G(16, 0.3)": ("OW_GdT`gQCyfouCc?OV??", "2", (0, 2, 0, 0, 1),
+                   "9f6f9a93130d2be27027c328b60068b190d631d76604723031bf7b65d6f65e8c"),
+    "G(20, 0.25)": ("SDQKsYISF_oI_A_CGXFS@@?[C@EJ???Ao", "2", (0, 2, 0, 0, 1),
+                    "c8ff22489b8a2980ded01ffd97fac8174a4c4f5081f85ca2ae319b2001408856"),
+    "G(24, 0.2)": (
+        "WCOOCSWYK?aCIOzEK@G????B?CO@@?KWC?G?z?_?CJP[gH?", "2", (0, 2, 0, 0, 1),
+        "e28a0f2b6eaad6beca13a87615a8b97aabc52581ce37a74372d1e666470dbc5c"),
+    "G(30, 0.15)": (
+        "]O___kH?O?grH?D@G?O??????@GCi_?c??CA???HAAo_??B`?G_C__DWCB?AA?COg??C?A?A@?",
+        "2", (0, 2, 0, 0, 1),
+        "072f9d7addfc25703c5ec9c9c65e79a3e0723b1b201f7536375f7c686e12b785"),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGLE_GRAPH_CASES))
+def test_single_graph_output_unchanged(name, capsys):
+    g6, k, codes, digest = SINGLE_GRAPH_CASES[name]
+    got_codes, h = [], hashlib.sha256()
+    for command in SINGLE_GRAPH_COMMANDS:
+        args = [*command, k] if command[0] == "classify" else list(command)
+        capsys.readouterr()
+        code = main([args[0], "--g6", g6, *args[1:]])
+        got_codes.append(code)
+        h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert (tuple(got_codes), h.hexdigest()) == (codes, digest)

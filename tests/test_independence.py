@@ -1,9 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import graphs_st, naive_alpha, naive_independent_sets
+from helpers import graphs_st, naive_alpha, naive_independent_sets, plain_alpha_mask, random_graph
 from stabilitylab import catalog
-from stabilitylab.graphs import clique, cycle, disjoint_union, from_edges, path
+from stabilitylab.graphs import (
+    clique,
+    cycle,
+    disjoint_union,
+    even_subdivision_k4,
+    from_edges,
+    path,
+)
 from stabilitylab.independence import (
     alpha,
     alpha_after_single_removals,
@@ -111,3 +120,39 @@ def test_oracle_equivalence_full_stream_n8():
 
     for g in enumerate_canonical(8):
         assert alpha_mask(g.adj, (1 << 8) - 1)[0] == naive_alpha(g)
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_witness_matches_plain_kernel():
+    """The clique-cover bound keeps ``(size, witness)`` of the kernel without
+    it: every class up to 7 vertices with the full mask and each single
+    vertex deleted, seeded G(n, p) graphs up to 40 vertices with random
+    masks, and relabeled cycles, pairs of cycles and even subdivisions of K4."""
+    from stabilitylab.enumeration import enumerate_canonical
+
+    cases = []
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for g in enumerate_canonical(n):
+            cases += [(g.adj, full)] + [(g.adj, full ^ 1 << v) for v in range(n)]
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(8, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.15, 0.2, 0.3, 0.5)))
+        cases.append((g.adj, rng.getrandbits(n) | rng.getrandbits(n)))
+        cases.append((g.adj, (1 << n) - 1))
+    structured = [cycle(n) for n in range(3, 32)]
+    structured += [disjoint_union(cycle(a), cycle(b)) for a in (3, 4, 5, 7) for b in (5, 8, 9, 11)]
+    for _ in range(12):
+        structured.append(even_subdivision_k4([2 * rng.randrange(4) for _ in range(6)]))
+    for g in structured:
+        h = _relabeled(g, rng)
+        full = (1 << h.n) - 1
+        cases += [(h.adj, full), (h.adj, full ^ 1 << rng.randrange(h.n))]
+    for adj, mask in cases:
+        assert alpha_mask(adj, mask) == plain_alpha_mask(adj, mask), (adj, mask)
