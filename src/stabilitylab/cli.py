@@ -189,6 +189,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_construct(args) -> int:
     fam = args.family
+    if fam not in ("cone", "union", "isolift") and (args.g6 is not None or args.file is not None):
+        raise _UsageError(f"family {fam} takes no base graph: drop --g6/--file")
     if fam == "cycle":
         g = cycle(_require(args.n, "--n"))
     elif fam == "clique":

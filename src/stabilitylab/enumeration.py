@@ -24,10 +24,11 @@ decides:
 6. the full canonical labeling decides the rest.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
-independence-number work.  The optional hereditary prune cuts partial
-graphs at sizes n-j (j < k) that are not tight (k-j,0)-stable, which is
-sound because tightness at size n forces tightness of every vertex-deleted
-subgraph.
+independence-number work.  The optional hereditary prune for a tight (k,0)
+filter at size n augments only the parents that the pruned scan for tight
+(k-1,0) finds at size n-1 (the whole level when k = 1 or n = 2).  Deleting
+a vertex of a tight (k,0)-stable graph leaves a tight (k-1,0)-stable graph,
+so the canonical parent of every match lies among them.
 
 Levels up to 9 vertices are cached as the tuples of adjacency-row codes
 that ``extend_level`` returns, checked against the known class counts.
@@ -54,7 +55,7 @@ from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, bits
 from .independence import alpha_mask, independent_sets_of_size
-from .stability import stable_fast, tight_stable_fast
+from .stability import stable_fast
 from .structure import hall_matching, is_even_subdivision_k4, is_odd_cycle, spanning_certificate
 
 Code = tuple[int, ...]
@@ -227,16 +228,6 @@ def _min_degree(code: Code) -> int:
     return min(row.bit_count() for row in code)
 
 
-_NOT_CLASSIFIED = object()  # equal to no stored flag value
-
-
-def _classification(code: Code, n: int, a: int, wit: int) -> object:
-    try:
-        return classify_defect(Graph(n, code)).classification
-    except ValueError:  # not connected or not alpha-critical
-        return _NOT_CLASSIFIED
-
-
 def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], object]:
     """The function recomputing atlas flag ``key`` from ``(code, n, alpha, witness)``.
 
@@ -251,8 +242,6 @@ def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], o
         return lambda code, n, a, wit: n - 2 * a
     if key == "alpha_critical":
         return lambda code, n, a, wit: alpha_preserving_edge(code, n, a) is None
-    if key == "classification":
-        return _classification
     for kind in ("stable", "tight"):
         if key.startswith(kind + "_"):
             try:
@@ -373,21 +362,21 @@ def _pooled(
 def _filtered_scan(
     n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1
 ) -> tuple[int, list[Code]]:
-    """Matches of ``spec`` at size ``n``; with ``prune``, intermediate levels
-    are cut down to hereditarily tight graphs (requires ``spec.tight=(k,0)``)."""
+    """(classes scanned, sorted matches) of ``spec`` at size ``n``.  With
+    ``prune`` (requires ``spec.tight=(k,0)``) the scan augments the matches
+    of the pruned tight (k-1,0) scan at size n-1, or the whole level n-1
+    when k = 1 or n = 2; a pruned scan at n = 1 filters level 1."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"vertex count {n} outside 1..{MAX_ENUM_N}")
-    if prune:
-        if spec.tight is None or spec.tight[1] != 0:
-            raise ValueError("the hereditary prune requires a tight (k,0) filter")
+    if prune and (spec.tight is None or spec.tight[1] != 0):
+        raise ValueError("the hereditary prune requires a tight (k,0) filter")
+    if prune and n > 1:
         k = spec.tight[0]
-        base = max(1, n - k)
-        frontier = _cached_level(base)
-        for size in range(base + 1, n):
-            kk = size - (n - k)
-            children = extend_level(frontier, size)
-            frontier = [c for c in children if tight_stable_fast(c, size, kk, 0)]
-        return _pooled(_scan_chunk, frontier, n, spec, jobs, _SCAN_SERIAL_BELOW)
+        if k == 1 or n == 2:
+            parents = _cached_level(n - 1)
+        else:
+            parents = _filtered_scan(n - 1, FilterSpec(tight=(k - 1, 0)), True, jobs)[1]
+        return _pooled(_scan_chunk, parents, n, spec, jobs, _SCAN_SERIAL_BELOW)
     if n <= _CACHE_MAX_N:
         return _pooled(_filter_chunk, _cached_level(n), n, spec, jobs, _FILTER_SERIAL_BELOW)
     return _pooled(_scan_chunk, _cached_level(n - 1), n, spec, jobs, _SCAN_SERIAL_BELOW)
@@ -528,13 +517,20 @@ def _l21_check(g: Graph) -> bool:
 @dataclass(frozen=True)
 class _Pipeline:
     """What one theorem scans: the filter, the test each match must pass
-    (``None``: every match is a counterexample), the default sizes and the
-    parity every size must have (``None``: any)."""
+    (``None``: every match is a counterexample), the default sizes, the
+    parity every size must have (``None``: any), the largest size, whether
+    the hereditary prune is on by default, the one ``k`` the theorem accepts
+    (``None``: none) and the catalog graphs each size must find (a name not
+    found at its order is a counterexample)."""
 
     spec: FilterSpec
     check: Callable[[Graph], bool] | None
     sizes: tuple[int, ...]
     parity: int | None = None
+    cap: int = _CACHE_MAX_N
+    prune: bool = False
+    k: int | None = None
+    required: tuple[str, ...] = ()
 
 
 _PIPELINES: dict[str, _Pipeline] = {
@@ -544,7 +540,7 @@ _PIPELINES: dict[str, _Pipeline] = {
     "T1d": _Pipeline(FilterSpec(tight=(2, 0)), _certificate_check(2), (4, 6, 8), 0),
     "T2": _Pipeline(FilterSpec(tight=(3, 0)), _certificate_check(3), (4, 5, 6, 7, 8, 9)),
     # a tight (3,0)-stable graph has at most 9 vertices: any match refutes it
-    "COR": _Pipeline(FilterSpec(tight=(3, 0)), None, (10,)),
+    "COR": _Pipeline(FilterSpec(tight=(3, 0)), None, (10,), cap=MAX_ENUM_N, prune=True, k=3),
     "L21": _Pipeline(FilterSpec(stable=(1, 0)), _l21_check, (2, 3, 4, 5, 6, 7, 8)),
     "AND": _Pipeline(
         FilterSpec(connected=True, defect=2, alpha_critical=True),
@@ -555,6 +551,7 @@ _PIPELINES: dict[str, _Pipeline] = {
         FilterSpec(min_degree=3, connected=True, defect=3, alpha_critical=True),
         lambda g: classify_defect(g).classification in CLASS_NAMED,
         (5, 7, 9),
+        required=CLASS_NAMED,
     ),
 }
 
@@ -583,19 +580,16 @@ def verify_theorem(
     if theorem_id not in _PIPELINES:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     pipeline = _PIPELINES[theorem_id]
-    cap, prune_default = _CACHE_MAX_N, False
-    if theorem_id == "COR":
-        k = 3 if k is None else k
-        if k != 3:
-            raise ValueError("the size-bound check is only enumerable for k=3")
-        cap, prune_default = MAX_ENUM_N, True
-    elif k is not None:
-        raise ValueError(f"k applies only to COR, not to {theorem_id}")
-    use_prune = prune_default if prune is None else prune
+    if k is not None and k != pipeline.k:
+        if pipeline.k is not None:
+            raise ValueError(f"the size-bound check is only enumerable for k={pipeline.k}")
+        owners = ", ".join(t for t, p in _PIPELINES.items() if p.k is not None)
+        raise ValueError(f"k applies only to {owners}, not to {theorem_id}")
+    use_prune = pipeline.prune if prune is None else prune
     values = pipeline.sizes if n_values is None else n_values
     for n in values:
-        if not 1 <= n <= cap:
-            raise ValueError(f"size {n} outside 1..{cap} for {theorem_id}")
+        if not 1 <= n <= pipeline.cap:
+            raise ValueError(f"size {n} outside 1..{pipeline.cap} for {theorem_id}")
     for n in values:
         if pipeline.parity is not None and n % 2 != pipeline.parity:
             raise ValueError(f"{theorem_id} applies to {('even', 'odd')[pipeline.parity]} sizes")
@@ -613,13 +607,12 @@ def verify_theorem(
             matches.append(g6)
             if pipeline.check is None or not pipeline.check(g):
                 counterexamples.append(g6)
-        if theorem_id == "SUR":
-            counterexamples.extend(_sur_missing(n, codes))
+        counterexamples.extend(_missing(pipeline.required, n, codes))
 
     verdict = "verified" if not counterexamples else "refuted"
     params: dict = {"n_values": list(values), "prune": use_prune}
-    if theorem_id == "COR":
-        params["k"] = k
+    if pipeline.k is not None:
+        params["k"] = pipeline.k
     return VerificationReport(
         theorem_id=theorem_id,
         parameter_range=params,
@@ -630,16 +623,9 @@ def verify_theorem(
     )
 
 
-def _sur_expected(n: int) -> tuple[str, ...]:
-    """The named defect-3 graphs on ``n`` vertices."""
-    return tuple(name for name in CLASS_NAMED if catalog.named_graph(name).n == n)
-
-
-def _sur_missing(n: int, codes: list[Code]) -> list[str]:
-    found = {canonical_key(code) for code in codes}
-    missing = []
-    for name in _sur_expected(n):
-        g = catalog.named_graph(name)
-        if canonical_key(g.adj) not in found:
-            missing.append(write_graph6(g))
-    return missing
+def _missing(names: tuple[str, ...], n: int, codes: list[Code]) -> list[str]:
+    """The graph6 of each catalog graph in ``names`` on ``n`` vertices that
+    no code in ``codes`` is isomorphic to."""
+    graphs = [g for g in map(catalog.named_graph, names) if g.n == n]
+    found = {canonical_key(code) for code in codes} if graphs else set()
+    return [write_graph6(g) for g in graphs if canonical_key(g.adj) not in found]

@@ -81,7 +81,10 @@ def is_stable(g: Graph, k: int, l: int) -> StabilityReport:
 
 
 def is_tight_stable(g: Graph, k: int, l: int) -> bool:
-    return is_stable(g, k, l).tight
+    """``is_stable(g, k, l).tight``, without the k-subset scan when alpha
+    misses the bound."""
+    _check_params(g.n, k, l)
+    return tight_stable_fast(g.adj, g.n, k, l)
 
 
 def max_alpha_drop(g: Graph, k: int) -> int:

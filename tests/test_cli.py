@@ -120,6 +120,23 @@ def test_construct_families(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "cycle", "--n", "5", "--g6", "D?{"],
+        ["--family", "clique", "--n", "3", "--file", "/nonexistent"],
+        ["--family", "bipartite-pm", "--m", "3", "--g6", "D?{"],
+        ["--family", "evensub-k4", "--counts", "2,0,0,0,0,0", "--file", "-"],
+    ],
+    ids=["cycle-g6", "clique-file", "bipartite-pm-g6", "evensub-k4-stdin"],
+)
+def test_construct_rejects_graph_flags_it_does_not_use(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv)
+    family = argv[1]
+    assert (code, out) == (1, "")
+    assert err == f"error: family {family} takes no base graph: drop --g6/--file\n"
+
+
 def test_construct_output_feeds_analysis(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--family", "clique", "--n", "4")
     assert code == 0

@@ -8,8 +8,10 @@ import pytest
 from helpers import labeled_codes, random_graph, reference_canonical_children
 from stabilitylab import enumeration, structure
 from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic
+from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
     _CACHE_MAX_N,
+    _SCAN_SERIAL_BELOW,
     MAX_ENUM_N,
     THEOREM_IDS,
     FilterSpec,
@@ -214,11 +216,31 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
 
 
 def test_prune_soundness_small():
-    for n, k in ((6, 2), (7, 2), (8, 2), (7, 3), (8, 3)):
+    rows = ((6, 2), (7, 2), (8, 2), (7, 3), (8, 3), (5, 1), (8, 1), (7, 4), (8, 4))
+    for n, k in rows + ((2, 2), (3, 3), (4, 6)):  # the last three have n <= k
         spec = FilterSpec(tight=(k, 0))
         _, plain = _filtered_scan(n, spec, prune=False)
         _, pruned = _filtered_scan(n, spec, prune=True)
         assert plain == pruned
+
+
+def test_pruned_scan_at_one_vertex_scans_level_one():
+    spec = FilterSpec(tight=(1, 0))
+    assert _filtered_scan(1, spec, prune=True) == _filtered_scan(1, spec) == (1, [])
+    rep = verify_theorem("COR", n_values=(1,))
+    assert (rep.graphs_scanned, rep.verdict) == (1, "verified")
+
+
+def test_pruned_scan_is_the_same_for_every_worker_count():
+    # the n=7 step augments all of level 6 and the n=8 step the 170 classes
+    # of T(1,7); both are past the serial threshold, so jobs=2 forks twice
+    assert len(_cached_level(6)) >= _SCAN_SERIAL_BELOW
+    frontier = _filtered_scan(7, FilterSpec(tight=(1, 0)), prune=True)[1]
+    assert len(frontier) == 170 and len(frontier) >= _SCAN_SERIAL_BELOW
+    spec = FilterSpec(tight=(2, 0))
+    serial = _filtered_scan(8, spec, prune=True, jobs=1)
+    assert serial == _filtered_scan(8, spec, prune=True, jobs=2)
+    assert serial[1] == _filtered_scan(8, spec)[1] and len(serial[1]) == 75
 
 
 def test_prune_requires_tight_filter():
@@ -305,8 +327,14 @@ def test_atlas_rejects_tampered_flag(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [{"stable_x_0": True}, {"stable_1": True}, [["connected", True]], "connected"],
-    ids=["stable_x_0", "stable_1", "flags-list", "flags-string"],
+    [
+        {"stable_x_0": True},
+        {"stable_1": True},
+        [["connected", True]],
+        "connected",
+        {"classification": "odd_cycle"},
+    ],
+    ids=["stable_x_0", "stable_1", "flags-list", "flags-string", "classification"],
 )
 def test_atlas_rejects_malformed_flags_with_line(tmp_path, flags):
     recs = filtered_records(5, FilterSpec(tight=(2, 0)))[1]
@@ -398,9 +426,9 @@ def test_default_sizes_respect_parity_and_cap(theorem_id):
 
 
 def test_sur_expects_the_named_graphs_by_order():
-    assert [enumeration._sur_expected(n) for n in range(4, 11)] == [
-        (), ("K5",), (), ("H7",), (), ("H9", "T9"), ()
-    ]
+    required = enumeration._PIPELINES["SUR"].required
+    by_order = [tuple(name for name in required if named_graph(name).n == n) for n in range(4, 11)]
+    assert by_order == [(), ("K5",), (), ("H7",), (), ("H9", "T9"), ()]
 
 
 def test_verify_reports_are_consistent():

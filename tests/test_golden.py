@@ -2,13 +2,15 @@
 
 Refactors of the generation, scan, filter, record and certificate code must
 leave what users see unchanged: the ``enumerate`` record stream (unfiltered
-up to n = 8, all 12,346 classes in emitted order), atlas files, and every
-``verify`` report and atlas at n <= 7, the codes of level 9 in the
-order generation returns them, and the reports (witnesses included) of the
-single-graph commands on a fixed set of graphs.  Each CLI case pins the exit code, the digest
-of standard output (the atlas path replaced by ``ATLAS``) and the digest of
-the atlas file.  A digest changes only with an intended change of
-output; regenerate it then, and say so in the change log.
+up to n = 8, all 12,346 classes in emitted order), atlas files, every
+``verify`` report and atlas at n <= 7, the pruned scans behind the default
+``COR`` report (n = 10) and ``enumerate --prune`` at n = 8, the codes of
+level 9 in the order generation returns them, and the reports (witnesses
+included) of the single-graph commands on a fixed set of graphs.  Each CLI
+case pins the exit code, the digest of standard output (the atlas path
+replaced by ``ATLAS``) and the digest of the atlas file.  A digest changes
+only with an intended change of output; regenerate it then, and say so in
+the change log.
 """
 
 import hashlib
@@ -18,10 +20,11 @@ import pytest
 from stabilitylab.cli import main
 from stabilitylab.enumeration import _cached_level
 
-#: verify runs every default size up to 7 (COR, whose default is n=10, runs
-#: 4..7); L21 at n=7 is past the serial threshold, so jobs=2 uses the pool and
-#: must give the jobs=1 bytes; no even subdivision of the 4-clique has 7
-#: vertices, so the defect-2 filter is also pinned at n=6
+#: verify runs every default size up to 7 (COR also runs 4..7 besides its
+#: pruned default n=10, whose atlas is empty); L21 at n=7 is past the serial
+#: threshold, so jobs=2 uses the pool and must give the jobs=1 bytes; no even
+#: subdivision of the 4-clique has 7 vertices, so the defect-2 filter is also
+#: pinned at n=6; the pruned enumerate chains T(1,6) and T(2,7) into n=8
 CASES = {
     "enumerate --n 8": (
         ["enumerate", "--n", "8"],
@@ -113,6 +116,20 @@ CASES = {
         (2,
          "467c2cc1555fe61bbc0dfce1d82e11b823dd88b0adec8a0c1356803cbd57c9b0",
          "d1ea66b244358b3d8bcbe9a1865b8a973c4add098b5bf506cabacfc115e05d30"),
+    ),
+    "verify --theorem COR, default n=10, pruned": (
+        ["verify", "--theorem", "COR"],
+        True,
+        (0,
+         "ecd553b3b924f82d1a3f3bf060cda41ea97ddb78df600b94e37c66fd4240de80",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ),
+    "enumerate --n 8 --tight 3,0 --prune": (
+        ["enumerate", "--n", "8", "--tight", "3,0", "--prune"],
+        True,
+        (0,
+         "3ccc0604a67ee55a9f86d2e5ed112b34d4297b2db897f5d3bd50581e5a088a45",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ),
     "verify --theorem L21": (
         ["verify", "--theorem", "L21", "--n-max", "7"],

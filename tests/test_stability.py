@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import naive_alpha, naive_removal_alphas, plain_removal_alphas, random_graph
+from stabilitylab import stability
 from stabilitylab.catalog import _brute_critical
 from stabilitylab.critical import alpha_preserving_edge, is_alpha_critical
 from stabilitylab.enumeration import enumerate_canonical
@@ -113,12 +114,26 @@ def test_folded_kernels_match_independent_oracles():
                     rep = is_stable(g, k, l)
                     assert (rep.stable, rep.witness) == (first is None, first)
                     assert stable_fast(g.adj, n, k, l, a, wit) == (first is None)
+                    assert is_tight_stable(g, k, l) == rep.tight
             edge = alpha_preserving_edge(g.adj, n, a)
             first_edge = next(
                 (e for e in g.edges() if naive_alpha(delete_edge(g, e)) == a), None
             )
             assert edge == first_edge
             assert is_alpha_critical(g) == (_brute_critical(g), edge)
+
+
+def test_is_tight_stable_skips_the_scan_when_alpha_misses_the_bound(monkeypatch):
+    # C8 at (2,0): alpha is 4 and the bound is 3, so one alpha call decides
+    calls = []
+
+    def counting_alpha(adj, mask):
+        calls.append(mask)
+        return alpha_mask(adj, mask)
+
+    monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
+    assert not is_tight_stable(cycle(8), 2, 0)
+    assert calls == [(1 << 8) - 1]
 
 
 def _assert_matches_plain_scan(g):
