@@ -29,7 +29,6 @@ from .enumeration import (
     default_sizes,
     filtered_records,
     verify_theorem,
-    _record_line,
 )
 from .graph6 import parse_graph6, write_graph6
 from .graphs import (
@@ -86,21 +85,15 @@ def _read_graph(args) -> tuple[Graph, str]:
     return parse_graph6(text), text
 
 
-def _envelope(command: str, input_digest: dict, result: dict) -> dict:
-    return {
+def _emit(command: str, input_digest: dict, result: dict, pretty: bool) -> None:
+    """Print the report envelope around ``result`` after validating it."""
+    report = {
         "schema": SCHEMA,
         "version": __version__,
         "command": command,
         "input": input_digest,
         "result": result,
     }
-
-
-def _graph_digest(g6: str) -> dict:
-    return {"g6": g6, "sha256": hashlib.sha256(g6.encode()).hexdigest()[:12]}
-
-
-def _emit(report: dict, pretty: bool) -> None:
     validate_report(report)
     if pretty:
         print(json.dumps(report, indent=2, sort_keys=False))
@@ -149,92 +142,106 @@ def validate_report(report: dict) -> None:
 # -- subcommand implementations ----------------------------------------------
 
 
-def _cmd_alpha(args) -> int:
-    g, g6 = _read_graph(args)
+def _alpha_result(g: Graph, args) -> tuple[dict, int]:
     res = alpha(g)
-    result = {"n": g.n, "alpha": res.alpha, "witness": list(res.witness)}
-    _emit(_envelope("alpha", _graph_digest(g6), result), args.pretty)
-    return EXIT_OK
+    return {"n": g.n, "alpha": res.alpha, "witness": res.witness}, EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    g, g6 = _read_graph(args)
+def _check_result(g: Graph, args) -> tuple[dict, int]:
     report = is_stable(g, args.k, args.l)
-    result = asdict(report)
-    result["witness"] = list(report.witness) if report.witness is not None else None
-    _emit(_envelope("check", _graph_digest(g6), result), args.pretty)
-    if args.tight and not report.tight:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return asdict(report), EXIT_NEGATIVE if args.tight and not report.tight else EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
-    g, g6 = _read_graph(args)
+def _reduce_result(g: Graph, args) -> tuple[dict, int]:
     ck = critical_reduce(g)
     result = {
         "kernel_g6": write_graph6(ck.kernel),
-        "removed": [list(e) for e in ck.removed],
+        "removed": ck.removed,
         "alpha": alpha(ck.kernel).alpha,
     }
-    _emit(_envelope("reduce", _graph_digest(g6), result), args.pretty)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _classify_result(g: Graph, args) -> tuple[dict, int]:
+    return asdict(spanning_certificate(g, args.k)), EXIT_OK
+
+
+#: the commands that analyse one input graph: name -> (help, result function)
+_GRAPH_COMMANDS = {
+    "alpha": ("independence number with witness", _alpha_result),
+    "check": ("(k,l)-stability report", _check_result),
+    "reduce": ("greedy reduction to an alpha-critical kernel", _reduce_result),
+    "classify": ("spanning certificate for a tight (k,0)-stable graph", _classify_result),
+}
+
+
+def _cmd_graph(args) -> int:
     g, g6 = _read_graph(args)
-    d = spanning_certificate(g, args.k)
-    _emit(_envelope("classify", _graph_digest(g6), asdict(d)), args.pretty)
-    return EXIT_OK
+    result, code = args.result(g, args)
+    digest = {"g6": g6, "sha256": hashlib.sha256(g6.encode()).hexdigest()[:12]}
+    _emit(args.cmd, digest, result, args.pretty)
+    return code
+
+
+def _bipartite_pm(m: int, extra_edges: int, seed: int) -> Graph:
+    """``bipartite_with_pm(m)`` plus ``extra_edges`` of the m(m-1) pairs
+    (i, m+j), i != j, drawn by ``random.Random(seed).sample`` from the pairs
+    in lexicographic order.  ``m`` is checked first, and the pairs are
+    indexed, never listed."""
+    bipartite_with_pm(m)
+    size = m * (m - 1)
+    picks = random.Random(seed).sample(range(size), min(extra_edges, size))
+    rows = (divmod(p, m - 1) for p in picks)  # (i, rank of j among the j != i)
+    return bipartite_with_pm(m, [(i, m + j + (j >= i)) for i, j in rows])
+
+
+#: construct families: name -> (constructor, the flags it reads with their
+#: defaults, ``None`` for a required flag).  ``graph`` is the base graph from
+#: --g6 or --file; the constructor takes the values in row order.
+_FAMILIES = {
+    "cycle": (cycle, {"n": None}),
+    "clique": (clique, {"n": None}),
+    "cone": (cone, {"graph": None}),
+    "union": (
+        lambda g, other: disjoint_union(g, parse_graph6(other)),
+        {"graph": None, "other_g6": None},
+    ),
+    "isolift": (add_isolated, {"graph": None, "count": 1}),
+    "bipartite-pm": (_bipartite_pm, {"m": None, "extra_edges": 0, "seed": 0}),
+    "evensub-k4": (
+        lambda counts: even_subdivision_k4(tuple(int(x) for x in counts.split(","))),
+        {"counts": None},
+    ),
+}
+
+#: every flag a family can read, in ``input.args`` order
+_FAMILY_FLAGS = ("n", "m", "extra_edges", "seed", "count", "counts", "g6", "file", "other_g6")
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
 def _cmd_construct(args) -> int:
-    fam = args.family
-    if fam not in ("cone", "union", "isolift") and (args.g6 is not None or args.file is not None):
-        raise _UsageError(f"family {fam} takes no base graph: drop --g6/--file")
-    if fam == "cycle":
-        g = cycle(_require(args.n, "--n"))
-    elif fam == "clique":
-        g = clique(_require(args.n, "--n"))
-    elif fam == "cone":
-        base, _ = _read_graph(args)
-        g = cone(base)
-    elif fam == "union":
-        base, _ = _read_graph(args)
-        if not args.other_g6:
-            raise _UsageError("union needs --other-g6")
-        g = disjoint_union(base, parse_graph6(args.other_g6))
-    elif fam == "isolift":
-        base, _ = _read_graph(args)
-        g = add_isolated(base, args.count)
-    elif fam == "bipartite-pm":
-        m = _require(args.m, "--m")
-        rng = random.Random(args.seed)
-        pool = [
-            (i, m + j) for i in range(m) for j in range(m) if i != j
-        ]
-        extra = rng.sample(pool, min(args.extra_edges, len(pool)))
-        g = bipartite_with_pm(m, extra)
-    elif fam == "evensub-k4":
-        if not args.counts:
-            raise _UsageError("evensub-k4 needs --counts a,b,c,d,e,f")
-        counts = tuple(int(x) for x in args.counts.split(","))
-        g = even_subdivision_k4(counts)
-    else:
-        raise _UsageError(f"unknown family {fam!r}")
-    result = {"g6": write_graph6(g), "n": g.n}
-    _emit(_envelope("construct", {"args": _family_args(args)}, result), args.pretty)
+    family = args.family
+    build, reads = _FAMILIES[family]
+    given = {f: getattr(args, f) for f in _FAMILY_FLAGS if getattr(args, f) is not None}
+    for flag in given:
+        if flag in ("g6", "file"):
+            if "graph" not in reads:
+                raise _UsageError(f"family {family} takes no base graph: drop --g6/--file")
+        elif flag not in reads:
+            raise _UsageError(f"family {family} does not read {_option(flag)}")
+    values = []
+    for flag, default in reads.items():  # a default joins ``given``, so it is echoed
+        value = _read_graph(args)[0] if flag == "graph" else given.setdefault(flag, default)
+        if value is None:
+            raise _UsageError(f"{_option(flag)} is required for family {family}")
+        values.append(value)
+    g = build(*values)
+    echo = {"family": family, **{f: given[f] for f in _FAMILY_FLAGS if f in given}}
+    _emit("construct", {"args": echo}, {"g6": write_graph6(g), "n": g.n}, args.pretty)
     return EXIT_OK
-
-
-def _family_args(args) -> dict:
-    keep = ("family", "n", "m", "extra_edges", "seed", "count", "counts", "g6", "other_g6")
-    return {k: getattr(args, k) for k in keep if getattr(args, k, None) is not None}
-
-
-def _require(value, flag):
-    if value is None:
-        raise _UsageError(f"{flag} is required for this family")
-    return value
 
 
 def _parse_kl(text: str) -> tuple[int, int]:
@@ -259,14 +266,12 @@ def _spec_from_args(args) -> FilterSpec:
 
 def _cmd_enumerate(args) -> int:
     spec = _spec_from_args(args)
-    scanned, records = filtered_records(
-        args.n, spec, hereditary_prune=args.prune, jobs=args.jobs
-    )
+    scanned, records = filtered_records(args.n, spec, hereditary_prune=args.prune, jobs=args.jobs)
     if args.atlas:
         atlas_write(records, args.atlas)
     else:
         for rec in records:
-            print(_record_line(rec))
+            print(rec.to_json())
     result = {
         "n": args.n,
         "scanned": scanned,
@@ -274,7 +279,7 @@ def _cmd_enumerate(args) -> int:
         "filters": spec.to_dict(),
         "atlas": args.atlas,
     }
-    _emit(_envelope("enumerate", {"args": {"n": args.n}}, result), args.pretty)
+    _emit("enumerate", {"args": {"n": args.n}}, result, args.pretty)
     return EXIT_OK
 
 
@@ -285,13 +290,8 @@ def _cmd_verify(args) -> int:
         values = tuple(v for v in base if v <= args.n_max)
         if not values:
             raise _UsageError(f"--n-max {args.n_max} leaves none of the sizes {list(base)}")
-    report = verify_theorem(
-        args.theorem,
-        n_values=values,
-        k=args.k,
-        prune=(False if args.no_prune else None),
-        jobs=args.jobs,
-    )
+    prune = False if args.no_prune else None
+    report = verify_theorem(args.theorem, n_values=values, k=args.k, prune=prune, jobs=args.jobs)
     if args.atlas:
         provenance = {
             "version": __version__,
@@ -299,7 +299,7 @@ def _cmd_verify(args) -> int:
         }
         graphs = (parse_graph6(g6) for g6 in report.matches)
         atlas_write((atlas_record(g, FilterSpec(), provenance) for g in graphs), args.atlas)
-    _emit(_envelope("verify", {"args": {"theorem": args.theorem}}, report.to_dict()), args.pretty)
+    _emit("verify", {"args": {"theorem": args.theorem}}, report.to_dict(), args.pretty)
     if report.verdict != "verified":
         for g6 in report.counterexamples:
             print(f"counterexample: {g6}", file=sys.stderr)
@@ -338,38 +338,35 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("alpha", help="independence number with witness")
-    _add_graph_flags(p)
-
-    p = sub.add_parser("check", help="(k,l)-stability report")
-    _add_graph_flags(p)
+    for name, (text, result) in _GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        _add_graph_flags(p)
+        p.set_defaults(run=_cmd_graph, result=result)
+    p = sub.choices["check"]
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--tight", action="store_true", help="exit 2 unless tight")
-
-    p = sub.add_parser("reduce", help="greedy reduction to an alpha-critical kernel")
-    _add_graph_flags(p)
-
-    p = sub.add_parser("classify", help="spanning certificate for a tight (k,0)-stable graph")
-    _add_graph_flags(p)
-    p.add_argument("--k", type=int, required=True, choices=(1, 2, 3))
+    sub.choices["classify"].add_argument("--k", type=int, required=True, choices=(1, 2, 3))
 
     p = sub.add_parser("construct", help="build a named graph family member")
+    p.set_defaults(run=_cmd_construct)
     _add_graph_flags(p)
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=("cycle", "clique", "cone", "union", "isolift", "bipartite-pm", "evensub-k4"),
-    )
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--extra-edges", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for random extras (default 0)")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--counts", help="six comma-separated even subdivision counts")
-    p.add_argument("--other-g6", help="second operand for the union family")
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
+    for flag, kind, text in (
+        ("n", int, "vertex count"),
+        ("m", int, "vertices per side"),
+        ("extra_edges", int, "random edges added across the sides"),
+        ("seed", int, "RNG seed for the extra edges"),
+        ("count", int, "isolated vertices to add"),
+        ("counts", str, "six comma-separated even subdivision counts"),
+        ("other_g6", str, "graph6 of the second operand"),
+    ):
+        readers = {f: reads[flag] for f, (_, reads) in _FAMILIES.items() if flag in reads}
+        defaults = "".join(f", default {v}" for v in set(readers.values()) if v is not None)
+        p.add_argument(_option(flag), type=kind, help=f"{text} ({', '.join(readers)}{defaults})")
 
     p = sub.add_parser("enumerate", help="filtered scan over all non-isomorphic graphs")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-degree", type=int)
     p.add_argument("--connected", action="store_true")
@@ -382,6 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--atlas", help="write records to this file instead of stdout")
 
     v = sub.add_parser("verify", help="run a verification pipeline")
+    v.set_defaults(run=_cmd_verify)
     v.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     v.add_argument("--n", type=int, action="append", help="size to scan (repeatable)")
     v.add_argument("--n-max", type=int, help="scan only the sizes (given or default) that are <= N")
@@ -392,23 +390,9 @@ def build_parser() -> _Parser:
     for p2 in sub.choices.values():
         p2.add_argument("--pretty", action="store_true", help="indented JSON output")
     for name in ("enumerate", "verify"):
-        sub.choices[name].add_argument(
-            "--jobs",
-            type=_jobs,
-            help="worker processes (default $STABILITYLAB_JOBS or 1)",
-        )
+        jobs_help = "worker processes (default $STABILITYLAB_JOBS or 1)"
+        sub.choices[name].add_argument("--jobs", type=_jobs, help=jobs_help)
     return parser
-
-
-_HANDLERS = {
-    "alpha": _cmd_alpha,
-    "check": _cmd_check,
-    "reduce": _cmd_reduce,
-    "classify": _cmd_classify,
-    "construct": _cmd_construct,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -418,7 +402,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "jobs", None) is None:
             args.jobs = default_jobs
-        return _HANDLERS[args.cmd](args)
+        return args.run(args)
     except (ValueError, OSError, KeyError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

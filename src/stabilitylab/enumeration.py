@@ -207,6 +207,13 @@ class FilterSpec:
     stable: tuple[int, int] | None = None
     tight: tuple[int, int] | None = None
 
+    def __post_init__(self) -> None:
+        for kind, kl in (("stable", self.stable), ("tight", self.tight)):
+            if kl is None:
+                continue
+            if len(kl) != 2 or not all(type(x) is int for x in kl) or not kl[0] > kl[1] >= 0:
+                raise ValueError(f"{kind} needs integers k > l >= 0, got {kl!r}")
+
     def to_dict(self) -> dict:
         """The filters that are set, as recorded in atlas provenance and reports."""
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -393,6 +400,18 @@ class AtlasRecord:
     flags: dict
     provenance: dict
 
+    def to_json(self) -> str:
+        """The record as one atlas line (no newline): fields in fixed order,
+        flags sorted by name."""
+        payload = {
+            "g6": self.g6,
+            "n": self.n,
+            "alpha": self.alpha,
+            "flags": {k: self.flags[k] for k in sorted(self.flags)},
+            "provenance": self.provenance,
+        }
+        return json.dumps(payload, separators=(",", ":"), sort_keys=False)
+
 
 def atlas_record(g: Graph, spec: FilterSpec, provenance: dict) -> AtlasRecord:
     """Record of a graph that passed ``spec``: the flags ``spec`` requires
@@ -425,19 +444,8 @@ def filtered_records(
 def atlas_write(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(_record_line(rec))
+            fh.write(rec.to_json())
             fh.write("\n")
-
-
-def _record_line(rec: AtlasRecord) -> str:
-    payload = {
-        "g6": rec.g6,
-        "n": rec.n,
-        "alpha": rec.alpha,
-        "flags": {k: rec.flags[k] for k in sorted(rec.flags)},
-        "provenance": rec.provenance,
-    }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=False)
 
 
 def atlas_read(path) -> list[AtlasRecord]:
@@ -460,9 +468,9 @@ def atlas_read(path) -> list[AtlasRecord]:
                 if not isinstance(rec.flags, dict):
                     raise TypeError("flags is not an object")
                 evaluators = {key: _flag_evaluator(key) for key in rec.flags}
+                g = parse_graph6(rec.g6)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed atlas record ({exc})")
-            g = parse_graph6(rec.g6)
             if g.n != rec.n:
                 raise ValueError(f"{path}:{lineno}: stored n={rec.n} but graph has {g.n}")
             a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
@@ -587,9 +595,11 @@ def verify_theorem(
         raise ValueError(f"k applies only to {owners}, not to {theorem_id}")
     use_prune = pipeline.prune if prune is None else prune
     values = pipeline.sizes if n_values is None else n_values
-    for n in values:
+    for i, n in enumerate(values):
         if not 1 <= n <= pipeline.cap:
             raise ValueError(f"size {n} outside 1..{pipeline.cap} for {theorem_id}")
+        if n in values[:i]:
+            raise ValueError(f"size {n} is given twice")
     for n in values:
         if pipeline.parity is not None and n % 2 != pipeline.parity:
             raise ValueError(f"{theorem_id} applies to {('even', 'odd')[pipeline.parity]} sizes")

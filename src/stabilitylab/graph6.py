@@ -31,6 +31,8 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    if not isinstance(text, str):
+        raise ValueError(f"graph6 input must be a string, not {type(text).__name__}")
     s = text.strip()
     if not s:
         raise ValueError("empty graph6 string")

@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -137,6 +139,79 @@ def test_construct_rejects_graph_flags_it_does_not_use(capsys, argv):
     assert err == f"error: family {family} takes no base graph: drop --g6/--file\n"
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--family", "cycle", "--n", "5", "--other-g6", "D?{"], "--other-g6"),
+        (["--family", "cone", "--g6", "D?{", "--n", "9", "--counts", "1,2"], "--n"),
+        (["--family", "clique", "--n", "4", "--seed", "0"], "--seed"),
+        (["--family", "bipartite-pm", "--m", "3", "--count", "1"], "--count"),
+        (["--family", "isolift", "--g6", "D?{", "--extra-edges", "2"], "--extra-edges"),
+        (["--family", "evensub-k4", "--counts", "2,0,0,0,0,0", "--m", "3"], "--m"),
+    ],
+    ids=["cycle-other-g6", "cone-n-counts", "clique-seed", "bipartite-count", "isolift-extra", "evensub-m"],
+)
+def test_construct_rejects_flags_its_family_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: family {argv[1]} does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--family", "clique"], "--n"),
+        (["--family", "bipartite-pm", "--seed", "3"], "--m"),
+        (["--family", "union", "--g6", "D?{"], "--other-g6"),
+        (["--family", "evensub-k4"], "--counts"),
+    ],
+    ids=["clique", "bipartite-pm", "union", "evensub-k4"],
+)
+def test_construct_requires_the_flags_its_family_reads(capsys, argv, flag):
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} is required for family {argv[1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,echo",
+    [
+        (["--family", "cycle", "--n", "5"], {"family": "cycle", "n": 5}),
+        (
+            ["--family", "bipartite-pm", "--m", "4"],
+            {"family": "bipartite-pm", "m": 4, "extra_edges": 0, "seed": 0},
+        ),
+        (["--family", "isolift", "--g6", "D?{"], {"family": "isolift", "count": 1, "g6": "D?{"}),
+        (
+            ["--family", "union", "--other-g6", "A_", "--g6", "D?{"],
+            {"family": "union", "g6": "D?{", "other_g6": "A_"},
+        ),
+        (["--family", "cone", "--file", "-"], {"family": "cone", "file": "-"}),
+    ],
+    ids=["cycle", "bipartite-pm-defaults", "isolift-default", "union", "cone-stdin"],
+)
+def test_construct_echoes_the_flags_its_family_read(capsys, monkeypatch, argv, echo):
+    monkeypatch.setattr("sys.stdin", io.StringIO("D?{\n"))
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    args = last_report(out)["input"]["args"]
+    assert args == echo and list(args) == list(echo)
+
+
+def test_bipartite_pm_checks_m_before_drawing_extra_edges(capsys):
+    code, out, err = run(capsys, "construct", "--family", "bipartite-pm", "--m", "33")
+    assert (code, out) == (1, "") and err.startswith("error:")
+    build_parser()  # built outside the measured call
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "construct", "--family", "bipartite-pm", "--m", "500")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "") and err.startswith("error:")
+    assert peak < 1 << 20
+
+
 def test_construct_output_feeds_analysis(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--family", "clique", "--n", "4")
     assert code == 0
@@ -145,6 +220,18 @@ def test_construct_output_feeds_analysis(capsys, tmp_path):
     code, out, _ = run(capsys, "alpha", "--file", str(blob))
     assert code == 0
     assert last_report(out)["result"]["alpha"] == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"result": {"g6": 5}}', '{"g6": null}', '{"result": {"g6": "~~"}}', '{"result": 5}'],
+    ids=["int", "null", "long-form", "result-int"],
+)
+def test_bad_g6_field_exits_one(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+    code, out, err = run(capsys, "alpha", "--file", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_shell_pipe_roundtrip():
@@ -187,6 +274,18 @@ def test_verify_subcommand(capsys):
     rep = last_report(out)
     assert rep["result"]["verdict"] == "verified"
     assert len(rep["result"]["matches"]) == 2
+
+
+def test_verify_repeated_size_exits_one(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "T1c", "--n", "5", "--n", "5")
+    assert (code, out) == (1, "") and err == "error: size 5 is given twice\n"
+
+
+@pytest.mark.parametrize("kl", ["1,1", "0,0", "2,-1"])
+@pytest.mark.parametrize("kind", ["--stable", "--tight"])
+def test_enumerate_rejects_malformed_stability_filter(capsys, kind, kl):
+    code, out, err = run(capsys, "enumerate", "--n", "5", kind, kl)
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 def test_verify_n_max_caps_explicit_sizes(capsys):

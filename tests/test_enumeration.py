@@ -185,6 +185,31 @@ def test_filtered_singletons(n, kl, expected):
     assert is_isomorphic(g, target)
 
 
+@pytest.mark.parametrize(
+    "kind,kl",
+    [
+        ("stable", (1, 1)),
+        ("tight", (0, 0)),
+        ("tight", (2, -1)),
+        ("stable", (2, 3)),
+        ("tight", (2.0, 0)),
+        ("stable", (True, 0)),
+        ("tight", ("2", 0)),
+        ("stable", (2, 0, 0)),
+    ],
+    ids=["l=k", "k=0", "l<0", "l>k", "float", "bool", "str", "three"],
+)
+def test_filter_spec_rejects_malformed_stability_parameters(kind, kl):
+    with pytest.raises(ValueError, match=f"^{kind} needs integers k > l >= 0"):
+        FilterSpec(**{kind: kl})
+
+
+def test_filter_larger_k_than_n_matches_nothing():
+    # n <= k is a per-graph non-match, not an error
+    assert filtered_records(4, FilterSpec(tight=(5, 0))) == (11, [])
+    assert filtered_records(3, FilterSpec(stable=(3, 1))) == (4, [])
+
+
 @pytest.mark.parametrize("kind", ["stable", "tight"])
 def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
     """A (k,0) filter folds min degree >= k into the one graph-only degree
@@ -347,6 +372,18 @@ def test_atlas_rejects_malformed_flags_with_line(tmp_path, flags):
         atlas_read(p)
 
 
+@pytest.mark.parametrize("g6", [5, None, "~~", "D?"], ids=["int", "null", "long-form", "short-body"])
+def test_atlas_rejects_bad_g6_with_line(tmp_path, g6):
+    recs = filtered_records(5, FilterSpec(tight=(2, 0)))[1]
+    p = tmp_path / "atlas.jsonl"
+    atlas_write(recs, p)
+    obj = json.loads(p.read_text().splitlines()[0])
+    obj["g6"] = g6
+    p.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:1: malformed atlas record")):
+        atlas_read(p)
+
+
 def test_atlas_empty(tmp_path):
     p = tmp_path / "empty.jsonl"
     atlas_write([], p)
@@ -377,6 +414,7 @@ def test_verify_rejects_unknown_inputs():
         ("T1c", (5, 4), "T1c applies to odd sizes"),
         ("T1a", (2, 7), "T1a applies to even sizes"),
         ("T1a", (2, 11), "size 11 outside 1..9 for T1a"),
+        ("T1c", (5, 5), "size 5 is given twice"),
     ],
 )
 def test_verify_checks_every_size_before_scanning(monkeypatch, theorem_id, sizes, message):
