@@ -52,14 +52,14 @@ from .critical import (
     critical_reduce,
     defect,
     is_alpha_critical,
+    is_even_subdivision_k4,
+    is_odd_cycle,
 )
 from .structure import (
     Decomposition,
     HallCertificate,
     five_graph_decomposition,
     hall_matching,
-    is_even_subdivision_k4,
-    is_odd_cycle,
     odd_cycle_matching_decomposition,
     perfect_matching_tight10,
     spanning_certificate,

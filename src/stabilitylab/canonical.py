@@ -156,6 +156,25 @@ def _is_automorphism(adj: Code, nlists: list[list[int]], sigma: tuple[int, ...])
     return True
 
 
+def _orbit_reps(n: int, gens: Iterable[tuple[int, ...]]) -> list[int]:
+    """The least member of each vertex's orbit under the group ``gens`` generate."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for g in gens:
+        for v in range(n):
+            ra, rb = find(v), find(g[v])
+            if ra != rb:
+                # the smaller root survives, so every root is its set's least member
+                root[max(ra, rb)] = min(ra, rb)
+    return [find(v) for v in range(n)]
+
+
 def canonical_data(adj: Code) -> CanonicalData:
     n = len(adj)
     nlists = neighbor_lists(adj)
@@ -168,21 +187,6 @@ def canonical_data(adj: Code) -> CanonicalData:
         return CanonicalData(_leaf_key(nlists, base), tuple(order), tuple(range(n)), ())
 
     gens: list[tuple[int, ...]] = []
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
     first_key: Code | None = None
     first_pos: list[int] = []
     best_key: Code | None = None
@@ -198,29 +202,6 @@ def canonical_data(adj: Code) -> CanonicalData:
         if not _is_automorphism(adj, nlists, sigma):
             raise InvariantViolation("leaf collision produced a non-automorphism")
         gens.append(sigma)
-        for v in range(n):
-            union(v, sigma[v])
-
-    def equivalent_here(colors: list[int], a: int, b: int) -> bool:
-        # a ~ b under some product of known generators compatible with the
-        # node's ordered partition (i.e. color preserving).
-        comp = [g for g in gens if all(colors[g[v]] == colors[v] for v in range(n))]
-        if not comp:
-            return False
-        local = list(range(n))
-
-        def lfind(x: int) -> int:
-            while local[x] != x:
-                local[x] = local[local[x]]
-                x = local[x]
-            return x
-
-        for g in comp:
-            for v in range(n):
-                ra, rb = lfind(v), lfind(g[v])
-                if ra != rb:
-                    local[max(ra, rb)] = min(ra, rb)
-        return lfind(a) == lfind(b)
 
     def search(colors: list[int]) -> None:
         nonlocal first_key, first_pos, best_key, best_pos
@@ -241,23 +222,21 @@ def canonical_data(adj: Code) -> CanonicalData:
 
         tried: list[int] = []
         for w in target:
-            if any(equivalent_here(colors, w, t) for t in tried):
-                continue
+            if tried:
+                # skip w when known generators preserving the node's
+                # (ordered) partition map it onto a vertex already tried
+                here = [g for g in gens if all(colors[g[v]] == colors[v] for v in range(n))]
+                reps = _orbit_reps(n, here)
+                if any(reps[w] == reps[t] for t in tried):
+                    continue
             tried.append(w)
             search(_individualize(nlists, colors, w))
 
     search(list(base))
-    key, pos = best_key, best_pos
     order = [0] * n
-    for v, p in enumerate(pos):
+    for v, p in enumerate(best_pos):
         order[p] = v
-    reps: dict[int, int] = {}
-    orbit = [0] * n
-    for v in range(n):
-        r = find(v)
-        reps.setdefault(r, v)
-        orbit[v] = reps[r]
-    return CanonicalData(key, tuple(order), tuple(orbit), tuple(gens))
+    return CanonicalData(best_key, tuple(order), tuple(_orbit_reps(n, gens)), tuple(gens))
 
 
 def canonical_key(adj: Code) -> Code:

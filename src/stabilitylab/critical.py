@@ -1,19 +1,24 @@
-"""Edge-criticality of the independence number and defect classification.
+"""Edge-criticality of the independence number, the recognizers of the
+critical families, and defect classification.
 
 A graph is alpha-critical when deleting any single edge raises the
 independence number.  Greedy edge removal reduces every graph to a spanning
 alpha-critical kernel with the same independence number; connected kernels
-with defect ``n - 2*alpha`` equal to 1, 2 or 3 fall into known families,
-which :func:`classify_defect` recognizes.
+with defect ``n - 2*alpha`` equal to 1, 2 or 3 fall into known families:
+odd cycles (:func:`is_odd_cycle`, walked by :func:`trace_cycle`), even
+subdivisions of the 4-clique (:func:`is_even_subdivision_k4`) and the
+named graphs (:func:`named_class`).  :func:`classify_defect` dispatches to
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import catalog
 from .canonical import is_isomorphic
-from .graphs import Graph, bits, delete_edge, is_connected, min_degree
+from .graphs import Graph, bits, degrees, delete_edge, is_connected, min_degree
 from .independence import alpha_mask
 
 CLASS_ODD_CYCLE = "odd_cycle"
@@ -93,13 +98,9 @@ def classify_defect(g: Graph) -> DefectClass:
         raise ValueError(f"classification requires an alpha-critical graph (edge {edge} is removable)")
     d = defect(g)
     if d == 1:
-        from .structure import is_odd_cycle
-
         if is_odd_cycle(g):
             return DefectClass(d, CLASS_ODD_CYCLE)
     elif d == 2:
-        from .structure import is_even_subdivision_k4
-
         if is_even_subdivision_k4(g) is not None:
             return DefectClass(d, CLASS_EVEN_SUBDIVISION_K4)
     elif d == 3 and min_degree(g) >= 3:
@@ -116,3 +117,76 @@ def named_class(g: Graph) -> str | None:
         if target.n == g.n and is_isomorphic(g, target):
             return name
     return None
+
+
+# -- recognizers -------------------------------------------------------------
+
+
+def trace_cycle(g: Graph, comp: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The vertices of ``comp`` in cycle order, from ``comp[0]`` towards its
+    smaller neighbor, when ``comp`` is a whole component that is a cycle;
+    ``None`` when a vertex of ``comp`` has degree other than 2 or the walk
+    closes before visiting all of ``comp``."""
+    if any(g.degree(v) != 2 for v in comp):
+        return None
+    start = comp[0]
+    cyc = [start]
+    prev, cur = None, start
+    while True:
+        nbrs = [u for u in g.neighbors(cur) if u != prev]
+        nxt = min(nbrs) if len(cyc) == 1 else nbrs[0]
+        if nxt == start:
+            break
+        cyc.append(nxt)
+        prev, cur = cur, nxt
+    return tuple(cyc) if len(cyc) == len(comp) else None
+
+
+def is_odd_cycle(g: Graph) -> bool:
+    """Whether ``g`` is a single cycle of odd length: 2-regular and connected."""
+    return g.n % 2 == 1 and trace_cycle(g, tuple(range(g.n))) is not None
+
+
+@dataclass(frozen=True)
+class SubdivisionStructure:
+    terminals: tuple[int, int, int, int]
+    paths: tuple[tuple[int, ...], ...]
+
+
+def is_even_subdivision_k4(g: Graph) -> SubdivisionStructure | None:
+    """Topological 4-clique test with even branch interiors.
+
+    Returns the terminals and the six branch paths when the graph is an even
+    subdivision of the 4-clique, else ``None``.
+    """
+    degs = degrees(g)
+    terminals = [v for v in range(g.n) if degs[v] == 3]
+    if len(terminals) != 4 or any(d not in (2, 3) for d in degs) or not is_connected(g):
+        return None
+    seen: dict[tuple[int, ...], None] = {}
+    for t in terminals:
+        for x in g.neighbors(t):
+            walk = [t, x]
+            prev, cur = t, x
+            while degs[cur] == 2:
+                nxt = [u for u in g.neighbors(cur) if u != prev][0]
+                walk.append(nxt)
+                prev, cur = cur, nxt
+            if cur == t:
+                return None  # branch loops back to its own terminal
+            if walk[-1] < walk[0]:
+                walk.reverse()
+            seen[tuple(walk)] = None
+    paths = sorted(seen)
+    if len(paths) != 6:
+        return None
+    ends = sorted((p[0], p[-1]) for p in paths)
+    term_sorted = sorted(terminals)
+    if ends != list(combinations(term_sorted, 2)):
+        return None
+    internal = [v for p in paths for v in p[1:-1]]
+    if len(internal) != g.n - 4 or len(set(internal)) != len(internal):
+        return None
+    if any((len(p) - 2) % 2 for p in paths):
+        return None
+    return SubdivisionStructure(tuple(term_sorted), tuple(paths))

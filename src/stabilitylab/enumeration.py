@@ -37,6 +37,7 @@ that ``extend_level`` returns, checked against the known class counts.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
@@ -50,13 +51,19 @@ from .canonical import (
     refine_colors,
     shares_orbit,
 )
-from .critical import CLASS_NAMED, alpha_preserving_edge, classify_defect
+from .critical import (
+    CLASS_NAMED,
+    alpha_preserving_edge,
+    classify_defect,
+    is_even_subdivision_k4,
+    is_odd_cycle,
+)
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph, bits
+from .graphs import Graph, bits, reachable
 from .independence import alpha_mask, independent_sets_of_size
 from .stability import stable_fast
-from .structure import hall_matching, is_even_subdivision_k4, is_odd_cycle, spanning_certificate
+from .structure import hall_matching, spanning_certificate
 
 Code = tuple[int, ...]
 
@@ -220,15 +227,7 @@ class FilterSpec:
 
 
 def _code_connected(code: Code, n: int) -> bool:
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= code[u]
-        frontier = nxt & ~comp
-        comp |= nxt
-    return comp == (1 << n) - 1
+    return reachable(code, 0) == (1 << n) - 1
 
 
 def _min_degree(code: Code) -> int:
@@ -355,13 +354,15 @@ def _pooled(
     chunk_fn, items: Sequence[Code], n: int, spec: FilterSpec, jobs: int, serial_below: int
 ) -> tuple[int, list[Code]]:
     """Run ``chunk_fn`` over ``items``, split into about four chunks per worker
-    process; returns (classes scanned, sorted matches)."""
-    if jobs <= 1 or len(items) < serial_below:
+    process; returns (classes scanned, sorted matches).  At most one worker
+    per CPU starts, whatever ``jobs`` asks for."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(items) < serial_below:
         results = [_run_chunk((chunk_fn, (items, n, spec)))]
     else:
-        step = max(1, (len(items) + jobs * 4 - 1) // (jobs * 4))
+        step = max(1, (len(items) + workers * 4 - 1) // (workers * 4))
         tasks = [(chunk_fn, (items[i : i + step], n, spec)) for i in range(0, len(items), step)]
-        with get_context("fork").Pool(jobs) as pool:
+        with get_context("fork").Pool(workers) as pool:
             results = list(pool.imap_unordered(_run_chunk, tasks))
     return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
 
@@ -595,6 +596,8 @@ def verify_theorem(
         raise ValueError(f"k applies only to {owners}, not to {theorem_id}")
     use_prune = pipeline.prune if prune is None else prune
     values = pipeline.sizes if n_values is None else n_values
+    if not values:
+        raise ValueError(f"no sizes given for {theorem_id}")
     for i, n in enumerate(values):
         if not 1 <= n <= pipeline.cap:
             raise ValueError(f"size {n} outside 1..{pipeline.cap} for {theorem_id}")

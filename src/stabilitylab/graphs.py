@@ -8,7 +8,7 @@ All operations are pure: they validate their inputs and return new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -104,28 +104,33 @@ def min_degree(g: Graph) -> int:
     return min(degrees(g))
 
 
+def reachable(adj: Sequence[int], v: int) -> int:
+    """Bitmask of the vertices joined to ``v`` by a path, ``v`` included;
+    ``adj[u]`` is the neighbor bitmask of ``u``."""
+    comp = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~comp
+        comp |= nxt
+    return comp
+
+
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     seen = 0
     out = []
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        out.append(tuple(bits(comp)))
+        if not seen >> v & 1:
+            comp = reachable(g.adj, v)
+            seen |= comp
+            out.append(tuple(bits(comp)))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    return reachable(g.adj, 0) == (1 << g.n) - 1
 
 
 def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

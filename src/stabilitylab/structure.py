@@ -1,11 +1,14 @@
-"""Recognizers and constructive certificates for the structural results.
+"""Constructive certificates for the structural results, and their validator.
 
 Each builder follows one constructive argument: saturating matchings come
 from an augmenting-path search, the odd-cycle-plus-matching certificate from
 an alternating breadth-first forest rooted at the unmatched vertex, and the
-spanning decompositions from a greedy critical kernel whose components are
-recognized directly.  Every returned certificate is checked by the
-independent :func:`validate_decomposition` before it leaves this module.
+spanning decompositions from a greedy critical kernel whose components the
+recognizers of :mod:`~stabilitylab.critical` identify.  Every returned
+certificate is checked by the independent :func:`validate_decomposition`
+before it leaves this module; the validator shares no code with the
+recognizers.  ``is_odd_cycle`` and ``is_even_subdivision_k4`` stay
+importable from here.
 """
 
 from __future__ import annotations
@@ -14,16 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import catalog
-from .critical import critical_reduce, named_class
+from .critical import critical_reduce, is_even_subdivision_k4, named_class, trace_cycle
+from .critical import is_odd_cycle  # re-exported beside is_even_subdivision_k4
 from .errors import InvariantViolation
-from .graphs import (
-    Graph,
-    components,
-    degrees,
-    delete_vertices,
-    is_connected,
-    normalize_edge,
-)
+from .graphs import Graph, components, degrees, is_connected, normalize_edge
 from .independence import independent_sets_of_size
 from .stability import is_tight_stable
 
@@ -63,12 +60,6 @@ class HallCertificate:
 
     matching: Matching | None
     violator: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
-class SubdivisionStructure:
-    terminals: tuple[int, int, int, int]
-    paths: tuple[tuple[int, ...], ...]
 
 
 # -- validators --------------------------------------------------------------
@@ -294,53 +285,39 @@ def odd_cycle_matching_decomposition(g: Graph) -> Decomposition:
     reach = {b_of[i]: i for i in parent}
 
     closing = None
-    candidates = sorted(reach) + [c]
-    candidates.sort()
-    for u, v in combinations(candidates, 2):
+    for u, v in combinations(sorted([*reach, c]), 2):
         if g.has_edge(u, v):
             closing = (u, v)
             break
     if closing is None:
         raise InvariantViolation("no edge inside the reachable set; contradicts maximality")
 
-    def path_to(i: int) -> list[int]:
+    def forest_path(end: int) -> list[int]:
+        """Pair indices from a root down to the pair whose b-vertex is
+        ``end``; empty for ``c``, which is no pair's b-vertex."""
         seq = []
+        i = reach.get(end, -1)
         while i != -1:
             seq.append(i)
             i = parent[i]
         seq.reverse()
         return seq
 
-    cyc: list[int]
-    prefix: list[int] = []
-    if c in closing:
-        other = closing[0] if closing[1] == c else closing[1]
-        trail = path_to(reach[other])
-        cyc = [c]
-        for t in trail:
-            cyc.extend((a_of[t], b_of[t]))
-        used = set(trail)
-    else:
-        pi = path_to(reach[closing[0]])
-        pj = path_to(reach[closing[1]])
-        p = 0
-        while p < min(len(pi), len(pj)) and pi[p] == pj[p]:
-            p += 1
-        if p == 0:
-            cyc = [c]
-            for t in pi:
-                cyc.extend((a_of[t], b_of[t]))
-            for t in reversed(pj):
-                cyc.extend((b_of[t], a_of[t]))
-        else:
-            k = pi[p - 1]
-            prefix = pi[:p]
-            cyc = [b_of[k]]
-            for t in pi[p:]:
-                cyc.extend((a_of[t], b_of[t]))
-            for t in reversed(pj[p:]):
-                cyc.extend((b_of[t], a_of[t]))
-        used = set(pi) | set(pj)
+    # The cycle leaves the apex down the first path, crosses the closing
+    # edge and climbs the second; the apex is c or, when the paths share a
+    # prefix, the b-vertex of its last pair.  A path to c is empty, so it
+    # goes second.
+    first, second = (forest_path(v) for v in sorted(closing, key=lambda v: v == c))
+    p = 0
+    while p < min(len(first), len(second)) and first[p] == second[p]:
+        p += 1
+    prefix = first[:p]
+    cyc = [b_of[prefix[-1]] if prefix else c]
+    for t in first[p:]:
+        cyc.extend((a_of[t], b_of[t]))
+    for t in reversed(second[p:]):
+        cyc.extend((b_of[t], a_of[t]))
+    used = set(first) | set(second)
 
     matching_out: list[tuple[int, int]] = []
     if prefix:
@@ -360,76 +337,7 @@ def odd_cycle_matching_decomposition(g: Graph) -> Decomposition:
     return d
 
 
-# -- recognizers -------------------------------------------------------------
-
-
-def is_odd_cycle(g: Graph) -> bool:
-    return (
-        g.n % 2 == 1
-        and g.n >= 3
-        and all(d == 2 for d in degrees(g))
-        and is_connected(g)
-    )
-
-
-def is_even_subdivision_k4(g: Graph) -> SubdivisionStructure | None:
-    """Topological 4-clique test with even branch interiors.
-
-    Returns the terminals and the six branch paths when the graph is an even
-    subdivision of the 4-clique, else ``None``.
-    """
-    degs = degrees(g)
-    terminals = [v for v in range(g.n) if degs[v] == 3]
-    if len(terminals) != 4 or any(d not in (2, 3) for d in degs):
-        return None
-    if not is_connected(g):
-        return None
-    seen: dict[tuple[int, ...], None] = {}
-    for t in terminals:
-        for x in g.neighbors(t):
-            walk = [t, x]
-            prev, cur = t, x
-            while degs[cur] == 2:
-                nxt = [u for u in g.neighbors(cur) if u != prev][0]
-                walk.append(nxt)
-                prev, cur = cur, nxt
-            if cur == t:
-                return None  # branch loops back to its own terminal
-            if walk[-1] < walk[0]:
-                walk.reverse()
-            seen[tuple(walk)] = None
-    paths = sorted(seen)
-    if len(paths) != 6:
-        return None
-    ends = sorted((p[0], p[-1]) for p in paths)
-    term_sorted = sorted(terminals)
-    if ends != list(combinations(term_sorted, 2)):
-        return None
-    internal = [v for p in paths for v in p[1:-1]]
-    if len(internal) != g.n - 4 or len(set(internal)) != len(internal):
-        return None
-    if any((len(p) - 2) % 2 for p in paths):
-        return None
-    return SubdivisionStructure(tuple(term_sorted), tuple(paths))
-
-
 # -- spanning decompositions -------------------------------------------------
-
-
-def _trace_cycle(g: Graph, comp: tuple[int, ...]) -> tuple[int, ...] | None:
-    if any(g.degree(v) != 2 for v in comp):
-        return None
-    start = comp[0]
-    cyc = [start]
-    prev, cur = None, start
-    while True:
-        nbrs = [u for u in g.neighbors(cur) if u != prev]
-        nxt = min(nbrs) if len(cyc) == 1 else nbrs[0]
-        if nxt == start:
-            break
-        cyc.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(cyc) if len(cyc) == len(comp) else None
 
 
 def two_cycles_or_subdivision_decomposition(g: Graph) -> Decomposition:
@@ -454,7 +362,7 @@ def two_cycles_or_subdivision_decomposition(g: Graph) -> Decomposition:
     else:
         cycles = []
         for comp in comps:
-            cyc = _trace_cycle(kernel, comp)
+            cyc = trace_cycle(kernel, comp)
             if cyc is None or len(cyc) % 2 == 0:
                 raise InvariantViolation("kernel component is not an odd cycle")
             cycles.append(cyc)
@@ -502,12 +410,8 @@ def five_graph_decomposition(g: Graph) -> Decomposition:
     if not is_tight_stable(g, 3, 0):
         raise ValueError("input is not tight (3,0)-stable")
     if g.n % 2 == 0:
-        for v in range(g.n):
-            sub, _ = delete_vertices(g, [v])
-            if not is_odd_cycle(sub):
-                raise InvariantViolation("every vertex deletion must leave an odd cycle")
         if g.n != 4 or g.edge_count != 6:
-            raise InvariantViolation("all-deletions-are-odd-cycles forces the 4-clique")
+            raise InvariantViolation("an even tight (3,0)-stable graph must be the 4-clique")
         d = Decomposition(kind=KIND_NAMED_SPANNING, name="K4", embedding=tuple(range(4)))
     else:
         kernel = critical_reduce(g).kernel
@@ -541,11 +445,10 @@ def spanning_certificate(g: Graph, k: int) -> Decomposition:
     elif k == 2:
         if not is_tight_stable(g, 2, 0):
             raise ValueError("input is not tight (2,0)-stable")
-        if not is_odd_cycle(g):
+        cyc = trace_cycle(g, tuple(range(g.n)))
+        if cyc is None:
             raise InvariantViolation("odd tight (2,0)-stable graph is not an odd cycle")
-        d = Decomposition(
-            kind=KIND_ODD_CYCLE_PLUS_MATCHING, cycles=(_trace_cycle(g, tuple(range(g.n))),)
-        )
+        d = Decomposition(kind=KIND_ODD_CYCLE_PLUS_MATCHING, cycles=(cyc,))
     elif k == 3:
         return five_graph_decomposition(g)
     else:

@@ -295,6 +295,42 @@ def test_pooled_scan_agrees_with_filtered_level():
         assert got == _filtered_scan(7, spec)
 
 
+class _InProcessContext:
+    """Stands in for ``get_context("fork")``: records each requested pool
+    size with the number of tasks it got, and runs the tasks in this process."""
+
+    def __init__(self):
+        self.pools = []
+
+    def Pool(self, size):
+        self.pools.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, tasks):
+        self.pools[-1] = (self.pools[-1], len(tasks))
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [(100000, 3, 3), (2, 8, 2), (5, None, None)])
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers):
+    # the pool size is capped by the CPU count (1 when unknown, which runs
+    # in-process), there are four chunks per started worker, and the report
+    # is the jobs=1 report
+    context = _InProcessContext()
+    monkeypatch.setattr(enumeration, "get_context", lambda method: context)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+    serial = verify_theorem("L21", n_values=(7,))
+    assert len(_cached_level(7)) >= enumeration._FILTER_SERIAL_BELOW  # so jobs > 1 pools
+    assert verify_theorem("L21", n_values=(7,), jobs=jobs) == serial
+    assert context.pools == ([(workers, 4 * workers)] if workers else [])
+
+
 def _failing_chunk(args):
     raise InvariantViolation("chunk failed")
 
@@ -302,8 +338,10 @@ def _failing_chunk(args):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_failure_names_its_chunk(monkeypatch, jobs):
     # a chunk's exception keeps its type and gives n and the graph6 of the
-    # first and last item of the chunk that raised
+    # first and last item of the chunk that raised; two CPUs, so that jobs=2
+    # starts two workers on any machine
     monkeypatch.setattr(enumeration, "_filter_chunk", _failing_chunk)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     items = _cached_level(7)
     step = (len(items) + 4 * jobs - 1) // (4 * jobs) if jobs > 1 else len(items)
     bounds = {
@@ -415,6 +453,7 @@ def test_verify_rejects_unknown_inputs():
         ("T1a", (2, 7), "T1a applies to even sizes"),
         ("T1a", (2, 11), "size 11 outside 1..9 for T1a"),
         ("T1c", (5, 5), "size 5 is given twice"),
+        ("T1c", (), "no sizes given for T1c"),
     ],
 )
 def test_verify_checks_every_size_before_scanning(monkeypatch, theorem_id, sizes, message):

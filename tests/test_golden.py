@@ -5,8 +5,11 @@ leave what users see unchanged: the ``enumerate`` record stream (unfiltered
 up to n = 8, all 12,346 classes in emitted order), atlas files, every
 ``verify`` report and atlas at n <= 7, the pruned scans behind the default
 ``COR`` report (n = 10) and ``enumerate --prune`` at n = 8, the codes of
-level 9 in the order generation returns them, and the reports (witnesses
-included) of the single-graph commands on a fixed set of graphs.  Each CLI
+level 9 in the order generation returns them, the reports (witnesses
+included) of the single-graph commands on a fixed set of graphs, the
+tight (1,0) spanning certificates up to n = 8 and the full canonical
+labeling (key, order, orbits and generators) of small and symmetric
+graphs, each under seeded relabelings.  Each CLI
 case pins the exit code, the digest of standard output (the atlas path
 replaced by ``ATLAS``) and the digest of the atlas file.  A digest changes
 only with an intended change of output; regenerate it then, and say so in
@@ -14,11 +17,18 @@ the change log.
 """
 
 import hashlib
+import random
+from dataclasses import asdict
 
 import pytest
 
+from stabilitylab.canonical import canonical_data
+from stabilitylab.catalog import named_graph
 from stabilitylab.cli import main
-from stabilitylab.enumeration import _cached_level
+from stabilitylab.enumeration import FilterSpec, _cached_level, filtered_records
+from stabilitylab.graph6 import parse_graph6
+from stabilitylab.graphs import Graph, clique, cycle, disjoint_union, from_edges
+from stabilitylab.structure import spanning_certificate
 
 #: verify runs every default size up to 7 (COR also runs 4..7 besides its
 #: pruned default n=10, whose atlas is empty); L21 at n=7 is past the serial
@@ -248,3 +258,77 @@ def test_single_graph_output_unchanged(name, capsys):
         got_codes.append(code)
         h.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert (tuple(got_codes), h.hexdigest()) == (codes, digest)
+
+
+def _relabelings(g: Graph, rng: random.Random, count: int) -> list[Graph]:
+    """``g`` followed by ``count`` relabelings drawn from ``rng``."""
+    out = [g]
+    for _ in range(count):
+        perm = rng.sample(range(g.n), g.n)
+        out.append(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    return out
+
+
+#: (certificates, sha256 of ``asdict(spanning_certificate(g, 1))`` per line)
+#: over every tight (1,0) class on 2..8 vertices, each followed by three
+#: relabelings drawn from ``random.Random(10)``
+TIGHT_10_CERTIFICATES = (
+    1228, "f70c1007074bd10904992e07a907c0cab4187630299ad094c45d7d95d31bac27")
+
+
+def test_tight_10_certificates_unchanged():
+    rng = random.Random(10)
+    h, count = hashlib.sha256(), 0
+    for n in range(2, 9):
+        for rec in filtered_records(n, FilterSpec(tight=(1, 0)))[1]:
+            for g in _relabelings(parse_graph6(rec.g6), rng, 3):
+                h.update(f"{asdict(spanning_certificate(g, 1))}\n".encode())
+                count += 1
+    assert (count, h.hexdigest()) == TIGHT_10_CERTIFICATES
+
+
+def _circulant(n: int, jumps) -> Graph:
+    return from_edges(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+def _cube(d: int) -> Graph:
+    return from_edges(1 << d, [(v, v ^ 1 << i) for v in range(1 << d) for i in range(d)])
+
+
+#: symmetric graphs whose searches find many automorphisms
+SYMMETRIC = (
+    [cycle(n) for n in range(3, 13)]
+    + [clique(n) for n in range(1, 9)]
+    + [_circulant(n, (1, j)) for n in range(7, 13) for j in (2, 3)]
+    + [
+        from_edges(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+            + [(i, 5 + i) for i in range(5)],
+        ),  # Petersen
+        _cube(3),
+        _cube(4),
+    ]
+    + [disjoint_union(cycle(a), cycle(b)) for a, b in ((3, 3), (3, 5), (4, 4), (5, 7))]
+    + [named_graph(name) for name in ("K4", "K5", "H7", "H9", "T9")]
+)
+
+#: (labelings, sha256 of ``canonical_data``'s key, order, orbit and
+#: generators per line) over every class on 1..6 vertices with one
+#: relabeling each, then ``SYMMETRIC`` with two, drawn from ``random.Random(10)``
+CANONICAL_DATA = (
+    542, "4088ecacf7d8a0604417f54d79ba17234e51ca326ddcbc9bf50554ab5d0af870")
+
+
+def test_canonical_data_unchanged():
+    rng = random.Random(10)
+    h, count = hashlib.sha256(), 0
+    classes = [Graph(n, code) for n in range(1, 7) for code in _cached_level(n)]
+    for graphs, copies in ((classes, 1), (SYMMETRIC, 2)):
+        for g in graphs:
+            for v in _relabelings(g, rng, copies):
+                d = canonical_data(v.adj)
+                h.update(f"{d.key} {d.order} {d.orbit} {d.generators}\n".encode())
+                count += 1
+    assert (count, h.hexdigest()) == CANONICAL_DATA
