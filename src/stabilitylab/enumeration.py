@@ -23,15 +23,18 @@ decides:
    canonical deletion vertex is one of them;
 6. the full canonical labeling decides the rest.
 
+Levels up to 9 vertices are cached as the tuples of adjacency-row codes
+that ``extend_level`` returns, checked against the known class counts.
+Every scan, and ``enumerate_canonical``, reads its codes through one
+generator, ``_codes``: a cached level is read as it is, while level 10 and
+a pruned frontier are read as the canonical children of their items.
+
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The optional hereditary prune for a tight (k,0)
 filter at size n augments only the parents that the pruned scan for tight
 (k-1,0) finds at size n-1 (the whole level when k = 1 or n = 2).  Deleting
 a vertex of a tight (k,0)-stable graph leaves a tight (k-1,0)-stable graph,
 so the canonical parent of every match lies among them.
-
-Levels up to 9 vertices are cached as the tuples of adjacency-row codes
-that ``extend_level`` returns, checked against the known class counts.
 """
 
 from __future__ import annotations
@@ -187,15 +190,22 @@ def _cached_level(n: int) -> tuple[Code, ...]:
     return _LEVELS[n]
 
 
+def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
+    """The codes on ``n`` vertices a scan of ``items`` reads: an item on
+    ``n`` vertices (from a cached level) is read itself, an item on n-1
+    (level n-1, or a pruned frontier) is replaced by its canonical children."""
+    for item in items:
+        if len(item) == n:
+            yield item
+        else:
+            yield from _canonical_children(item, n)
+
+
 def enumerate_canonical(n: int) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of graphs on ``n`` vertices."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"vertex count {n} outside 1..{MAX_ENUM_N}")
-    if n <= _CACHE_MAX_N:
-        codes = _cached_level(n)
-    else:
-        codes = (c for parent in _cached_level(n - 1) for c in _canonical_children(parent, n))
-    for code in codes:
+    for code in _codes(_cached_level(min(n, _CACHE_MAX_N)), n):
         yield Graph(n, code)
 
 
@@ -215,6 +225,15 @@ class FilterSpec:
     tight: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        for key, floor in (("min_degree", 0), ("alpha", 1), ("defect", None)):
+            value = getattr(self, key)
+            if value is None or type(value) is int and (floor is None or value >= floor):
+                continue
+            at_least = "" if floor is None else f" >= {floor}"
+            raise ValueError(f"{key} needs an integer{at_least}, got {value!r}")
+        for key in ("connected", "alpha_critical"):
+            if (value := getattr(self, key)) is not None and type(value) is not bool:
+                raise ValueError(f"{key} needs a bool, got {value!r}")
         for kind, kl in (("stable", self.stable), ("tight", self.tight)):
             if kl is None:
                 continue
@@ -309,39 +328,20 @@ def _passes(code: Code, n: int, tests: list[tuple]) -> bool:
 
 
 def _scan_chunk(args: tuple[Sequence[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
-    """Extend each parent by one vertex and keep the children passing the filter."""
-    parents, n, spec = args
-    tests = _spec_tests(spec)
-    scanned = 0
-    matches: list[Code] = []
-    for parent in parents:
-        for child in _canonical_children(parent, n):
-            scanned += 1
-            if _passes(child, n, tests):
-                matches.append(child)
-    return scanned, matches
-
-
-def _filter_chunk(args: tuple[Sequence[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
-    codes, n, spec = args
-    tests = _spec_tests(spec)
-    return len(codes), [c for c in codes if _passes(c, n, tests)]
-
-
-#: below these input sizes a chunk function runs in-process whatever ``jobs``
-_SCAN_SERIAL_BELOW = 64
-_FILTER_SERIAL_BELOW = 1024
-
-
-def _run_chunk(job: tuple[Callable, tuple]) -> tuple[int, list[Code]]:
-    """``chunk_fn(chunk)`` for ``job = (chunk_fn, chunk)``.  An exception it
-    raises comes back as the same type with n and the graph6 of the chunk's
-    first and last item in front of its message."""
-    chunk_fn, chunk = job
+    """(codes read, matches) of the filter over ``_codes(items, n)`` for
+    ``args = (items, n, spec)``.  An exception comes back as the same type
+    with n and the graph6 of the first and last item in front of its message."""
+    items, n, spec = args
     try:
-        return chunk_fn(chunk)
+        tests = _spec_tests(spec)
+        scanned = 0
+        matches: list[Code] = []
+        for code in _codes(items, n):
+            scanned += 1
+            if _passes(code, n, tests):
+                matches.append(code)
+        return scanned, matches
     except Exception as exc:
-        items, n, _ = chunk
         first, last = (write_graph6(Graph(len(c), c)) for c in (items[0], items[-1]))
         try:
             named = type(exc)(f"n={n}, chunk {first} to {last}: {exc}")
@@ -350,44 +350,32 @@ def _run_chunk(job: tuple[Callable, tuple]) -> tuple[int, list[Code]]:
         raise named from exc
 
 
-def _pooled(
-    chunk_fn, items: Sequence[Code], n: int, spec: FilterSpec, jobs: int, serial_below: int
-) -> tuple[int, list[Code]]:
-    """Run ``chunk_fn`` over ``items``, split into about four chunks per worker
-    process; returns (classes scanned, sorted matches).  At most one worker
-    per CPU starts, whatever ``jobs`` asks for."""
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(items) < serial_below:
-        results = [_run_chunk((chunk_fn, (items, n, spec)))]
-    else:
-        step = max(1, (len(items) + workers * 4 - 1) // (workers * 4))
-        tasks = [(chunk_fn, (items[i : i + step], n, spec)) for i in range(0, len(items), step)]
-        with get_context("fork").Pool(workers) as pool:
-            results = list(pool.imap_unordered(_run_chunk, tasks))
-    return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
-
-
 def _filtered_scan(
     n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1
 ) -> tuple[int, list[Code]]:
-    """(classes scanned, sorted matches) of ``spec`` at size ``n``.  With
-    ``prune`` (requires ``spec.tight=(k,0)``) the scan augments the matches
-    of the pruned tight (k-1,0) scan at size n-1, or the whole level n-1
-    when k = 1 or n = 2; a pruned scan at n = 1 filters level 1."""
+    """(classes scanned, sorted matches) of ``spec`` at size ``n``, read from
+    level n when cached, else from the children of level n-1.  With ``prune``
+    (requires ``spec.tight=(k,0)``) the parents are the matches of the pruned
+    tight (k-1,0) scan at n-1, or level n-1 when k = 1 or n = 2 (level 1 at
+    n = 1).  About four chunks per worker, at most one worker per CPU
+    whatever ``jobs`` asks for; one worker or no items run in this process."""
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"vertex count {n} outside 1..{MAX_ENUM_N}")
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
-    if prune and n > 1:
-        k = spec.tight[0]
-        if k == 1 or n == 2:
-            parents = _cached_level(n - 1)
-        else:
-            parents = _filtered_scan(n - 1, FilterSpec(tight=(k - 1, 0)), True, jobs)[1]
-        return _pooled(_scan_chunk, parents, n, spec, jobs, _SCAN_SERIAL_BELOW)
-    if n <= _CACHE_MAX_N:
-        return _pooled(_filter_chunk, _cached_level(n), n, spec, jobs, _FILTER_SERIAL_BELOW)
-    return _pooled(_scan_chunk, _cached_level(n - 1), n, spec, jobs, _SCAN_SERIAL_BELOW)
+    if prune and n > 2 and spec.tight[0] > 1:
+        items = _filtered_scan(n - 1, FilterSpec(tight=(spec.tight[0] - 1, 0)), True, jobs)[1]
+    else:
+        items = _cached_level(n - 1 if n > _CACHE_MAX_N or prune and n > 1 else n)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or not items:
+        results = [_scan_chunk((items, n, spec))]
+    else:
+        step = -(-len(items) // (workers * 4))
+        chunks = [(items[i : i + step], n, spec) for i in range(0, len(items), step)]
+        with get_context("fork").Pool(workers) as pool:
+            results = list(pool.imap_unordered(_scan_chunk, chunks))
+    return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
 
 
 # -- atlas records -----------------------------------------------------------

@@ -288,6 +288,18 @@ def test_enumerate_rejects_malformed_stability_filter(capsys, kind, kl):
     assert (code, out) == (1, "") and err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag,value", [("--min-degree", "-1"), ("--alpha", "0")])
+def test_enumerate_rejects_out_of_range_filter(capsys, flag, value):
+    code, out, err = run(capsys, "enumerate", "--n", "3", flag, value)
+    assert (code, out) == (1, "") and err.startswith(f"error: {flag[2:].replace('-', '_')} needs")
+
+
+def test_enumerate_accepts_negative_defect(capsys):
+    # n - 2 alpha < 0 whenever alpha > n/2: the path and K2+K1 on 3 vertices
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--defect", "-1")
+    assert code == 0 and '"emitted":2' in out.strip().splitlines()[-1]
+
+
 def test_verify_n_max_caps_explicit_sizes(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "T1c", "--n", "7", "--n-max", "7")
     assert code == 0
@@ -361,7 +373,7 @@ def test_parser_built_once_and_jobs_environment_read_per_call(capsys, monkeypatc
 
     monkeypatch.setattr(cli, "verify_theorem", spy)
     monkeypatch.delenv("STABILITYLAB_JOBS", raising=False)
-    # L21 at n=7 is past the serial threshold, so two jobs use the pool
+    # on a machine with two CPUs, two jobs run L21 at n=7 through the pool
     verify = ("verify", "--theorem", "L21", "--n", "7")
     code, serial_out, _ = run(capsys, *verify)
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -11,7 +12,6 @@ from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic
 from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
     _CACHE_MAX_N,
-    _SCAN_SERIAL_BELOW,
     MAX_ENUM_N,
     THEOREM_IDS,
     FilterSpec,
@@ -20,11 +20,13 @@ from stabilitylab.enumeration import (
     _child_code,
     _filtered_scan,
     _is_canonical_child,
+    _scan_chunk,
     _subset_reps,
     atlas_read,
     atlas_write,
     default_sizes,
     enumerate_canonical,
+    extend_level,
     filtered_records,
     verify_theorem,
 )
@@ -204,6 +206,30 @@ def test_filter_spec_rejects_malformed_stability_parameters(kind, kl):
         FilterSpec(**{kind: kl})
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("min_degree", -1, "min_degree needs an integer >= 0"),
+        ("min_degree", True, "min_degree needs an integer >= 0"),
+        ("alpha", 0, "alpha needs an integer >= 1"),
+        ("alpha", -2, "alpha needs an integer >= 1"),
+        ("alpha", 2.0, "alpha needs an integer >= 1"),
+        ("defect", True, "defect needs an integer"),
+        ("defect", "1", "defect needs an integer"),
+        ("connected", 1, "connected needs a bool"),
+        ("alpha_critical", "no", "alpha_critical needs a bool"),
+    ],
+)
+def test_filter_spec_rejects_malformed_fields(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        FilterSpec(**{field: value})
+
+
+def test_filter_spec_accepts_boundary_values():
+    spec = FilterSpec(min_degree=0, connected=False, alpha=1, defect=-3, alpha_critical=False)
+    assert spec.to_dict()["defect"] == -3
+
+
 def test_filter_larger_k_than_n_matches_nothing():
     # n <= k is a per-graph non-match, not an error
     assert filtered_records(4, FilterSpec(tight=(5, 0))) == (11, [])
@@ -258,10 +284,9 @@ def test_pruned_scan_at_one_vertex_scans_level_one():
 
 def test_pruned_scan_is_the_same_for_every_worker_count():
     # the n=7 step augments all of level 6 and the n=8 step the 170 classes
-    # of T(1,7); both are past the serial threshold, so jobs=2 forks twice
-    assert len(_cached_level(6)) >= _SCAN_SERIAL_BELOW
+    # of T(1,7); with two CPUs, jobs=2 forks for both
     frontier = _filtered_scan(7, FilterSpec(tight=(1, 0)), prune=True)[1]
-    assert len(frontier) == 170 and len(frontier) >= _SCAN_SERIAL_BELOW
+    assert len(frontier) == 170
     spec = FilterSpec(tight=(2, 0))
     serial = _filtered_scan(8, spec, prune=True, jobs=1)
     assert serial == _filtered_scan(8, spec, prune=True, jobs=2)
@@ -282,17 +307,15 @@ def test_parallel_determinism():
     assert seq == par and seq == sorted(seq)
 
 
-def test_pooled_scan_agrees_with_filtered_level():
+def test_pooled_scan_agrees_with_filtered_level(monkeypatch):
     # the augmenting scan (used at n=10 and after the prune) through the worker
-    # pool gives the same classes and matches as filtering the cached level
-    from stabilitylab.enumeration import _SCAN_SERIAL_BELOW, _cached_level, _pooled, _scan_chunk
-
+    # pool gives the same classes and matches as filtering the cached level:
+    # the pruned tight (1,0) scan at n=7 reads every child of level 6; two
+    # CPUs, so that jobs=2 forks on any machine
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     spec = FilterSpec(tight=(1, 0))
-    parents = _cached_level(6)
-    assert len(parents) >= _SCAN_SERIAL_BELOW  # so jobs=2 forks
     for jobs in (1, 2):
-        got = _pooled(_scan_chunk, parents, 7, spec, jobs, _SCAN_SERIAL_BELOW)
-        assert got == _filtered_scan(7, spec)
+        assert _filtered_scan(7, spec, prune=True, jobs=jobs) == _filtered_scan(7, spec)
 
 
 class _InProcessContext:
@@ -326,12 +349,29 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers
     monkeypatch.setattr(enumeration, "get_context", lambda method: context)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     serial = verify_theorem("L21", n_values=(7,))
-    assert len(_cached_level(7)) >= enumeration._FILTER_SERIAL_BELOW  # so jobs > 1 pools
     assert verify_theorem("L21", n_values=(7,), jobs=jobs) == serial
     assert context.pools == ([(workers, 4 * workers)] if workers else [])
 
 
-def _failing_chunk(args):
+@pytest.mark.parametrize(
+    "n,spec,prune,chunks",
+    [(5, FilterSpec(stable=(1, 0)), False, 7), (6, FilterSpec(tight=(3, 0)), True, 1)],
+    ids=["cached-level-5", "one-parent-frontier"],
+)
+def test_small_scans_pool_when_jobs_ask(monkeypatch, n, spec, prune, chunks):
+    # with two workers every scan that has an item pools, however few: the
+    # 34 codes of level 5 in seven chunks of five, and the pruned T(3,6) step,
+    # whose frontier T(2,5) is the one class C5
+    context = _InProcessContext()
+    monkeypatch.setattr(enumeration, "get_context", lambda method: context)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    serial = _filtered_scan(n, spec, prune)
+    assert context.pools == []
+    assert _filtered_scan(n, spec, prune, jobs=2) == serial
+    assert context.pools[-1] == (2, chunks)
+
+
+def _failing_passes(code, n, tests):
     raise InvariantViolation("chunk failed")
 
 
@@ -340,7 +380,7 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
     # a chunk's exception keeps its type and gives n and the graph6 of the
     # first and last item of the chunk that raised; two CPUs, so that jobs=2
     # starts two workers on any machine
-    monkeypatch.setattr(enumeration, "_filter_chunk", _failing_chunk)
+    monkeypatch.setattr(enumeration, "_passes", _failing_passes)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     items = _cached_level(7)
     step = (len(items) + 4 * jobs - 1) // (4 * jobs) if jobs > 1 else len(items)
@@ -352,6 +392,20 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
         _filtered_scan(7, FilterSpec(tight=(1, 0)), jobs=jobs)
     match = re.fullmatch(r"n=7, chunk (\S+) to (\S+): chunk failed", str(info.value))
     assert match and match.groups() in bounds
+
+
+def test_level_ten_streams_the_children_of_level_nine():
+    # enumerate_canonical(10) and a scan chunk at n=10 read the canonical
+    # children of the level-9 parents in order
+    level9 = _cached_level(9)
+    stream = list(itertools.islice(enumerate_canonical(10), 2000))
+    children: list = []
+    for parent in level9:
+        if len(children) >= 2000:
+            break
+        children += extend_level([parent], 10)
+    assert stream == [Graph(10, c) for c in children[:2000]]
+    assert _scan_chunk((level9[:40], 10, FilterSpec()))[0] == len(extend_level(level9[:40], 10))
 
 
 def test_atlas_roundtrip(tmp_path):

@@ -2,8 +2,8 @@
 
 The default acceptance suite proves the size-10 emptiness result through the
 hereditary prune; this module repeats it over the full unpruned stream of
-~1.2e7 classes, which takes on the order of half an hour single-threaded
-(set STABILITYLAB_JOBS or edit ``jobs`` below to parallelize).
+~1.2e7 classes.  The worker count comes from STABILITYLAB_JOBS (default 1);
+with 2 workers on a 2-vCPU machine the scan takes about 5.5 minutes.
 """
 
 import os
