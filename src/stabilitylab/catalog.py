@@ -26,13 +26,13 @@ T9_EDGES = (
     (0, 7), (0, 4), (1, 3), (1, 6), (2, 8), (2, 5),  # spokes to antipodal pairs
 )
 
-#: (vertices, edges, minimum degree, independence number) for each fixed graph
-_EXPECTED = {
-    "K4": (4, 6, 3, 1),
-    "K5": (5, 10, 4, 1),
-    "H7": (7, 11, 3, 2),
-    "H9": (9, 14, 3, 3),
-    "T9": (9, 15, 3, 3),
+#: name: (graph, vertices, edges, minimum degree, independence number)
+_TABLE = {
+    "K4": (clique(4), 4, 6, 3, 1),
+    "K5": (clique(5), 5, 10, 4, 1),
+    "H7": (from_edges(7, H7_EDGES), 7, 11, 3, 2),
+    "H9": (from_edges(9, H9_EDGES), 9, 14, 3, 3),
+    "T9": (from_edges(9, T9_EDGES), 9, 15, 3, 3),
 }
 
 
@@ -57,24 +57,9 @@ def _brute_critical(g: Graph) -> bool:
     return True
 
 
-def _build(name: str) -> Graph:
-    if name == "K4":
-        return clique(4)
-    if name == "K5":
-        return clique(5)
-    if name == "H7":
-        return from_edges(7, H7_EDGES)
-    if name == "H9":
-        return from_edges(9, H9_EDGES)
-    if name == "T9":
-        return from_edges(9, T9_EDGES)
-    raise KeyError(f"unknown catalog graph {name!r}")
-
-
 def self_test() -> None:
     """Re-derive every advertised catalog property by brute force."""
-    for name, (n, m, dmin, a) in _EXPECTED.items():
-        g = _build(name)
+    for name, (g, n, m, dmin, a) in _TABLE.items():
         if g.n != n or g.edge_count != m:
             raise AssertionError(f"{name}: got {g.n} vertices / {g.edge_count} edges")
         if not is_connected(g):
@@ -90,7 +75,7 @@ def self_test() -> None:
 @lru_cache(maxsize=1)
 def _verified() -> dict[str, Graph]:
     self_test()
-    return {name: _build(name) for name in _EXPECTED}
+    return {name: row[0] for name, row in _TABLE.items()}
 
 
 def named_graph(name: str) -> Graph:
@@ -102,6 +87,3 @@ def named_graph(name: str) -> Graph:
         raise KeyError(f"unknown catalog graph {name!r}")
     return table[name]
 
-
-def names() -> tuple[str, ...]:
-    return tuple(_EXPECTED)

@@ -59,19 +59,26 @@ from .critical import (
     alpha_preserving_edge,
     classify_defect,
     is_even_subdivision_k4,
-    is_odd_cycle,
 )
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, bits, reachable
 from .independence import alpha_mask, independent_sets_of_size
-from .stability import stable_fast
+from .stability import stable_fast, tight_fast
 from .structure import hall_matching, spanning_certificate
 
 Code = tuple[int, ...]
 
-MAX_ENUM_N = 10
-_CACHE_MAX_N = 9  # levels kept in memory; size-10 scans stream
+#: OEIS A000088: graphs on n = 1..9 vertices up to isomorphism
+CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+_CACHE_MAX_N = len(CLASS_COUNTS)  # levels kept in memory, each checked against its count
+MAX_ENUM_N = _CACHE_MAX_N + 1  # the largest size, streamed as children of the last cached level
+
+
+def _check_size(n: int) -> None:
+    """The one size check of generation, scans and ``verify_theorem``."""
+    if type(n) is not int or not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"vertex count {n!r} outside 1..{MAX_ENUM_N}")
 
 
 # -- canonical augmentation --------------------------------------------------
@@ -171,9 +178,6 @@ def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
 
 _LEVELS: dict[int, tuple[Code, ...]] = {1: ((0,),)}
 
-#: OEIS A000088: graphs on n = 1..9 vertices up to isomorphism
-CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
-
 
 def _cached_level(n: int) -> tuple[Code, ...]:
     """Level ``n``, built on the largest cached level and checked against
@@ -203,8 +207,7 @@ def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
 
 def enumerate_canonical(n: int) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of graphs on ``n`` vertices."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_ENUM_N}")
+    _check_size(n)
     for code in _codes(_cached_level(min(n, _CACHE_MAX_N)), n):
         yield Graph(n, code)
 
@@ -267,21 +270,18 @@ def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], o
         return lambda code, n, a, wit: n - 2 * a
     if key == "alpha_critical":
         return lambda code, n, a, wit: alpha_preserving_edge(code, n, a) is None
-    for kind in ("stable", "tight"):
-        if key.startswith(kind + "_"):
-            try:
-                k, l = map(int, key[len(kind) + 1 :].split("_"))
-            except ValueError:
-                raise ValueError(f"malformed flag {key!r}") from None
-            tight = kind == "tight"
-
-            def stability(code: Code, n: int, a: int, wit: int) -> bool:
-                if not n > k > l >= 0 or tight and a != (n - k + 1) // 2 + l:
-                    return False
-                return stable_fast(code, n, k, l, a, wit)
-
-            return stability
-    raise ValueError(f"unknown flag {key!r}")
+    kind, _, kl = key.partition("_")
+    if kind not in ("stable", "tight"):
+        raise ValueError(f"unknown flag {key!r}")
+    try:  # the spec validates (k,l); the key must be the one it writes
+        spec = FilterSpec(**{kind: tuple(map(int, kl.split("_")))})
+    except ValueError:
+        spec = None
+    if spec is None or key not in _required_flags(spec):
+        raise ValueError(f"malformed flag {key!r}")
+    k, l = getattr(spec, kind)
+    test = stable_fast if kind == "stable" else tight_fast
+    return lambda code, n, a, wit: test(code, n, k, l, a, wit)
 
 
 def _required_flags(spec: FilterSpec) -> dict:
@@ -357,18 +357,17 @@ def _filtered_scan(
     level n when cached, else from the children of level n-1.  With ``prune``
     (requires ``spec.tight=(k,0)``) the parents are the matches of the pruned
     tight (k-1,0) scan at n-1, or level n-1 when k = 1 or n = 2 (level 1 at
-    n = 1).  About four chunks per worker, at most one worker per CPU
-    whatever ``jobs`` asks for; one worker or no items run in this process."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_ENUM_N}")
+    n = 1).  About four chunks per worker, at most one worker per CPU and
+    per item whatever ``jobs`` asks for; one worker runs in this process."""
+    _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
     if prune and n > 2 and spec.tight[0] > 1:
         items = _filtered_scan(n - 1, FilterSpec(tight=(spec.tight[0] - 1, 0)), True, jobs)[1]
     else:
         items = _cached_level(n - 1 if n > _CACHE_MAX_N or prune and n > 1 else n)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or not items:
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         results = [_scan_chunk((items, n, spec))]
     else:
         step = -(-len(items) // (workers * 4))
@@ -437,8 +436,13 @@ def atlas_write(records, path) -> None:
             fh.write("\n")
 
 
+def _same(stored: object, recomputed: object) -> bool:
+    return type(stored) is type(recomputed) and stored == recomputed
+
+
 def atlas_read(path) -> list[AtlasRecord]:
-    """Load records, re-deriving every stored property from the graph6 field."""
+    """Load records, re-deriving every stored property from the graph6 field;
+    a stored value must have the recomputed value and its type."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -460,13 +464,13 @@ def atlas_read(path) -> list[AtlasRecord]:
                 g = parse_graph6(rec.g6)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed atlas record ({exc})")
-            if g.n != rec.n:
+            if not _same(rec.n, g.n):
                 raise ValueError(f"{path}:{lineno}: stored n={rec.n} but graph has {g.n}")
             a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
-            if a != rec.alpha:
+            if not _same(rec.alpha, a):
                 raise ValueError(f"{path}:{lineno}: stored alpha={rec.alpha} but recomputed {a}")
             for key, value in rec.flags.items():
-                if evaluators[key](g.adj, g.n, a, wit) != value:
+                if not _same(value, evaluators[key](g.adj, g.n, a, wit)):
                     raise ValueError(f"{path}:{lineno}: flag {key}={value!r} fails recomputation")
             records.append(rec)
     return records
@@ -515,16 +519,16 @@ def _l21_check(g: Graph) -> bool:
 class _Pipeline:
     """What one theorem scans: the filter, the test each match must pass
     (``None``: every match is a counterexample), the default sizes, the
-    parity every size must have (``None``: any), the largest size, whether
-    the hereditary prune is on by default, the one ``k`` the theorem accepts
-    (``None``: none) and the catalog graphs each size must find (a name not
-    found at its order is a counterexample)."""
+    parity every size must have (``None``: any), whether the hereditary
+    prune is on by default, the one ``k`` the theorem accepts (``None``:
+    none) and the catalog graphs each size must find (a name not found at
+    its order is a counterexample).  Every pipeline takes the sizes 1..10
+    that its parity allows."""
 
     spec: FilterSpec
     check: Callable[[Graph], bool] | None
     sizes: tuple[int, ...]
     parity: int | None = None
-    cap: int = _CACHE_MAX_N
     prune: bool = False
     k: int | None = None
     required: tuple[str, ...] = ()
@@ -533,11 +537,11 @@ class _Pipeline:
 _PIPELINES: dict[str, _Pipeline] = {
     "T1a": _Pipeline(FilterSpec(tight=(1, 0)), _certificate_check(1), (2, 4, 6, 8), 0),
     "T1b": _Pipeline(FilterSpec(tight=(1, 0)), _certificate_check(1), (3, 5, 7, 9), 1),
-    "T1c": _Pipeline(FilterSpec(tight=(2, 0)), is_odd_cycle, (5, 7, 9), 1),
+    "T1c": _Pipeline(FilterSpec(tight=(2, 0)), _certificate_check(2), (5, 7, 9), 1),
     "T1d": _Pipeline(FilterSpec(tight=(2, 0)), _certificate_check(2), (4, 6, 8), 0),
     "T2": _Pipeline(FilterSpec(tight=(3, 0)), _certificate_check(3), (4, 5, 6, 7, 8, 9)),
     # a tight (3,0)-stable graph has at most 9 vertices: any match refutes it
-    "COR": _Pipeline(FilterSpec(tight=(3, 0)), None, (10,), cap=MAX_ENUM_N, prune=True, k=3),
+    "COR": _Pipeline(FilterSpec(tight=(3, 0)), None, (10,), prune=True, k=3),
     "L21": _Pipeline(FilterSpec(stable=(1, 0)), _l21_check, (2, 3, 4, 5, 6, 7, 8)),
     "AND": _Pipeline(
         FilterSpec(connected=True, defect=2, alpha_critical=True),
@@ -587,8 +591,7 @@ def verify_theorem(
     if not values:
         raise ValueError(f"no sizes given for {theorem_id}")
     for i, n in enumerate(values):
-        if not 1 <= n <= pipeline.cap:
-            raise ValueError(f"size {n} outside 1..{pipeline.cap} for {theorem_id}")
+        _check_size(n)
         if n in values[:i]:
             raise ValueError(f"size {n} is given twice")
     for n in values:

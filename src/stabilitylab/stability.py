@@ -35,10 +35,14 @@ def _check_params(n: int, k: int, l: int) -> None:
         raise ValueError(f"require n > k, got n={n}, k={k}")
 
 
+def _bound(n: int, k: int, l: int) -> int:
+    return (n - k + 1) // 2 + l
+
+
 def stability_bound(n: int, k: int, l: int) -> int:
     """Largest independence number a (k,l)-stable graph on n vertices can have."""
     _check_params(n, k, l)
-    return (n - k + 1) // 2 + l
+    return _bound(n, k, l)
 
 
 def _first_violator(
@@ -74,7 +78,7 @@ def is_stable(g: Graph, k: int, l: int) -> StabilityReport:
     """Scan all k-subsets lexicographically; the witness is the first violator."""
     _check_params(g.n, k, l)
     a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
-    bound = stability_bound(g.n, k, l)
+    bound = _bound(g.n, k, l)
     witness = _first_violator(g.adj, g.n, k, a - l, [wit])
     stable = witness is None
     return StabilityReport(k, l, stable, witness, a, bound, stable and a == bound)
@@ -114,14 +118,17 @@ def min_degree_necessary(g: Graph, k: int) -> tuple[bool, int | None]:
 
 
 def stable_fast(adj: Code, n: int, k: int, l: int, a: int, witness_mask: int) -> bool:
-    """``is_stable(...).stable`` from a precomputed alpha and its witness mask."""
-    return _first_violator(adj, n, k, a - l, [witness_mask]) is None
+    """``is_stable(...).stable`` from a precomputed alpha and its witness
+    mask; k > l >= 0 is not checked, and n <= k gives ``False``."""
+    return n > k and _first_violator(adj, n, k, a - l, [witness_mask]) is None
+
+
+def tight_fast(adj: Code, n: int, k: int, l: int, a: int, witness_mask: int) -> bool:
+    """``is_stable(...).tight`` from a precomputed alpha and its witness
+    mask; k > l >= 0 is not checked, and n <= k gives ``False``."""
+    return a == _bound(n, k, l) and stable_fast(adj, n, k, l, a, witness_mask)
 
 
 def tight_stable_fast(adj: Code, n: int, k: int, l: int) -> bool:
-    if not (n > k > l >= 0):
-        return False
-    a, wit = alpha_mask(adj, (1 << n) - 1)
-    if a != (n - k + 1) // 2 + l:
-        return False
-    return stable_fast(adj, n, k, l, a, wit)
+    """``tight_fast`` with alpha computed here; ``False`` unless n > k > l >= 0."""
+    return k > l >= 0 and tight_fast(adj, n, k, l, *alpha_mask(adj, (1 << n) - 1))

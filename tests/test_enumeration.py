@@ -320,7 +320,8 @@ def test_pooled_scan_agrees_with_filtered_level(monkeypatch):
 
 class _InProcessContext:
     """Stands in for ``get_context("fork")``: records each requested pool
-    size with the number of tasks it got, and runs the tasks in this process."""
+    size with the number of tasks it got, checks that no pool is larger than
+    its item count, and runs the tasks in this process."""
 
     def __init__(self):
         self.pools = []
@@ -336,6 +337,7 @@ class _InProcessContext:
         return False
 
     def imap_unordered(self, fn, tasks):
+        assert self.pools[-1] <= sum(len(items) for items, _, _ in tasks)
         self.pools[-1] = (self.pools[-1], len(tasks))
         return map(fn, tasks)
 
@@ -354,21 +356,26 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers
 
 
 @pytest.mark.parametrize(
-    "n,spec,prune,chunks",
-    [(5, FilterSpec(stable=(1, 0)), False, 7), (6, FilterSpec(tight=(3, 0)), True, 1)],
+    "n,spec,prune,pools",
+    [
+        (5, FilterSpec(stable=(1, 0)), False, [(2, 7)]),
+        (6, FilterSpec(tight=(3, 0)), True, [(2, 4), (2, 3)]),
+    ],
     ids=["cached-level-5", "one-parent-frontier"],
 )
-def test_small_scans_pool_when_jobs_ask(monkeypatch, n, spec, prune, chunks):
-    # with two workers every scan that has an item pools, however few: the
-    # 34 codes of level 5 in seven chunks of five, and the pruned T(3,6) step,
-    # whose frontier T(2,5) is the one class C5
+def test_small_scans_pool_when_jobs_ask(monkeypatch, n, spec, prune, pools):
+    # with two workers every scan that has two items pools, however few: the
+    # 34 codes of level 5 in seven chunks of five; the pruned T(3,6) chain
+    # pools its steps over level 3 and over the three classes of T(1,4), and
+    # runs its last step in-process, since its frontier T(2,5) is the one
+    # class C5
     context = _InProcessContext()
     monkeypatch.setattr(enumeration, "get_context", lambda method: context)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     serial = _filtered_scan(n, spec, prune)
     assert context.pools == []
     assert _filtered_scan(n, spec, prune, jobs=2) == serial
-    assert context.pools[-1] == (2, chunks)
+    assert context.pools == pools
 
 
 def _failing_passes(code, n, tests):
@@ -450,8 +457,22 @@ def test_atlas_rejects_tampered_flag(tmp_path):
         [["connected", True]],
         "connected",
         {"classification": "odd_cycle"},
+        {"stable_0_0": True},
+        {"tight_1_3": False},
+        {"stable_-1_0": False},
+        {"stable_01_0": True},
     ],
-    ids=["stable_x_0", "stable_1", "flags-list", "flags-string", "classification"],
+    ids=[
+        "stable_x_0",
+        "stable_1",
+        "flags-list",
+        "flags-string",
+        "classification",
+        "k=0",
+        "l>k",
+        "k<0",
+        "leading-zero",
+    ],
 )
 def test_atlas_rejects_malformed_flags_with_line(tmp_path, flags):
     recs = filtered_records(5, FilterSpec(tight=(2, 0)))[1]
@@ -461,6 +482,31 @@ def test_atlas_rejects_malformed_flags_with_line(tmp_path, flags):
     obj["flags"] = flags
     p.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{p}:1: malformed atlas record")):
+        atlas_read(p)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n", 2.0),
+        ("alpha", 1.0),
+        ("alpha", True),
+        ("connected", 1),
+        ("min_degree", True),
+        ("min_degree", 1.0),
+        ("tight_1_0", 1),
+    ],
+)
+def test_atlas_rejects_values_of_another_type_with_line(tmp_path, field, value):
+    # the record of K2 stores n=2, alpha=1, connected=true, min_degree=1 and
+    # tight_1_0=true; an equal value of another type fails like a wrong value
+    recs = filtered_records(2, FilterSpec(tight=(1, 0)))[1]
+    p = tmp_path / "atlas.jsonl"
+    atlas_write(recs, p)
+    obj = json.loads(p.read_text().splitlines()[0])
+    (obj if field in obj else obj["flags"])[field] = value
+    p.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:1: ")):
         atlas_read(p)
 
 
@@ -505,9 +551,11 @@ def test_verify_rejects_unknown_inputs():
     [
         ("T1c", (5, 4), "T1c applies to odd sizes"),
         ("T1a", (2, 7), "T1a applies to even sizes"),
-        ("T1a", (2, 11), "size 11 outside 1..9 for T1a"),
+        ("T1a", (2, 11), "vertex count 11 outside 1..10"),
         ("T1c", (5, 5), "size 5 is given twice"),
         ("T1c", (), "no sizes given for T1c"),
+        ("T1c", (5.0,), "vertex count 5.0 outside 1..10"),
+        ("T1c", (True,), "vertex count True outside 1..10"),
     ],
 )
 def test_verify_checks_every_size_before_scanning(monkeypatch, theorem_id, sizes, message):
@@ -517,6 +565,24 @@ def test_verify_checks_every_size_before_scanning(monkeypatch, theorem_id, sizes
     monkeypatch.setattr(enumeration, "_filtered_scan", fail)
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_theorem(theorem_id, n_values=sizes)
+
+
+@pytest.mark.parametrize("theorem_id", ["T1a", "T1d", "T2", "L21", "AND"])
+def test_verify_takes_size_ten_and_rejects_eleven(monkeypatch, theorem_id):
+    # size 10 passes the one size check of every pipeline whose parity
+    # allows it; the scan is stubbed out, so nothing is generated
+    scanned = []
+
+    def stub(n, spec, prune=False, jobs=1):
+        scanned.append(n)
+        return 0, []
+
+    monkeypatch.setattr(enumeration, "_filtered_scan", stub)
+    rep = verify_theorem(theorem_id, n_values=(10,))
+    assert (scanned, rep.verdict, rep.parameter_range["n_values"]) == ([10], "verified", [10])
+    with pytest.raises(ValueError, match="^vertex count 11 outside 1..10$"):
+        verify_theorem(theorem_id, n_values=(11,))
+    assert scanned == [10]
 
 
 @pytest.mark.parametrize("theorem_id", [t for t in THEOREM_IDS if t != "COR"])

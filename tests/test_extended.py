@@ -1,9 +1,11 @@
-"""Opt-in exhaustive runs: pytest -m extended.
+"""Opt-in exhaustive runs at n = 10: pytest -m extended.
 
 The default acceptance suite proves the size-10 emptiness result through the
 hereditary prune; this module repeats it over the full unpruned stream of
-~1.2e7 classes.  The worker count comes from STABILITYLAB_JOBS (default 1);
-with 2 workers on a 2-vCPU machine the scan takes about 5.5 minutes.
+~1.2e7 classes, and runs T1d at n = 10 through the prune, which augments the
+8,345 classes of T(1,9) into 844,279 children.  The worker count comes from
+STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU x86-64 VM the
+unpruned scan took 3.1 to 5.5 minutes and T1d about 23 seconds.
 """
 
 import os
@@ -14,15 +16,28 @@ import pytest
 from stabilitylab.enumeration import verify_theorem
 
 
-@pytest.mark.extended
-def test_corollary_unpruned_full_stream():
+def _timed(theorem_id, **kwargs):
     jobs = int(os.environ.get("STABILITYLAB_JOBS", "1"))
     t0 = time.perf_counter()
-    rep = verify_theorem("COR", prune=False, jobs=jobs)
+    rep = verify_theorem(theorem_id, jobs=jobs, **kwargs)
     dt = time.perf_counter() - t0
-    print(f"unpruned n=10 scan: {rep.graphs_scanned} classes, "
-          f"{len(rep.matches)} matches, {dt/60:.1f} min with jobs={jobs}")
+    print(f"{theorem_id} {kwargs}: {rep.graphs_scanned} classes, "
+          f"{len(rep.matches)} matches, {dt:.1f} s with jobs={jobs}")
+    return rep, dt
+
+
+@pytest.mark.extended
+def test_corollary_unpruned_full_stream():
+    rep, dt = _timed("COR", prune=False)
     assert rep.verdict == "verified"
     assert rep.matches == []
     assert rep.graphs_scanned == 12005168
     assert dt < 7200.0
+
+
+@pytest.mark.extended
+def test_t1d_at_ten_through_the_prune():
+    rep, _ = _timed("T1d", n_values=(10,), prune=True)
+    assert rep.verdict == "verified"
+    assert len(rep.matches) == 438
+    assert rep.graphs_scanned == 844279
