@@ -290,8 +290,7 @@ def _cmd_verify(args) -> int:
         values = tuple(v for v in base if v <= args.n_max)
         if not values:
             raise _UsageError(f"--n-max {args.n_max} leaves none of the sizes {list(base)}")
-    prune = False if args.no_prune else None
-    report = verify_theorem(args.theorem, n_values=values, k=args.k, prune=prune, jobs=args.jobs)
+    report = verify_theorem(args.theorem, n_values=values, k=args.k, prune=args.prune, jobs=args.jobs)
     if args.atlas:
         provenance = {
             "version": __version__,
@@ -384,7 +383,11 @@ def build_parser() -> _Parser:
     v.add_argument("--n", type=int, action="append", help="size to scan (repeatable)")
     v.add_argument("--n-max", type=int, help="scan only the sizes (given or default) that are <= N")
     v.add_argument("--k", type=int)
-    v.add_argument("--no-prune", action="store_true")
+    v.add_argument(
+        "--prune",
+        action=argparse.BooleanOptionalAction,
+        help="hereditary tight-(k,0) prune (default: the pipeline's own setting)",
+    )
     v.add_argument("--atlas", help="also write one atlas record per match to this file")
 
     for p2 in sub.choices.values():

@@ -34,14 +34,17 @@ def _alpha(g: Graph) -> int:
 
 def alpha_preserving_edge(adj: tuple[int, ...], n: int, a: int) -> tuple[int, int] | None:
     """First edge (u < v, in ``Graph.edges()`` order) whose removal keeps the
-    independence number at ``a``, or ``None`` when the graph is alpha-critical."""
+    independence number at ``a``, or ``None`` when the graph is alpha-critical.
+
+    ``a`` must be the independence number of the graph.  An independent set
+    of size a + 1 after deleting uv must hold both u and v, so uv keeps alpha
+    exactly when the vertices outside N[u] and N[v] hold no independent set
+    of size a - 1: one threshold query per edge on the graph itself."""
     full = (1 << n) - 1
     for u in range(n):
         for v in bits(adj[u] >> (u + 1) << (u + 1)):
-            rows = list(adj)
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            if alpha_mask(tuple(rows), full)[0] == a:
+            rest = full & ~(adj[u] | adj[v] | 1 << u | 1 << v)
+            if alpha_mask(adj, rest, a - 1)[0] < a - 1:
                 return u, v
     return None
 

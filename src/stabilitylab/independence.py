@@ -10,13 +10,15 @@ from .graphs import Graph, bits
 Code = tuple[int, ...]
 
 
-def alpha_mask(adj: Code, mask: int) -> tuple[int, int]:
+def alpha_mask(adj: Code, mask: int, at_least: int | None = None) -> tuple[int, int]:
     """Maximum independent set within ``mask``: returns ``(size, witness_mask)``.
 
     Branch and bound: pick a maximum-degree vertex of the remaining subgraph,
     branch on including it (dropping its closed neighborhood) before excluding
     it, and prune when the remaining vertices cannot beat the incumbent.
-    The first maximum found under this fixed order is the witness.
+    The first maximum found under this fixed order is the witness.  The
+    branches live on an explicit stack; the include branch is pushed last,
+    so it is searched, with everything under it, before the exclude branch.
 
     Two bounds prune, cheapest first: the remaining vertex count, then the
     size of a greedy clique partition of the remaining vertices (an
@@ -28,17 +30,25 @@ def alpha_mask(adj: Code, mask: int) -> tuple[int, int]:
     vertices, and a bound cuts only subtrees holding no set larger than the
     incumbent, so the incumbent improves at the same leaves in the same order
     as without the bounds.
-    """
-    best = 0
-    best_set = 0
 
-    def bb(avail: int, size: int, chosen: int) -> None:
-        nonlocal best, best_set
+    ``at_least=t`` asks a threshold question instead: the incumbent starts
+    at ``t - 1``, so both bounds prune from the root, and the search returns
+    the first independent set of size >= t it reaches.  The size returned is
+    >= t exactly when alpha(mask) >= t, and the set is then independent and
+    inside ``mask``; otherwise the result is ``(t - 1, 0)``.
+    """
+    if at_least is None:
+        best, goal = 0, mask.bit_count() + 1  # a goal no set reaches
+    else:
+        best, goal = at_least - 1, at_least
+    best_set = 0
+    stack = [(mask, 0, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        avail, size, chosen = pop()
         if size + avail.bit_count() <= best:
-            return
-        if not avail:
-            best, best_set = size, chosen
-            return
+            continue
         if best > size:
             # greedy clique partition: each clique grows from the least
             # uncovered vertex; stop once it can no longer prune
@@ -57,7 +67,7 @@ def alpha_mask(adj: Code, mask: int) -> tuple[int, int]:
                     rest ^= low
                     grow &= adj[low.bit_length() - 1]
             else:
-                return
+                continue
         bv = -1
         bd = -1
         rest = avail
@@ -68,17 +78,16 @@ def alpha_mask(adj: Code, mask: int) -> tuple[int, int]:
             d = (adj[v] & avail).bit_count()
             if d > bd:
                 bd, bv = d, v
-        if bd == 0:
-            # Everything left is isolated within the subgraph: take it all.
-            total = size + avail.bit_count()
-            if total > best:
-                best, best_set = total, chosen | avail
-            return
-        v = bv
-        bb(avail & ~(adj[v] | (1 << v)), size + 1, chosen | (1 << v))
-        bb(avail & ~(1 << v), size, chosen)
-
-    bb(mask, 0, 0)
+        if bd <= 0:
+            # Nothing or only isolated vertices left: take it all, which
+            # beats the incumbent since the count bound did not prune.
+            best, best_set = size + avail.bit_count(), chosen | avail
+            if best >= goal:
+                break
+            continue
+        low = 1 << bv
+        push((avail & ~low, size, chosen))
+        push((avail & ~(adj[bv] | low), size + 1, chosen | low))
     return best, best_set
 
 

@@ -9,10 +9,14 @@ One scan, :func:`_first_violator`, serves :func:`is_stable` (the witness is
 the first violating subset), :func:`stable_fast` and :func:`max_alpha_drop`.
 It walks the k-subsets lexicographically, looking for a removal that leaves
 alpha below a floor, and keeps ``known``: independent sets, every one of size
->= the floor (the full-graph witness, then the witness of each probe that did
-not violate).  A subset disjoint from one of them cannot violate, so it is
+>= the floor (the full-graph witness, then the set each probe that did not
+violate found).  A subset disjoint from one of them cannot violate, so it is
 skipped without an alpha call and the first violator is the one the plain
-scan finds.
+scan finds.  Each probe is a threshold query, ``alpha_mask(adj, rest,
+floor)``: it stops at the first independent set of size >= the floor instead
+of proving a maximum.  Such a set proves a subset missing it harmless just
+as a maximum one does, so the verdicts and witnesses stay those of the plain
+scan; only which subsets get probed may change.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def _first_violator(
             smask |= 1 << v
         if any(not w & smask for w in known):
             continue
-        rest, wit = alpha_mask(adj, full ^ smask)
+        rest, wit = alpha_mask(adj, full ^ smask, floor)
         if rest < floor:
             return sub
         known.append(wit)

@@ -71,6 +71,22 @@ def plain_alpha_mask(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
     return best, best_set
 
 
+def edge_deletion_preserving_edge(adj: tuple[int, ...], n: int, a: int) -> tuple[int, int] | None:
+    """First edge (u < v, in ``Graph.edges()`` order) whose deletion keeps the
+    independence number at ``a``: each edge is deleted from the rows and alpha
+    recomputed with ``plain_alpha_mask``, the oracle for
+    ``critical.alpha_preserving_edge``."""
+    full = (1 << n) - 1
+    for u in range(n):
+        for v in bits(adj[u] >> (u + 1) << (u + 1)):
+            rows = list(adj)
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            if plain_alpha_mask(tuple(rows), full)[0] == a:
+                return u, v
+    return None
+
+
 def naive_removal_alphas(g: Graph, k: int) -> list[tuple[tuple[int, ...], int]]:
     """(k-subset, independence number after deleting it) for every k-subset in
     lexicographic order: the plain reference scan that stability is defined by."""
@@ -181,6 +197,13 @@ def reference_canonical_children(parent: tuple[int, ...], n: int) -> list[tuple[
         if data.orbit[data.order[n - 1]] == data.orbit[n - 1]:
             children.append(child)
     return children
+
+
+def relabeled(g: Graph, rng) -> Graph:
+    """``g`` under a random permutation of its vertices."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

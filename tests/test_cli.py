@@ -341,6 +341,25 @@ def test_verify_counterexample_exit(capsys):
     assert last_report(out)["result"]["verdict"] == "refuted"
 
 
+def test_verify_prune_flag_turns_the_prune_on_and_off(capsys):
+    # T1d's pipeline leaves the prune off; both flags reach verify_theorem
+    reports = {}
+    for flag in ("--prune", "--no-prune"):
+        code, out, _ = run(capsys, "verify", "--theorem", "T1d", "--n", "8", flag)
+        assert code == 0
+        reports[flag] = last_report(out)["result"]
+    assert reports["--prune"]["parameter_range"]["prune"] is True
+    assert reports["--no-prune"]["parameter_range"]["prune"] is False
+    assert reports["--prune"]["matches"] == reports["--no-prune"]["matches"]
+    assert reports["--prune"]["verdict"] == "verified"
+
+
+def test_verify_prune_without_a_tight_filter_exits_one(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "L21", "--n", "5", "--prune")
+    assert (code, out) == (1, "")
+    assert err == "error: the hereditary prune requires a tight (k,0) filter\n"
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit):  # argparse --version passthrough still exits
         main(["--version"])

@@ -1,9 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given
 
-from helpers import graphs_st, naive_alpha
+from helpers import (
+    edge_deletion_preserving_edge,
+    graphs_st,
+    naive_alpha,
+    plain_alpha_mask,
+    random_graph,
+    relabeled,
+)
 from stabilitylab import catalog
 from stabilitylab.critical import (
+    CriticalKernel,
+    alpha_preserving_edge,
     classify_defect,
     critical_reduce,
     defect,
@@ -107,3 +118,23 @@ def test_defect_one_connected_critical_graphs_are_odd_cycles():
             if not is_connected(g):
                 continue
             assert classify_defect(g).classification == "odd_cycle"
+
+
+def test_critical_test_matches_edge_deletion_oracle():
+    # beyond the n <= 7 classes checked against naive_alpha: seeded G(n, p)
+    # graphs and relabeled cycles, pairs of odd cycles and even subdivisions
+    # of K4, against deleting each edge and recomputing alpha
+    rng = random.Random(1313)
+    cases = [random_graph(rng, rng.randint(9, 16), rng.uniform(0.2, 0.5)) for _ in range(200)]
+    cases += [relabeled(cycle(n), rng) for n in range(9, 17)]
+    cases += [relabeled(disjoint_union(cycle(a), cycle(b)), rng) for a in (3, 5, 7) for b in (5, 7, 9)]
+    for _ in range(12):
+        cases.append(relabeled(even_subdivision_k4([2 * rng.randrange(3) for _ in range(6)]), rng))
+    for g in cases:
+        a = plain_alpha_mask(g.adj, (1 << g.n) - 1)[0]
+        assert alpha_preserving_edge(g.adj, g.n, a) == edge_deletion_preserving_edge(g.adj, g.n, a)
+        current, removed = g, []
+        while (edge := edge_deletion_preserving_edge(current.adj, g.n, a)) is not None:
+            current = delete_edge(current, edge)
+            removed.append(edge)
+        assert critical_reduce(g) == CriticalKernel(current, tuple(removed))

@@ -11,8 +11,6 @@ from stabilitylab import enumeration, structure
 from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic
 from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
-    _CACHE_MAX_N,
-    MAX_ENUM_N,
     THEOREM_IDS,
     FilterSpec,
     _cached_level,
@@ -614,12 +612,13 @@ def test_theorem_ids_keep_their_order():
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
-def test_default_sizes_respect_parity_and_cap(theorem_id):
+def test_default_sizes_respect_parity_and_size_check(theorem_id):
     sizes = default_sizes(theorem_id)
     assert sizes == EXPECTED_DEFAULT_SIZES[theorem_id]
     parity = enumeration._PIPELINES[theorem_id].parity
-    cap = MAX_ENUM_N if theorem_id == "COR" else _CACHE_MAX_N
-    assert all(1 <= n <= cap and parity in (None, n % 2) for n in sizes)
+    for n in sizes:
+        enumeration._check_size(n)
+        assert parity in (None, n % 2)
 
 
 def test_sur_expects_the_named_graphs_by_order():

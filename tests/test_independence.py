@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from helpers import graphs_st, naive_alpha, naive_independent_sets, plain_alpha_mask, random_graph
 from stabilitylab import catalog
+from stabilitylab.enumeration import enumerate_canonical
 from stabilitylab.graphs import (
+    bits,
     clique,
     cycle,
     disjoint_union,
@@ -156,3 +158,56 @@ def test_witness_matches_plain_kernel():
         cases += [(h.adj, full), (h.adj, full ^ 1 << rng.randrange(h.n))]
     for adj, mask in cases:
         assert alpha_mask(adj, mask) == plain_alpha_mask(adj, mask), (adj, mask)
+
+
+def _class_masks(n):
+    """Every class on ``n`` vertices with the full mask and each single vertex deleted."""
+    full = (1 << n) - 1
+    for g in enumerate_canonical(n):
+        yield n, g.adj, full
+        for v in range(n):
+            yield n, g.adj, full ^ 1 << v
+
+
+def _seeded_masks():
+    """The seeded G(n, p) graphs and relabeled structured graphs of
+    ``test_witness_matches_plain_kernel``, with the same masks."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(8, 40)
+        g = random_graph(rng, n, rng.choice((0.1, 0.15, 0.2, 0.3, 0.5)))
+        yield n, g.adj, rng.getrandbits(n) | rng.getrandbits(n)
+        yield n, g.adj, (1 << n) - 1
+    structured = [cycle(n) for n in range(3, 32)]
+    structured += [disjoint_union(cycle(a), cycle(b)) for a in (3, 4, 5, 7) for b in (5, 8, 9, 11)]
+    for _ in range(12):
+        structured.append(even_subdivision_k4([2 * rng.randrange(4) for _ in range(6)]))
+    for g in structured:
+        h = _relabeled(g, rng)
+        full = (1 << h.n) - 1
+        yield h.n, h.adj, full
+        yield h.n, h.adj, full ^ 1 << rng.randrange(h.n)
+
+
+def _assert_threshold_decides(cases):
+    # alpha_mask(adj, mask, t) answers alpha(mask) >= t for every t in 0..n+1,
+    # with an independent set of at least t vertices inside mask when it holds
+    for n, adj, mask in cases:
+        a = plain_alpha_mask(adj, mask)[0]
+        for t in range(n + 2):
+            size, found = alpha_mask(adj, mask, t)
+            assert (size >= t) == (a >= t), (adj, mask, t)
+            if size >= t:
+                assert found & ~mask == 0 and found.bit_count() >= t, (adj, mask, t)
+                assert all(adj[v] & found == 0 for v in bits(found)), (adj, mask, t)
+
+
+def test_threshold_matches_plain_kernel():
+    for n in range(1, 8):
+        _assert_threshold_decides(_class_masks(n))
+    _assert_threshold_decides(_seeded_masks())
+
+
+@pytest.mark.extended
+def test_threshold_matches_plain_kernel_every_class_n8():
+    _assert_threshold_decides(_class_masks(8))

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from helpers import naive_alpha, naive_removal_alphas, plain_removal_alphas, random_graph
+from helpers import (
+    naive_alpha,
+    naive_removal_alphas,
+    plain_removal_alphas,
+    random_graph,
+    relabeled,
+)
 from stabilitylab import stability
 from stabilitylab.catalog import _brute_critical
 from stabilitylab.critical import alpha_preserving_edge, is_alpha_critical
@@ -16,7 +22,6 @@ from stabilitylab.graphs import (
     delete_edge,
     disjoint_union,
     even_subdivision_k4,
-    from_edges,
     path,
 )
 from stabilitylab.independence import alpha_mask
@@ -127,9 +132,9 @@ def test_is_tight_stable_skips_the_scan_when_alpha_misses_the_bound(monkeypatch)
     # C8 at (2,0): alpha is 4 and the bound is 3, so one alpha call decides
     calls = []
 
-    def counting_alpha(adj, mask):
+    def counting_alpha(adj, mask, at_least=None):
         calls.append(mask)
-        return alpha_mask(adj, mask)
+        return alpha_mask(adj, mask, at_least)
 
     monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
     assert not is_tight_stable(cycle(8), 2, 0)
@@ -151,18 +156,12 @@ def _assert_matches_plain_scan(g):
             assert stable_fast(g.adj, g.n, k, l, a, wit) == (first is None)
 
 
-def _relabeled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def test_cached_scan_matches_plain_scan():
     rng = random.Random(4242)
     cases = [random_graph(rng, rng.randint(9, 16), rng.uniform(0.2, 0.5)) for _ in range(200)]
-    cases += [_relabeled(cycle(n), rng) for n in range(4, 17)]
+    cases += [relabeled(cycle(n), rng) for n in range(4, 17)]
     cases += [
-        _relabeled(disjoint_union(cycle(a), cycle(b)), rng)
+        relabeled(disjoint_union(cycle(a), cycle(b)), rng)
         for a in range(3, 9)
         for b in range(a, 9)
     ]
@@ -177,9 +176,9 @@ def test_cached_scan_skips_subsets_missing_a_known_set(monkeypatch):
 
     calls = []
 
-    def counting_alpha(adj, mask):
+    def counting_alpha(adj, mask, at_least=None):
         calls.append(mask)
-        return alpha_mask(adj, mask)
+        return alpha_mask(adj, mask, at_least)
 
     monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
     for g in (cycle(31), disjoint_union(cycle(15), cycle(15))):
