@@ -29,6 +29,15 @@ Every scan, and ``enumerate_canonical``, reads its codes through one
 generator, ``_codes``: a cached level is read as it is, while level 10 and
 a pruned frontier are read as the canonical children of their items.
 
+Beside each cached level lives its packed alpha table, an ``array('H')``
+with one entry per class (2 bytes; about 550 KB at level 9).  An entry
+holds ``witness | alpha << n`` exactly as ``alpha_mask`` returns them, or 0
+until the first scan that needs that class's alpha computes it; classes a
+cheaper test rejects never get one.  So each class's alpha is computed at
+most once per process however many filters scan its level.  Pool workers
+read the table they inherit through fork and send back the entries they
+filled.  Level-10 children and pruned frontiers compute alpha per child.
+
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The optional hereditary prune for a tight (k,0)
 filter at size n augments only the parents that the pruned scan for tight
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
@@ -176,7 +186,11 @@ def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
     return [child for parent in parents for child in _canonical_children(parent, n)]
 
 
-_LEVELS: dict[int, tuple[Code, ...]] = {1: ((0,),)}
+#: n -> (level n, its packed alpha table).  Entry i of the table is 0 until
+#: a scan first needs alpha for code i, then ``witness | alpha << n`` as
+#: ``alpha_mask(code, full)`` returns them: below 2**13 for n <= 9, and never
+#: 0, since alpha >= 1.  A table is cached, and replaced, with its level.
+_LEVELS: dict[int, tuple[tuple[Code, ...], array]] = {1: (((0,),), array("H", [0]))}
 
 
 def _cached_level(n: int) -> tuple[Code, ...]:
@@ -185,13 +199,13 @@ def _cached_level(n: int) -> tuple[Code, ...]:
     if n > _CACHE_MAX_N:
         raise ValueError(f"levels beyond {_CACHE_MAX_N} vertices are not cached")
     for m in range(max(k for k in _LEVELS if k <= n) + 1, n + 1):
-        level = tuple(extend_level(_LEVELS[m - 1], m))
+        level = tuple(extend_level(_LEVELS[m - 1][0], m))
         if len(level) != CLASS_COUNTS[m - 1]:
             raise InvariantViolation(
                 f"level {m} has {len(level)} classes, expected {CLASS_COUNTS[m - 1]}"
             )
-        _LEVELS[m] = level
-    return _LEVELS[n]
+        _LEVELS[m] = level, array("H", bytes(2 * len(level)))
+    return _LEVELS[n][0]
 
 
 def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
@@ -317,30 +331,50 @@ def _spec_tests(spec: FilterSpec) -> list[tuple]:
     return tests
 
 
-def _passes(code: Code, n: int, tests: list[tuple]) -> bool:
+def _passes(
+    code: Code, n: int, tests: list[tuple], table: array | None = None, index: int = 0
+) -> bool:
+    """Whether ``code`` passes ``tests``.  Alpha and its witness come at the
+    first test that needs them: from ``table[index]`` when that is set, else
+    from ``alpha_mask``, stored there when a table is given."""
     a = wit = None
     for evaluate, want, needs_alpha in tests:
         if needs_alpha and a is None:
-            a, wit = alpha_mask(code, (1 << n) - 1)
+            packed = 0 if table is None else table[index]
+            if packed:
+                a, wit = packed >> n, packed & ((1 << n) - 1)
+            else:
+                a, wit = alpha_mask(code, (1 << n) - 1)
+                if table is not None:
+                    table[index] = wit | a << n
         if evaluate(code, n, a, wit) != want:
             return False
     return True
 
 
-def _scan_chunk(args: tuple[Sequence[Code], int, FilterSpec]) -> tuple[int, list[Code]]:
-    """(codes read, matches) of the filter over ``_codes(items, n)`` for
-    ``args = (items, n, spec)``.  An exception comes back as the same type
-    with n and the graph6 of the first and last item in front of its message."""
-    items, n, spec = args
+def _scan_chunk(
+    args: tuple[Sequence[Code], int, FilterSpec, int | None],
+) -> tuple[int, list[Code], int | None, array | None]:
+    """(codes read, matches, start, filled alpha entries) of the filter over
+    ``_codes(items, n)`` for ``args = (items, n, spec, start)``.  ``start`` is
+    the index of ``items[0]`` in cached level n when the items are its codes:
+    alpha is then read from and stored in the level's table, and the chunk's
+    slice of it comes back for a parent process to write into its own.  With
+    ``start=None`` the children of the items are read, each computing its own
+    alpha.  An exception comes back as the same type with n and the graph6 of
+    the first and last item in front of its message."""
+    items, n, spec, start = args
     try:
         tests = _spec_tests(spec)
+        table = None if start is None else _LEVELS[n][1]
         scanned = 0
         matches: list[Code] = []
-        for code in _codes(items, n):
+        for index, code in enumerate(_codes(items, n), start or 0):
             scanned += 1
-            if _passes(code, n, tests):
+            if _passes(code, n, tests, table, index):
                 matches.append(code)
-        return scanned, matches
+        filled = None if table is None else table[start : start + len(items)]
+        return scanned, matches, start, filled
     except Exception as exc:
         first, last = (write_graph6(Graph(len(c), c)) for c in (items[0], items[-1]))
         try:
@@ -358,22 +392,33 @@ def _filtered_scan(
     (requires ``spec.tight=(k,0)``) the parents are the matches of the pruned
     tight (k-1,0) scan at n-1, or level n-1 when k = 1 or n = 2 (level 1 at
     n = 1).  About four chunks per worker, at most one worker per CPU and
-    per item whatever ``jobs`` asks for; one worker runs in this process."""
+    per item whatever ``jobs`` asks for; one worker runs in this process.
+    A scan of cached level n fills the level's alpha table: each chunk
+    starts from the table it inherits, and the entries it fills are written
+    back here."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
+    own = False  # whether the items are the codes of cached level n
     if prune and n > 2 and spec.tight[0] > 1:
         items = _filtered_scan(n - 1, FilterSpec(tight=(spec.tight[0] - 1, 0)), True, jobs)[1]
+    elif n > _CACHE_MAX_N or prune and n > 1:
+        items = _cached_level(n - 1)
     else:
-        items = _cached_level(n - 1 if n > _CACHE_MAX_N or prune and n > 1 else n)
+        items, own = _cached_level(n), True
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        results = [_scan_chunk((items, n, spec))]
+        results = [_scan_chunk((items, n, spec, 0 if own else None))]
     else:
         step = -(-len(items) // (workers * 4))
-        chunks = [(items[i : i + step], n, spec) for i in range(0, len(items), step)]
+        chunks = [
+            (items[i : i + step], n, spec, i if own else None) for i in range(0, len(items), step)
+        ]
         with get_context("fork").Pool(workers) as pool:
             results = list(pool.imap_unordered(_scan_chunk, chunks))
+    for _, _, start, filled in results:
+        if filled is not None:
+            _LEVELS[n][1][start : start + len(filled)] = filled
     return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
 
 

@@ -54,16 +54,16 @@ def _first_violator(
 ) -> tuple[int, ...] | None:
     """First k-subset whose removal leaves alpha < ``floor``; extends ``known``."""
     full = (1 << n) - 1
-    for sub in combinations(range(n), k):
-        smask = 0
-        for v in sub:
-            smask |= 1 << v
-        if any(not w & smask for w in known):
-            continue
-        rest, wit = alpha_mask(adj, full ^ smask, floor)
-        if rest < floor:
-            return sub
-        known.append(wit)
+    for sub in combinations([1 << v for v in range(n)], k):
+        smask = sum(sub)
+        for w in known:
+            if not w & smask:
+                break
+        else:
+            rest, wit = alpha_mask(adj, full ^ smask, floor)
+            if rest < floor:
+                return tuple(b.bit_length() - 1 for b in sub)
+            known.append(wit)
     return None
 
 

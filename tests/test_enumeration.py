@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from array import array
 from collections import Counter
 
 import pytest
@@ -31,6 +32,7 @@ from stabilitylab.enumeration import (
 from stabilitylab.errors import InvariantViolation
 from stabilitylab.graph6 import parse_graph6, write_graph6
 from stabilitylab.graphs import Graph, clique, cycle, from_edges
+from stabilitylab.independence import alpha_mask
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -264,6 +266,80 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
                         assert calls == []
 
 
+def _packed_alpha(code, n):
+    a, wit = alpha_mask(code, (1 << n) - 1)
+    return wit | a << n
+
+
+def _fresh_tables(monkeypatch, full=False):
+    """Cache levels 1..8 again with new alpha tables, every entry unset or,
+    with ``full``, every entry packed from ``alpha_mask``; returns the tables."""
+    levels = {}
+    for n in range(1, 9):
+        level = _cached_level(n)
+        table = array("H", [_packed_alpha(code, n) if full else 0 for code in level])
+        levels[n] = level, table
+    monkeypatch.setattr(enumeration, "_LEVELS", levels)
+    return {n: table for n, (_, table) in levels.items()}
+
+
+#: the first theorem of each distinct pipeline filter
+_SPEC_OWNERS: dict = {}
+for _tid, _pipeline in enumeration._PIPELINES.items():
+    _SPEC_OWNERS.setdefault(_pipeline.spec, _tid)
+
+
+@pytest.mark.parametrize("theorem_id", list(_SPEC_OWNERS.values()))
+def test_alpha_table_holds_alpha_mask_for_every_worker_count(monkeypatch, theorem_id):
+    # a scan from unset tables stores in each entry it sets the packed
+    # (alpha, witness) of alpha_mask; jobs=2 (two CPUs, so that it forks)
+    # fills the same entries, and full tables give the same matches
+    spec = enumeration._PIPELINES[theorem_id].spec
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    tables = _fresh_tables(monkeypatch, full=True)
+    full = {n: table.tobytes() for n, table in tables.items()}
+    expected = {n: _filtered_scan(n, spec) for n in range(1, 9)}
+    assert {n: table.tobytes() for n, table in tables.items()} == full
+    filled = {}
+    for jobs in (1, 2):
+        tables = _fresh_tables(monkeypatch)
+        for n in range(1, 9):
+            assert _filtered_scan(n, spec, jobs=jobs) == expected[n]
+        for n, table in tables.items():
+            for code, entry in zip(_cached_level(n), table):
+                assert entry in (0, _packed_alpha(code, n))
+        filled[jobs] = {n: table.tobytes() for n, table in tables.items()}
+    assert filled[1] == filled[2]
+    assert tables[8].count(0) < len(tables[8])
+
+
+def test_second_scan_reads_alpha_from_the_table(monkeypatch):
+    # the first tight (2,0) scan of level 8 computes alpha once for each class
+    # of min degree >= 2 and for no other; a second scan computes none, and a
+    # stable (1,0) scan only those of min degree 1; the cached table takes two
+    # bytes per class
+    level = _cached_level(8)
+    cached = enumeration._LEVELS[8][1]
+    assert (cached.itemsize, len(cached)) == (2, len(level))
+    table = _fresh_tables(monkeypatch)[8]
+    calls = []
+
+    def counting_alpha(adj, mask):
+        calls.append(adj)
+        return alpha_mask(adj, mask)
+
+    monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
+    degree = [min(row.bit_count() for row in code) for code in level]
+    first = _filtered_scan(8, FilterSpec(tight=(2, 0)))
+    assert sorted(calls) == sorted(c for c, d in zip(level, degree) if d >= 2)
+    assert [entry != 0 for entry in table] == [d >= 2 for d in degree]
+    calls.clear()
+    assert _filtered_scan(8, FilterSpec(tight=(2, 0))) == first
+    assert calls == []
+    _filtered_scan(8, FilterSpec(stable=(1, 0)))
+    assert sorted(calls) == sorted(c for c, d in zip(level, degree) if d == 1)
+
+
 def test_prune_soundness_small():
     rows = ((6, 2), (7, 2), (8, 2), (7, 3), (8, 3), (5, 1), (8, 1), (7, 4), (8, 4))
     for n, k in rows + ((2, 2), (3, 3), (4, 6)):  # the last three have n <= k
@@ -335,7 +411,7 @@ class _InProcessContext:
         return False
 
     def imap_unordered(self, fn, tasks):
-        assert self.pools[-1] <= sum(len(items) for items, _, _ in tasks)
+        assert self.pools[-1] <= sum(len(items) for items, *_ in tasks)
         self.pools[-1] = (self.pools[-1], len(tasks))
         return map(fn, tasks)
 
@@ -376,7 +452,7 @@ def test_small_scans_pool_when_jobs_ask(monkeypatch, n, spec, prune, pools):
     assert context.pools == pools
 
 
-def _failing_passes(code, n, tests):
+def _failing_passes(code, n, tests, table=None, index=0):
     raise InvariantViolation("chunk failed")
 
 
@@ -410,7 +486,7 @@ def test_level_ten_streams_the_children_of_level_nine():
             break
         children += extend_level([parent], 10)
     assert stream == [Graph(10, c) for c in children[:2000]]
-    assert _scan_chunk((level9[:40], 10, FilterSpec()))[0] == len(extend_level(level9[:40], 10))
+    assert _scan_chunk((level9[:40], 10, FilterSpec(), None))[0] == len(extend_level(level9[:40], 10))
 
 
 def test_atlas_roundtrip(tmp_path):

@@ -31,10 +31,11 @@ from stabilitylab.graphs import Graph, clique, cycle, disjoint_union, from_edges
 from stabilitylab.structure import spanning_certificate
 
 #: verify runs every default size up to 7 (COR also runs 4..7 besides its
-#: pruned default n=10, whose atlas is empty); L21 at n=7 is past the serial
-#: threshold, so jobs=2 uses the pool and must give the jobs=1 bytes; no even
-#: subdivision of the 4-clique has 7 vertices, so the defect-2 filter is also
-#: pinned at n=6; the pruned enumerate chains T(1,6) and T(2,7) into n=8
+#: pruned default n=10, whose atlas is empty); L21 with jobs=2 scans every
+#: size through the pool wherever two CPUs are present, and must give the
+#: jobs=1 bytes; no even subdivision of the 4-clique has 7 vertices, so the
+#: defect-2 filter is also pinned at n=6; the pruned enumerate chains T(1,6)
+#: and T(2,7) into n=8
 CASES = {
     "enumerate --n 8": (
         ["enumerate", "--n", "8"],
