@@ -34,9 +34,12 @@ with one entry per class (2 bytes; about 550 KB at level 9).  An entry
 holds ``witness | alpha << n`` exactly as ``alpha_mask`` returns them, or 0
 until the first scan that needs that class's alpha computes it; classes a
 cheaper test rejects never get one.  So each class's alpha is computed at
-most once per process however many filters scan its level.  Pool workers
-read the table they inherit through fork and send back the entries they
-filled.  Level-10 children and pruned frontiers compute alpha per child.
+most once per process however many filters scan its level.  A pool
+worker fills a copy of its chunk's slice and sends it back.  Level-10
+children and pruned frontiers compute alpha per child.  The table pays
+only in a process that scans a level more than once, such as a session
+that verifies several theorems; a CLI run scans each level once and only
+fills it, at the cost of one store per class that reaches an alpha test.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The optional hereditary prune for a tight (k,0)
@@ -331,12 +334,11 @@ def _spec_tests(spec: FilterSpec) -> list[tuple]:
     return tests
 
 
-def _passes(
-    code: Code, n: int, tests: list[tuple], table: array | None = None, index: int = 0
-) -> bool:
+def _passes(code: Code, n: int, tests: list[tuple], table: array | None, index: int) -> bool:
     """Whether ``code`` passes ``tests``.  Alpha and its witness come at the
     first test that needs them: from ``table[index]`` when that is set, else
-    from ``alpha_mask``, stored there when a table is given."""
+    from ``alpha_mask``, then stored there; with ``table=None`` they are
+    computed each time."""
     a = wit = None
     for evaluate, want, needs_alpha in tests:
         if needs_alpha and a is None:
@@ -353,28 +355,25 @@ def _passes(
 
 
 def _scan_chunk(
-    args: tuple[Sequence[Code], int, FilterSpec, int | None],
-) -> tuple[int, list[Code], int | None, array | None]:
-    """(codes read, matches, start, filled alpha entries) of the filter over
-    ``_codes(items, n)`` for ``args = (items, n, spec, start)``.  ``start`` is
-    the index of ``items[0]`` in cached level n when the items are its codes:
-    alpha is then read from and stored in the level's table, and the chunk's
-    slice of it comes back for a parent process to write into its own.  With
-    ``start=None`` the children of the items are read, each computing its own
-    alpha.  An exception comes back as the same type with n and the graph6 of
-    the first and last item in front of its message."""
-    items, n, spec, start = args
+    args: tuple[Sequence[Code], int, FilterSpec, array | None],
+) -> tuple[int, list[Code], array | None]:
+    """(codes read, matches, alpha table) of the filter over
+    ``_codes(items, n)`` for ``args = (items, n, spec, table)``.  When the
+    items are codes of a cached level, ``table`` holds their alpha entries
+    (entry i for ``items[i]``): the scan reads and fills it in place and
+    returns it.  With ``table=None`` the children of the items are read,
+    each computing its own alpha.  An exception comes back as the same type
+    with n and the graph6 of the first and last item in front of its message."""
+    items, n, spec, table = args
     try:
         tests = _spec_tests(spec)
-        table = None if start is None else _LEVELS[n][1]
         scanned = 0
         matches: list[Code] = []
-        for index, code in enumerate(_codes(items, n), start or 0):
+        for index, code in enumerate(_codes(items, n)):
             scanned += 1
             if _passes(code, n, tests, table, index):
                 matches.append(code)
-        filled = None if table is None else table[start : start + len(items)]
-        return scanned, matches, start, filled
+        return scanned, matches, table
     except Exception as exc:
         first, last = (write_graph6(Graph(len(c), c)) for c in (items[0], items[-1]))
         try:
@@ -393,32 +392,35 @@ def _filtered_scan(
     tight (k-1,0) scan at n-1, or level n-1 when k = 1 or n = 2 (level 1 at
     n = 1).  About four chunks per worker, at most one worker per CPU and
     per item whatever ``jobs`` asks for; one worker runs in this process.
-    A scan of cached level n fills the level's alpha table: each chunk
-    starts from the table it inherits, and the entries it fills are written
-    back here."""
+    A scan of cached level n reads and fills the level's alpha table: in
+    place with one worker, else each chunk gets a copy of its slice and the
+    filled copies are written back here."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
-    own = False  # whether the items are the codes of cached level n
+    table = None  # the alpha table of the items when they are cached level n
     if prune and n > 2 and spec.tight[0] > 1:
         items = _filtered_scan(n - 1, FilterSpec(tight=(spec.tight[0] - 1, 0)), True, jobs)[1]
     elif n > _CACHE_MAX_N or prune and n > 1:
         items = _cached_level(n - 1)
     else:
-        items, own = _cached_level(n), True
+        items = _cached_level(n)
+        table = _LEVELS[n][1]
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        results = [_scan_chunk((items, n, spec, 0 if own else None))]
+        results = [_scan_chunk((items, n, spec, table))]
     else:
         step = -(-len(items) // (workers * 4))
+        starts = range(0, len(items), step)
         chunks = [
-            (items[i : i + step], n, spec, i if own else None) for i in range(0, len(items), step)
+            (items[i : i + step], n, spec, None if table is None else table[i : i + step])
+            for i in starts
         ]
         with get_context("fork").Pool(workers) as pool:
-            results = list(pool.imap_unordered(_scan_chunk, chunks))
-    for _, _, start, filled in results:
-        if filled is not None:
-            _LEVELS[n][1][start : start + len(filled)] = filled
+            results = list(pool.imap(_scan_chunk, chunks))
+        if table is not None:
+            for i, (_, _, filled) in zip(starts, results):
+                table[i : i + step] = filled
     return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
 
 

@@ -261,7 +261,7 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
                         code, n, *real_alpha(code, (1 << n) - 1)
                     )
                     calls.clear()
-                    assert enumeration._passes(code, n, tests) == want
+                    assert enumeration._passes(code, n, tests, None, 0) == want
                     if degree < k:
                         assert calls == []
 
@@ -340,6 +340,23 @@ def test_second_scan_reads_alpha_from_the_table(monkeypatch):
     assert sorted(calls) == sorted(c for c, d in zip(level, degree) if d == 1)
 
 
+def test_table_entries_decode_to_alpha_mask(monkeypatch):
+    # from a full table, the tests of every class n <= 8 see exactly the
+    # (alpha, witness) of alpha_mask, and alpha_mask is not called
+    tables = _fresh_tables(monkeypatch, full=True)
+    seen = []
+    tests = [(lambda code, n, a, wit: seen.append((a, wit)), None, True)]
+
+    def no_alpha(adj, mask):
+        raise AssertionError("alpha computed although the table holds it")
+
+    monkeypatch.setattr(enumeration, "alpha_mask", no_alpha)
+    for n, table in tables.items():
+        for index, code in enumerate(_cached_level(n)):
+            assert enumeration._passes(code, n, tests, table, index)
+            assert seen.pop() == alpha_mask(code, (1 << n) - 1)
+
+
 def test_prune_soundness_small():
     rows = ((6, 2), (7, 2), (8, 2), (7, 3), (8, 3), (5, 1), (8, 1), (7, 4), (8, 4))
     for n, k in rows + ((2, 2), (3, 3), (4, 6)):  # the last three have n <= k
@@ -410,7 +427,7 @@ class _InProcessContext:
     def __exit__(self, *exc):
         return False
 
-    def imap_unordered(self, fn, tasks):
+    def imap(self, fn, tasks):
         assert self.pools[-1] <= sum(len(items) for items, *_ in tasks)
         self.pools[-1] = (self.pools[-1], len(tasks))
         return map(fn, tasks)
@@ -452,7 +469,7 @@ def test_small_scans_pool_when_jobs_ask(monkeypatch, n, spec, prune, pools):
     assert context.pools == pools
 
 
-def _failing_passes(code, n, tests, table=None, index=0):
+def _failing_passes(code, n, tests, table, index):
     raise InvariantViolation("chunk failed")
 
 
