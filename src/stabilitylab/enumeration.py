@@ -76,9 +76,9 @@ from .critical import (
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, bits, reachable
-from .independence import alpha_mask, independent_sets_of_size
+from .independence import alpha_mask, independent_masks
 from .stability import stable_fast, tight_fast
-from .structure import hall_matching, spanning_certificate
+from .structure import augment_matching, spanning_certificate
 
 Code = tuple[int, ...]
 
@@ -554,12 +554,15 @@ def _certificate_check(k: int) -> Callable[[Graph], bool]:
 
 
 def _l21_check(g: Graph) -> bool:
-    a = alpha_mask(g.adj, (1 << g.n) - 1)[0]
-    for a_set in independent_sets_of_size(g, a):
-        cert = hall_matching(g, a_set)
-        if cert.matching is None or len(cert.matching) != a:
-            return False
-    return True
+    """Match test of L21: every maximum independent set saturates into its
+    complement.  By Hall's theorem that is whether the augmenting-path
+    search of ``augment_matching`` matches every vertex of the set; it runs
+    on each set ``independent_masks`` yields at size alpha, stopping at the
+    first set that fails."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    a = alpha_mask(adj, full)[0]
+    return all(not augment_matching(adj, s)[1] for s in independent_masks(adj, full, a))
 
 
 @dataclass(frozen=True)

@@ -102,26 +102,38 @@ def alpha(g: Graph) -> AlphaResult:
     return AlphaResult(size, tuple(bits(wit)))
 
 
+def independent_masks(adj: Code, mask: int, t: int) -> Iterator[int]:
+    """Lazily yield every independent set of size ``t`` within ``mask``, as a
+    vertex mask, each once, in the lexicographic order of its sorted vertices.
+
+    Depth first on an explicit stack: each frame holds the chosen set, the
+    candidates (vertices above the last chosen one and adjacent to none of
+    it) and the count still needed.  A frame branches on its least
+    candidate, including it before excluding it, which is the lexicographic
+    order; it is dropped when fewer candidates remain than are still needed.
+    """
+    stack = [(0, mask, t)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        chosen, cand, need = pop()
+        if not need:
+            yield chosen
+            continue
+        if cand.bit_count() < need:
+            continue
+        low = cand & -cand
+        cand ^= low
+        push((chosen, cand, need))
+        push((chosen | low, cand & ~adj[low.bit_length() - 1], need - 1))
+
+
 def independent_sets_of_size(g: Graph, t: int) -> Iterator[tuple[int, ...]]:
-    """All independent sets of cardinality ``t``, each once, lexicographically."""
+    """All independent sets of cardinality ``t``, each once, lexicographically:
+    :func:`independent_masks` over every vertex, each mask as a tuple."""
     if not 0 <= t <= g.n:
         raise ValueError(f"target size {t} outside 0..{g.n}")
-    adj = g.adj
-    n = g.n
-
-    def rec(start: int, chosen: list[int], banned: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == t:
-            yield tuple(chosen)
-            return
-        # enough vertices must remain to finish the set
-        for v in range(start, n - (t - len(chosen)) + 1):
-            if banned >> v & 1:
-                continue
-            chosen.append(v)
-            yield from rec(v + 1, chosen, banned | adj[v])
-            chosen.pop()
-
-    yield from rec(0, [], 0)
+    return (tuple(bits(m)) for m in independent_masks(g.adj, (1 << g.n) - 1, t))
 
 
 def alpha_after_single_removals(g: Graph) -> dict[int, int]:

@@ -20,7 +20,7 @@ from . import catalog
 from .critical import critical_reduce, is_even_subdivision_k4, named_class, trace_cycle
 from .critical import is_odd_cycle  # re-exported beside is_even_subdivision_k4
 from .errors import InvariantViolation
-from .graphs import Graph, components, degrees, is_connected, normalize_edge
+from .graphs import Graph, bits, components, degrees, is_connected, normalize_edge
 from .independence import independent_sets_of_size
 from .stability import is_tight_stable
 
@@ -155,11 +155,64 @@ def _check_subdivision_paths(g: Graph, paths: tuple[tuple[int, ...], ...]) -> li
 # -- matchings ---------------------------------------------------------------
 
 
+def augment_matching(adj: tuple[int, ...], left: int) -> tuple[list[int], int]:
+    """Match the independent vertex set ``left`` into its neighbourhood by
+    augmenting paths (Kuhn's algorithm) on the adjacency masks ``adj``.
+
+    Left vertices are taken in ascending order, each with a fresh visited
+    set, and every search tries a vertex's unvisited neighbours in ascending
+    order, depth first on an explicit stack.  Returns ``(mate, blocked)``:
+    ``mate[b]`` is the left vertex matched to ``b``, or -1.  ``blocked`` is 0
+    when every left vertex is matched; otherwise the search stopped at the
+    first left vertex it could not match, and ``blocked`` is the mask of
+    that vertex and the mates of the vertices its search visited, a set
+    whose neighbourhood is smaller than itself (Hall's condition fails).
+    """
+    mate = [-1] * len(adj)
+    rest = left
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        b_bit = adj[a] & -adj[a]
+        b = b_bit.bit_length() - 1
+        if b_bit and mate[b] < 0:  # the first neighbour is free: a one-edge path
+            mate[b] = a
+            continue
+        path = [a]  # left vertices of the alternating path
+        via: list[int] = []  # the right vertex each path vertex is trying
+        visited = 0
+        while path:
+            cand = adj[path[-1]] & ~visited
+            if not cand:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            b_bit = cand & -cand
+            visited |= b_bit
+            b = b_bit.bit_length() - 1
+            via.append(b)
+            if mate[b] >= 0:
+                path.append(mate[b])
+                continue
+            for a, b in zip(path, via):
+                mate[b] = a
+            break
+        else:
+            blocked = low
+            for b in bits(visited):
+                blocked |= 1 << mate[b]
+            return mate, blocked
+    return mate, 0
+
+
 def hall_matching(g: Graph, a_set) -> HallCertificate:
     """Match an independent set into the rest of the graph.
 
-    Returns the saturating matching when the neighborhood condition holds,
-    otherwise a minimal violating subset.
+    Returns the saturating matching :func:`augment_matching` finds when the
+    neighborhood condition holds, otherwise a minimal violating subset of
+    the set it reports blocked.
     """
     a_sorted = tuple(sorted(set(a_set)))
     for v in a_sorted:
@@ -168,25 +221,13 @@ def hall_matching(g: Graph, a_set) -> HallCertificate:
     for u, v in combinations(a_sorted, 2):
         if g.has_edge(u, v):
             raise ValueError(f"set is not independent: edge ({u},{v})")
-
-    match: dict[int, int] = {}  # right vertex -> matched left vertex
-
-    def augment(a: int, visited: set[int]) -> bool:
-        for b in g.neighbors(a):
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match or augment(match[b], visited):
-                match[b] = a
-                return True
-        return False
-
-    for a in a_sorted:
-        visited: set[int] = set()
-        if not augment(a, visited):
-            z = sorted({a} | {match[b] for b in visited})
-            return HallCertificate(None, _minimal_violator(g, z))
-    edges = tuple(sorted(normalize_edge(left, right) for right, left in match.items()))
+    left = 0
+    for v in a_sorted:
+        left |= 1 << v
+    mate, blocked = augment_matching(g.adj, left)
+    if blocked:
+        return HallCertificate(None, _minimal_violator(g, list(bits(blocked))))
+    edges = tuple(sorted(normalize_edge(a, b) for b, a in enumerate(mate) if a >= 0))
     return HallCertificate(edges, None)
 
 

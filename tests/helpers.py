@@ -11,8 +11,9 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from stabilitylab.canonical import canonical_data, neighbor_lists, refine_colors
-from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges
+from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges, normalize_edge
 from stabilitylab.independence import alpha_mask
+from stabilitylab.structure import HallCertificate, _minimal_violator
 
 
 def naive_alpha(g: Graph) -> int:
@@ -114,6 +115,61 @@ def naive_independent_sets(g: Graph, t: int) -> list[tuple[int, ...]]:
         if all(not g.has_edge(u, v) for u, v in combinations(sub, 2)):
             out.append(sub)
     return out
+
+
+def naive_maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
+    """Every maximum independent set, lexicographically: the vertex subsets
+    of each size in turn, as ``itertools.combinations`` lists them, keeping
+    those that contain no edge, until a size keeps none."""
+    edges = set(g.edges())
+    found: list[tuple[int, ...]] = [()]
+    for t in range(1, g.n + 1):
+        bigger = [s for s in combinations(range(g.n), t) if edges.isdisjoint(combinations(s, 2))]
+        if not bigger:
+            break
+        found = bigger
+    return found
+
+
+def naive_hall(g: Graph, a_set: tuple[int, ...]) -> bool:
+    """Hall's condition for matching ``a_set`` into the rest of the graph,
+    checked on every nonempty subset S as |N(S)| >= |S|."""
+    rows = [g.adj[v] for v in a_set]
+    for size in range(1, len(rows) + 1):
+        for sub in combinations(rows, size):
+            union = 0
+            for row in sub:
+                union |= row
+            if union.bit_count() < size:
+                return False
+    return True
+
+
+def reference_hall_matching(g: Graph, a_set) -> HallCertificate:
+    """``structure.hall_matching`` as it was written with a recursive
+    augmenting closure over a dict and a set: the reference its matching
+    or minimal violator must equal.  The violator is shrunk by the same
+    ``_minimal_violator``, which the bitmask matcher left unchanged."""
+    a_sorted = tuple(sorted(set(a_set)))
+    match: dict[int, int] = {}  # right vertex -> matched left vertex
+
+    def augment(a: int, visited: set[int]) -> bool:
+        for b in g.neighbors(a):
+            if b in visited:
+                continue
+            visited.add(b)
+            if b not in match or augment(match[b], visited):
+                match[b] = a
+                return True
+        return False
+
+    for a in a_sorted:
+        visited: set[int] = set()
+        if not augment(a, visited):
+            z = sorted({a} | {match[b] for b in visited})
+            return HallCertificate(None, _minimal_violator(g, z))
+    edges = tuple(sorted(normalize_edge(left, right) for right, left in match.items()))
+    return HallCertificate(edges, None)
 
 
 def labeled_codes(n: int):

@@ -1,11 +1,15 @@
-"""Opt-in exhaustive runs at n = 10: pytest -m extended.
+"""Opt-in exhaustive runs beyond the default sizes: pytest -m extended.
 
 The default acceptance suite proves the size-10 emptiness result through the
 hereditary prune; this module repeats it over the full unpruned stream of
 ~1.2e7 classes, and runs T1d at n = 10 through the prune, which augments the
-8,345 classes of T(1,9) into 844,279 children.  The worker count comes from
+8,345 classes of T(1,9) into 844,279 children, and checks L21 at n = 9, one
+size beyond its default range, over every maximum independent set of the
+84,571 (1,0)-stable classes of level 9.  The worker count comes from
 STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU x86-64 VM the
-unpruned scan took 3.1 to 5.5 minutes and T1d about 23 seconds.
+unpruned scan took 3.1 to 5.5 minutes and T1d about 23 seconds; with 1
+worker L21 at n = 9 took about 36 seconds, building level 9 included
+(Python 3.11.7).
 """
 
 import os
@@ -41,3 +45,11 @@ def test_t1d_at_ten_through_the_prune():
     assert rep.verdict == "verified"
     assert len(rep.matches) == 438
     assert rep.graphs_scanned == 844279
+
+
+@pytest.mark.extended
+def test_l21_at_nine():
+    rep, _ = _timed("L21", n_values=(9,))
+    assert rep.verdict == "verified"
+    assert len(rep.matches) == 84571
+    assert rep.graphs_scanned == 274668

@@ -67,6 +67,13 @@ def test_independent_sets_complete_and_ordered(g, t):
     assert got == sorted(got)
 
 
+def test_independent_sets_are_lazy():
+    # 20 of 40 isolated vertices: C(40, 20) sets, the first one at once
+    sets = independent_sets_of_size(from_edges(40, []), 20)
+    assert next(sets) == tuple(range(20))
+    assert next(sets) == (*range(19), 20)
+
+
 def test_alpha_after_single_removals_examples():
     assert alpha_after_single_removals(cycle(5)) == {v: 2 for v in range(5)}
     assert alpha_after_single_removals(path(3)) == {0: 1, 1: 2, 2: 1}
