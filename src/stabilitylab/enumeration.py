@@ -16,12 +16,33 @@ decides:
 3. the second refinement round, on the largest-degree cell only: another
    vertex with a larger sorted list of neighbour degrees rejects, a list
    of z's larger than all others accepts, and only ties go on;
-4. the equitable partition: z outside its last cell rejects, a singleton
+4. every tied vertex a twin of z (the same neighbours apart from z and
+   itself): accept;
+5. the equitable partition: z outside its last cell rejects, a singleton
    last cell accepts;
-5. every other vertex of the last cell proved to be in z's orbit by
+6. every other vertex of the last cell proved to be in z's orbit by
    :func:`~stabilitylab.canonical.shares_orbit` accepts, since the
    canonical deletion vertex is one of them;
-6. the full canonical labeling decides the rest.
+7. the full canonical labeling decides the rest.
+
+Step 3 sorts no list.  It compares weights: a vertex's weight is the sum of
+``(n+1) ** (n - deg u)`` over its neighbours u.  Read in base n+1, digit
+n-d of the weight counts the neighbours of degree d, and no digit reaches
+n+1.  The vertices compared share one degree, so their lists have one
+length.  At the first place where two such ascending lists differ, the
+smaller list has the smaller entry d; both lists agree on the entries below
+d, and only the smaller one has another d.  So it has the larger digit
+n-d, and every higher digit is equal.  A larger weight is therefore a
+smaller list, and equal weights are equal lists.
+
+Step 4 is exact because the last equitable cell lies inside the last cell
+of round two, which is z and the tied vertices, and because swapping z with
+a twin of it is an automorphism.  So every vertex of that cell, the
+canonical deletion vertex included, is in z's orbit.
+
+Attachment subsets come from masks bucketed by popcount once per parent
+size, and their orbits are closed through one image table per automorphism
+generator.
 
 Levels up to 9 vertices are cached as the tuples of adjacency-row codes
 that ``extend_level`` returns, checked against the known class counts.
@@ -55,6 +76,7 @@ import json
 import os
 from array import array
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence
 
@@ -75,7 +97,7 @@ from .critical import (
 )
 from .errors import InvariantViolation
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph, bits, reachable
+from .graphs import Graph, reachable
 from .independence import alpha_mask, independent_masks
 from .stability import stable_fast, tight_fast
 from .structure import augment_matching, spanning_certificate
@@ -97,13 +119,27 @@ def _check_size(n: int) -> None:
 # -- canonical augmentation --------------------------------------------------
 
 
-def _permute_mask(mask: int, sigma: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << sigma[low.bit_length() - 1]
-        mask ^= low
-    return out
+@lru_cache(maxsize=None)
+def _popcount_buckets(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``(exactly, above)``: ``exactly[c]`` holds the masks below ``2**m`` of
+    popcount c and ``above[c]`` those of popcount greater than c, ascending."""
+    exactly: list[list[int]] = [[] for _ in range(m + 1)]
+    for s in range(1 << m):
+        exactly[s.bit_count()].append(s)
+    above = [sorted(s for b in exactly[c + 1 :] for s in b) for c in range(m + 1)]
+    return tuple(map(tuple, exactly)), tuple(map(tuple, above))
+
+
+def _image_table(sigma: tuple[int, ...]) -> list[int]:
+    """``table[s]`` is the image of mask ``s`` under the permutation ``sigma``,
+    for every ``s`` below ``2**len(sigma)``, built by doubling: the masks with
+    highest bit v are those below ``1 << v`` plus v, so their images are the
+    images already built plus ``sigma[v]``."""
+    table = [0]
+    for image in sigma:
+        bit = 1 << image
+        table += [t | bit for t in table]
+    return table
 
 
 def _subset_reps(parent: Code) -> list[int]:
@@ -112,31 +148,51 @@ def _subset_reps(parent: Code) -> list[int]:
     give the new vertex the largest degree in the child:
     |S| >= max degree + [S meets a max-degree vertex].  Automorphisms keep
     both sides, so the gate removes whole orbits."""
+    m = len(parent)
     degs = [row.bit_count() for row in parent]
     top = max(degs)
     hubs = sum(1 << v for v, d in enumerate(degs) if d == top)
-    masks = [
-        m for m in range(1 << len(parent)) if m.bit_count() >= top + (m & hubs != 0)
-    ]
+    exactly, above = _popcount_buckets(m)
+    masks = [s for s in exactly[top] if not s & hubs]
+    masks += above[top]
+    masks.sort()  # two ascending runs: one merge
     gens = canonical_data(parent).generators
     if not gens:
         return masks
-    seen = bytearray(1 << len(parent))
+    tables = [_image_table(g) for g in gens]
+    seen = bytearray(1 << m)
     reps = []
-    for m in masks:
-        if seen[m]:
+    for s in masks:
+        if seen[s]:
             continue
-        reps.append(m)
-        stack = [m]
-        seen[m] = 1
+        reps.append(s)
+        stack = [s]
+        seen[s] = 1
         while stack:
             x = stack.pop()
-            for g in gens:
-                y = _permute_mask(x, g)
+            for table in tables:
+                y = table[x]
                 if not seen[y]:
                     seen[y] = 1
                     stack.append(y)
     return reps
+
+
+@lru_cache(maxsize=None)
+def _degree_weights(n: int) -> tuple[int, ...]:
+    """``(n + 1) ** (n - d)`` for each degree d of a graph on ``n`` vertices:
+    the weight a neighbour of degree d adds in the gate's second round."""
+    return tuple((n + 1) ** (n - d) for d in range(n))
+
+
+def _neighbour_weight(row: int, weights: list[int]) -> int:
+    """The sum of ``weights[u]`` over the set bits u of ``row``."""
+    total = 0
+    while row:
+        low = row & -row
+        total += weights[low.bit_length() - 1]
+        row ^= low
+    return total
 
 
 def _child_code(parent: Code, subset: int) -> Code:
@@ -155,16 +211,24 @@ def _is_canonical_child(code: Code, n: int) -> bool:
     top = [v for v in range(z) if degs[v] == degs[z]]
     if not top:
         return True  # the last cell is {z} from the start
-    # the second refinement round, on the top-degree cell only
-    zsig = sorted(degs[u] for u in bits(code[z]))
-    tied = False
+    # the second refinement round, on the top-degree cell only: a larger
+    # weight is a smaller sorted list of neighbour degrees
+    by_degree = _degree_weights(n)
+    weights = [by_degree[d] for d in degs]
+    zrow = code[z]
+    zweight = _neighbour_weight(zrow, weights)
+    tied = []
     for v in top:
-        sig = sorted(degs[u] for u in bits(code[v]))
-        if sig > zsig:
+        weight = _neighbour_weight(code[v], weights)
+        if weight < zweight:
             return False
-        tied = tied or sig == zsig
+        if weight == zweight:
+            tied.append(v)
     if not tied:
         return True
+    zbit = 1 << z
+    if all(not (zrow ^ code[w]) & ~(zbit | 1 << w) for w in tied):
+        return True  # each tied vertex is a twin of z
     nlists = neighbor_lists(code)
     colors = refine_colors(nlists, degree_ranks(code))
     if colors[z] != max(colors):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,6 +7,8 @@ from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import labeled_codes, random_graph, reference_canonical_children
 from stabilitylab import enumeration, structure
@@ -17,8 +20,11 @@ from stabilitylab.enumeration import (
     _cached_level,
     _canonical_children,
     _child_code,
+    _degree_weights,
     _filtered_scan,
+    _image_table,
     _is_canonical_child,
+    _neighbour_weight,
     _scan_chunk,
     _subset_reps,
     atlas_read,
@@ -114,6 +120,19 @@ def _random_gate_candidates(seed, count):
     return out
 
 
+def _round_two_ties(code, n):
+    """The vertices whose sorted list of neighbour degrees equals that of
+    the new vertex, among those of its degree: the gate's round-two ties,
+    found by sorting."""
+    z = n - 1
+    degs = [row.bit_count() for row in code]
+
+    def sig(v):
+        return sorted(degs[u] for u in range(n) if code[v] >> u & 1)
+
+    return [v for v in range(z) if degs[v] == degs[z] and sig(v) == sig(z)]
+
+
 def test_gate_matches_full_labeling(monkeypatch):
     # every degree-gated candidate on levels 1-7 and seeded larger ones: the
     # shortcuts of _is_canonical_child decide exactly as the full labeling
@@ -143,14 +162,89 @@ def test_gate_matches_full_labeling(monkeypatch):
         assert got == _full_labeling_gate(code, n), code
         degs = [row.bit_count() for row in code]
         if "refine_colors" not in seen:
+            tied = _round_two_ties(code, n)
+            if got and tied:
+                # z adjacent to a tied twin, or to none of them
+                near = any(code[n - 1] >> w & 1 for w in tied)
+                branches["twin accept, adjacent" if near else "twin accept, apart"] += 1
+                continue
             ties = degs.count(degs[n - 1]) > 1
             branches[("round-2 " if ties else "top-degree ") + ("accept" if got else "reject")] += 1
         elif "canonical_data" in seen:
             branches["fallback"] += 1
         elif seen.get("shares_orbit"):
             branches["one-orbit accept"] += 1
-    for branch in ("round-2 accept", "round-2 reject", "one-orbit accept", "fallback"):
+    for branch in (
+        "round-2 accept",
+        "round-2 reject",
+        "twin accept, adjacent",
+        "twin accept, apart",
+        "one-orbit accept",
+        "fallback",
+    ):
         assert branches[branch] > 0, branches
+
+
+@pytest.mark.extended
+def test_gate_exhaustive_level_eight():
+    # every degree-gated candidate of every level-8 parent: the gate decides
+    # as the full labeling, and what it accepts is level 9
+    candidates = accepted = 0
+    for parent in _cached_level(8):
+        for subset in _subset_reps(parent):
+            code = _child_code(parent, subset)
+            got = _is_canonical_child(code, 9)
+            assert got == _full_labeling_gate(code, 9), code
+            candidates += 1
+            accepted += got
+    assert (candidates, accepted) == (435646, 274668)
+
+
+#: sha256 of the canonical children of every 400th level-9 class (from the
+#: first), one code per line as in ``test_golden.LEVEL_9``
+LEVEL_10_SLICE = (30109, "20b203273f129f1bf3b02d31edaeda4c1ae3ea4ab9d5ece2646b7f26945989ed")
+
+
+def test_level_ten_slice_codes_unchanged():
+    children = extend_level(_cached_level(9)[::400], 10)
+    text = "\n".join(" ".join(map(str, code)) for code in children)
+    assert (len(children), hashlib.sha256(text.encode()).hexdigest()) == LEVEL_10_SLICE
+
+
+@given(st.integers(0, 10).flatmap(lambda n: st.permutations(range(n))))
+def test_image_table_matches_bit_loop(sigma):
+    table = _image_table(tuple(sigma))
+    assert len(table) == 1 << len(sigma)
+    for s, image in enumerate(table):
+        assert image == sum(1 << sigma[v] for v in range(len(sigma)) if s >> v & 1)
+
+
+@given(st.data())
+def test_weight_order_is_reverse_sorted_list_order(data):
+    # two lists of neighbour degrees of one length, as the vertices of one
+    # degree in a graph on n vertices have: a larger weight is exactly a
+    # smaller ascending list
+    n = data.draw(st.integers(1, 13))
+    size = data.draw(st.integers(0, n - 1))
+    lists = [
+        sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+        for _ in range(2)
+    ]
+    a, b = (
+        _neighbour_weight((1 << size) - 1, [_degree_weights(n)[d] for d in degs])
+        for degs in lists
+    )
+    assert (a > b, a == b) == (lists[0] < lists[1], lists[0] == lists[1])
+
+
+def test_weight_order_on_every_list_pair_below_seven():
+    for n in range(1, 7):
+        weights = _degree_weights(n)
+        for size in range(n):
+            lists = list(itertools.combinations_with_replacement(range(n), size))
+            by_weight = sorted(lists, key=lambda degs: -sum(weights[d] for d in degs))
+            assert by_weight == sorted(lists)
+            assert len({sum(weights[d] for d in degs) for degs in lists}) == len(lists)
 
 
 def test_class_count_mismatch_raises(monkeypatch):
