@@ -68,6 +68,16 @@ filter at size n augments only the parents that the pruned scan for tight
 (k-1,0) finds at size n-1 (the whole level when k = 1 or n = 2).  Deleting
 a vertex of a tight (k,0)-stable graph leaves a tight (k-1,0)-stable graph,
 so the canonical parent of every match lies among them.
+
+Each match is finished in its scan chunk, in the pool workers when there
+are several.  The chunk hands the match's alpha and witness, from the
+level's table or from its own ``alpha_mask`` call, to the pipeline's check
+``(code, n, alpha, witness)``, and returns the codes, one alpha byte per
+match and the codes the check rejects.  A chunk names its pipeline by
+theorem id, since a check may be a closure, which cannot be pickled.
+Reports and atlas records are encoded straight from the adjacency rows;
+only the certificate builders and the AND and SUR recognizers build a
+``Graph``.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ from .critical import (
     is_even_subdivision_k4,
 )
 from .errors import InvariantViolation
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import encode_rows, parse_graph6
 from .graphs import Graph, reachable
 from .independence import alpha_mask, independent_masks
 from .stability import stable_fast, tight_fast
@@ -334,7 +344,7 @@ def _code_connected(code: Code, n: int) -> bool:
 
 
 def _min_degree(code: Code) -> int:
-    return min(row.bit_count() for row in code)
+    return min(map(int.bit_count, code))
 
 
 def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], object]:
@@ -398,48 +408,68 @@ def _spec_tests(spec: FilterSpec) -> list[tuple]:
     return tests
 
 
-def _passes(code: Code, n: int, tests: list[tuple], table: array | None, index: int) -> bool:
-    """Whether ``code`` passes ``tests``.  Alpha and its witness come at the
-    first test that needs them: from ``table[index]`` when that is set, else
-    from ``alpha_mask``, then stored there; with ``table=None`` they are
-    computed each time."""
+def _alpha(code: Code, n: int, table: array | None, index: int) -> tuple[int, int]:
+    """``alpha_mask(code, full)``, read from ``table[index]`` when that is
+    set, else computed and stored there; with ``table=None`` computed."""
+    packed = 0 if table is None else table[index]
+    if packed:
+        return packed >> n, packed & ((1 << n) - 1)
+    a, wit = alpha_mask(code, (1 << n) - 1)
+    if table is not None:
+        table[index] = wit | a << n
+    return a, wit
+
+
+def _passes(
+    code: Code, n: int, tests: list[tuple], table: array | None, index: int
+) -> tuple[int, int] | None:
+    """``(alpha, witness)`` of ``code`` if it passes ``tests``, else ``None``.
+    Alpha and its witness come from :func:`_alpha` at the first test that
+    needs them, or after the last test if ``code`` passes without one."""
     a = wit = None
     for evaluate, want, needs_alpha in tests:
         if needs_alpha and a is None:
-            packed = 0 if table is None else table[index]
-            if packed:
-                a, wit = packed >> n, packed & ((1 << n) - 1)
-            else:
-                a, wit = alpha_mask(code, (1 << n) - 1)
-                if table is not None:
-                    table[index] = wit | a << n
+            a, wit = _alpha(code, n, table, index)
         if evaluate(code, n, a, wit) != want:
-            return False
-    return True
+            return None
+    return _alpha(code, n, table, index) if a is None else (a, wit)
 
 
 def _scan_chunk(
-    args: tuple[Sequence[Code], int, FilterSpec, array | None],
-) -> tuple[int, list[Code], array | None]:
-    """(codes read, matches, alpha table) of the filter over
-    ``_codes(items, n)`` for ``args = (items, n, spec, table)``.  When the
-    items are codes of a cached level, ``table`` holds their alpha entries
-    (entry i for ``items[i]``): the scan reads and fills it in place and
-    returns it.  With ``table=None`` the children of the items are read,
-    each computing its own alpha.  An exception comes back as the same type
-    with n and the graph6 of the first and last item in front of its message."""
-    items, n, spec, table = args
+    args: tuple[Sequence[Code], int, FilterSpec, array | None, str | None],
+) -> tuple[int, list[Code], bytearray, list[Code], array | None]:
+    """(codes read, matches, their alphas, failed matches, alpha table) of
+    the filter over ``_codes(items, n)`` for ``args = (items, n, spec,
+    table, theorem_id)``.  Each match is finished here: its alpha and
+    witness, from the table or from this chunk's ``alpha_mask`` call, go to
+    the check of pipeline ``theorem_id`` (none for ``None``), and the
+    matches it rejects are the failed ones.  The alphas are one byte per
+    match (alpha <= n <= 10).  When the items are codes of a cached level,
+    ``table`` holds their alpha entries (entry i for ``items[i]``): the scan
+    reads and fills it in place and returns it.  With ``table=None`` the
+    children of the items are read, each computing its own alpha.  An
+    exception comes back as the same type with n and the graph6 of the
+    first and last item in front of its message."""
+    items, n, spec, table, theorem_id = args
     try:
         tests = _spec_tests(spec)
+        check = None if theorem_id is None else _PIPELINES[theorem_id].check
         scanned = 0
         matches: list[Code] = []
+        alphas = bytearray()
+        failed: list[Code] = []
         for index, code in enumerate(_codes(items, n)):
             scanned += 1
-            if _passes(code, n, tests, table, index):
-                matches.append(code)
-        return scanned, matches, table
+            found = _passes(code, n, tests, table, index)
+            if found is None:
+                continue
+            matches.append(code)
+            alphas.append(found[0])
+            if check is not None and not check(code, n, *found):
+                failed.append(code)
+        return scanned, matches, alphas, failed, table
     except Exception as exc:
-        first, last = (write_graph6(Graph(len(c), c)) for c in (items[0], items[-1]))
+        first, last = (encode_rows(c, len(c)) for c in (items[0], items[-1]))
         try:
             named = type(exc)(f"n={n}, chunk {first} to {last}: {exc}")
         except Exception:
@@ -448,17 +478,20 @@ def _scan_chunk(
 
 
 def _filtered_scan(
-    n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1
-) -> tuple[int, list[Code]]:
-    """(classes scanned, sorted matches) of ``spec`` at size ``n``, read from
-    level n when cached, else from the children of level n-1.  With ``prune``
-    (requires ``spec.tight=(k,0)``) the parents are the matches of the pruned
-    tight (k-1,0) scan at n-1, or level n-1 when k = 1 or n = 2 (level 1 at
-    n = 1).  About four chunks per worker, at most one worker per CPU and
-    per item whatever ``jobs`` asks for; one worker runs in this process.
-    A scan of cached level n reads and fills the level's alpha table: in
-    place with one worker, else each chunk gets a copy of its slice and the
-    filled copies are written back here."""
+    n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1, theorem_id: str | None = None
+) -> tuple[int, list[Code], bytes, list[Code]]:
+    """(classes scanned, sorted matches, their alphas, sorted failed
+    matches) of ``spec`` at size ``n``, read from level n when cached, else
+    from the children of level n-1.  The failed matches are those the check
+    of pipeline ``theorem_id`` rejects, run in the chunks (none for
+    ``None``); the alphas are one byte per match, in the order of the
+    matches.  With ``prune`` (requires ``spec.tight=(k,0)``) the parents are
+    the matches of the pruned tight (k-1,0) scan at n-1, or level n-1 when
+    k = 1 or n = 2 (level 1 at n = 1).  About four chunks per worker, at
+    most one worker per CPU and per item whatever ``jobs`` asks for; one
+    worker runs in this process.  A scan of cached level n reads and fills
+    the level's alpha table: in place with one worker, else each chunk gets
+    a copy of its slice and the filled copies are written back here."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
@@ -472,20 +505,28 @@ def _filtered_scan(
         table = _LEVELS[n][1]
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        results = [_scan_chunk((items, n, spec, table))]
+        results = [_scan_chunk((items, n, spec, table, theorem_id))]
     else:
         step = -(-len(items) // (workers * 4))
         starts = range(0, len(items), step)
         chunks = [
-            (items[i : i + step], n, spec, None if table is None else table[i : i + step])
+            (items[i : i + step], n, spec, None if table is None else table[i : i + step], theorem_id)
             for i in starts
         ]
         with get_context("fork").Pool(workers) as pool:
             results = list(pool.imap(_scan_chunk, chunks))
         if table is not None:
-            for i, (_, _, filled) in zip(starts, results):
-                table[i : i + step] = filled
-    return sum(r[0] for r in results), sorted(c for r in results for c in r[1])
+            for i, result in zip(starts, results):
+                table[i : i + step] = result[4]
+    matches = [c for r in results for c in r[1]]
+    alphas = b"".join(r[2] for r in results)
+    order = sorted(range(len(matches)), key=matches.__getitem__)
+    return (
+        sum(r[0] for r in results),
+        [matches[i] for i in order],
+        bytes(alphas[i] for i in order),
+        sorted(c for r in results for c in r[3]),
+    )
 
 
 # -- atlas records -----------------------------------------------------------
@@ -512,15 +553,18 @@ class AtlasRecord:
         return json.dumps(payload, separators=(",", ":"), sort_keys=False)
 
 
+def _record(code: Code, n: int, alpha: int, spec: FilterSpec, provenance: dict) -> AtlasRecord:
+    flags = {"min_degree": _min_degree(code), **_required_flags(spec)}
+    if "connected" not in flags:
+        flags["connected"] = _code_connected(code, n)
+    return AtlasRecord(encode_rows(code, n), n, alpha, flags, provenance)
+
+
 def atlas_record(g: Graph, spec: FilterSpec, provenance: dict) -> AtlasRecord:
     """Record of a graph that passed ``spec``: the flags ``spec`` requires
     carry their required values; ``connected`` and ``min_degree`` are always
     present."""
-    flags = {"min_degree": _min_degree(g.adj), **_required_flags(spec)}
-    if "connected" not in flags:
-        flags["connected"] = _code_connected(g.adj, g.n)
-    alpha = alpha_mask(g.adj, (1 << g.n) - 1)[0]
-    return AtlasRecord(write_graph6(g), g.n, alpha, flags, provenance)
+    return _record(g.adj, g.n, alpha_mask(g.adj, (1 << g.n) - 1)[0], spec, provenance)
 
 
 def filtered_records(
@@ -529,13 +573,14 @@ def filtered_records(
     hereditary_prune: bool = False,
     jobs: int = 1,
 ) -> tuple[int, list[AtlasRecord]]:
-    """Scan size ``n`` and return (classes scanned, sorted matching records)."""
-    scanned, matches = _filtered_scan(n, spec, prune=hereditary_prune, jobs=jobs)
+    """Scan size ``n`` and return (classes scanned, sorted matching records),
+    each record's alpha taken from the scan."""
+    scanned, matches, alphas, _ = _filtered_scan(n, spec, prune=hereditary_prune, jobs=jobs)
     provenance = {
         "version": __version__,
         "parameters": {"n": n, "filters": spec.to_dict(), "prune": hereditary_prune},
     }
-    records = [atlas_record(Graph(n, code), spec, provenance) for code in matches]
+    records = [_record(code, n, a, spec, provenance) for code, a in zip(matches, alphas)]
     records.sort(key=lambda r: r.g6)
     return scanned, records
 
@@ -603,13 +648,16 @@ class VerificationReport:
         return asdict(self)
 
 
-def _certificate_check(k: int) -> Callable[[Graph], bool]:
+Check = Callable[[Code, int, int, int], bool]
+
+
+def _certificate_check(k: int) -> Check:
     """Match test: the spanning certificate of tight (k,0)-stability builds;
     a failed construction makes the match a counterexample."""
 
-    def check(g: Graph) -> bool:
+    def check(code: Code, n: int, a: int, witness: int) -> bool:
         try:
-            spanning_certificate(g, k)
+            spanning_certificate(Graph(n, code), k)
             return True
         except (InvariantViolation, ValueError):
             return False
@@ -617,30 +665,33 @@ def _certificate_check(k: int) -> Callable[[Graph], bool]:
     return check
 
 
-def _l21_check(g: Graph) -> bool:
+def _l21_check(code: Code, n: int, a: int, witness: int) -> bool:
     """Match test of L21: every maximum independent set saturates into its
     complement.  By Hall's theorem that is whether the augmenting-path
     search of ``augment_matching`` matches every vertex of the set; it runs
-    on each set ``independent_masks`` yields at size alpha, stopping at the
-    first set that fails."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    a = alpha_mask(adj, full)[0]
-    return all(not augment_matching(adj, s)[1] for s in independent_masks(adj, full, a))
+    on each set ``independent_masks`` yields at size ``a``, the alpha the
+    scan computed, stopping at the first set that fails."""
+    sets = independent_masks(code, (1 << n) - 1, a)
+    return all(not augment_matching(code, s)[1] for s in sets)
+
+
+def _refuted(code: Code, n: int, a: int, witness: int) -> bool:
+    """Match test that no match passes: every match is a counterexample."""
+    return False
 
 
 @dataclass(frozen=True)
 class _Pipeline:
     """What one theorem scans: the filter, the test each match must pass
-    (``None``: every match is a counterexample), the default sizes, the
-    parity every size must have (``None``: any), whether the hereditary
-    prune is on by default, the one ``k`` the theorem accepts (``None``:
-    none) and the catalog graphs each size must find (a name not found at
-    its order is a counterexample).  Every pipeline takes the sizes 1..10
+    (``check(code, n, alpha, witness)``, run in the scan chunks on the
+    scan's alpha), the default sizes, the parity every size must have
+    (``None``: any), whether the hereditary prune is on by default, the one
+    ``k`` the theorem accepts (``None``: none) and the catalog graphs each
+    size must find (a name not found at its order is a counterexample).  Every pipeline takes the sizes 1..10
     that its parity allows."""
 
     spec: FilterSpec
-    check: Callable[[Graph], bool] | None
+    check: Check
     sizes: tuple[int, ...]
     parity: int | None = None
     prune: bool = False
@@ -655,16 +706,16 @@ _PIPELINES: dict[str, _Pipeline] = {
     "T1d": _Pipeline(FilterSpec(tight=(2, 0)), _certificate_check(2), (4, 6, 8), 0),
     "T2": _Pipeline(FilterSpec(tight=(3, 0)), _certificate_check(3), (4, 5, 6, 7, 8, 9)),
     # a tight (3,0)-stable graph has at most 9 vertices: any match refutes it
-    "COR": _Pipeline(FilterSpec(tight=(3, 0)), None, (10,), prune=True, k=3),
+    "COR": _Pipeline(FilterSpec(tight=(3, 0)), _refuted, (10,), prune=True, k=3),
     "L21": _Pipeline(FilterSpec(stable=(1, 0)), _l21_check, (2, 3, 4, 5, 6, 7, 8)),
     "AND": _Pipeline(
         FilterSpec(connected=True, defect=2, alpha_critical=True),
-        lambda g: is_even_subdivision_k4(g) is not None,
+        lambda code, n, a, wit: is_even_subdivision_k4(Graph(n, code)) is not None,
         (4, 6, 8),
     ),
     "SUR": _Pipeline(
         FilterSpec(min_degree=3, connected=True, defect=3, alpha_critical=True),
-        lambda g: classify_defect(g).classification in CLASS_NAMED,
+        lambda code, n, a, wit: classify_defect(Graph(n, code)).classification in CLASS_NAMED,
         (5, 7, 9),
         required=CLASS_NAMED,
     ),
@@ -689,8 +740,8 @@ def verify_theorem(
 
     Every pipeline scans the filtered enumeration stream at the requested
     sizes and attempts the corresponding certificate construction on each
-    match; a failed construction or recognizer is a counterexample.  Every
-    size is checked before the first scan.
+    match, in the scan chunks; a failed construction or recognizer is a
+    counterexample.  Every size is checked before the first scan.
     """
     if theorem_id not in _PIPELINES:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
@@ -717,14 +768,10 @@ def verify_theorem(
     counterexamples: list[str] = []
 
     for n in values:
-        scanned, codes = _filtered_scan(n, pipeline.spec, prune=use_prune, jobs=jobs)
+        scanned, codes, _, failed = _filtered_scan(n, pipeline.spec, use_prune, jobs, theorem_id)
         scanned_total += scanned
-        for code in codes:
-            g = Graph(n, code)
-            g6 = write_graph6(g)
-            matches.append(g6)
-            if pipeline.check is None or not pipeline.check(g):
-                counterexamples.append(g6)
+        matches += (encode_rows(code, n) for code in codes)
+        counterexamples += (encode_rows(code, n) for code in failed)
         counterexamples.extend(_missing(pipeline.required, n, codes))
 
     verdict = "verified" if not counterexamples else "refuted"
@@ -746,4 +793,4 @@ def _missing(names: tuple[str, ...], n: int, codes: list[Code]) -> list[str]:
     no code in ``codes`` is isomorphic to."""
     graphs = [g for g in map(catalog.named_graph, names) if g.n == n]
     found = {canonical_key(code) for code in codes} if graphs else set()
-    return [write_graph6(g) for g in graphs if canonical_key(g.adj) not in found]
+    return [encode_rows(g.adj, g.n) for g in graphs if canonical_key(g.adj) not in found]

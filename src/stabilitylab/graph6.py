@@ -12,15 +12,17 @@ from .graphs import Graph
 _MAX_G6 = 62
 
 
-def write_graph6(g: Graph) -> str:
-    if g.n > _MAX_G6:
-        raise ValueError(f"graph6 short form cannot encode {g.n} > {_MAX_G6} vertices")
-    out = [chr(g.n + 63)]
+def encode_rows(adj: tuple[int, ...], n: int) -> str:
+    """The graph6 string of the adjacency rows ``adj`` on ``n`` vertices,
+    with no ``Graph`` built: the one encoder, which ``write_graph6`` calls."""
+    if n > _MAX_G6:
+        raise ValueError(f"graph6 short form cannot encode {n} > {_MAX_G6} vertices")
+    out = [chr(n + 63)]
     acc = 0
     nbits = 0
-    for j in range(1, g.n):
+    for j in range(1, n):
         for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
+            acc = acc << 1 | (adj[i] >> j & 1)
             nbits += 1
             if nbits == 6:
                 out.append(chr(acc + 63))
@@ -28,6 +30,10 @@ def write_graph6(g: Graph) -> str:
     if nbits:
         out.append(chr((acc << (6 - nbits)) + 63))
     return "".join(out)
+
+
+def write_graph6(g: Graph) -> str:
+    return encode_rows(g.adj, g.n)
 
 
 def parse_graph6(text: str) -> Graph:

@@ -9,14 +9,26 @@ One scan, :func:`_first_violator`, serves :func:`is_stable` (the witness is
 the first violating subset), :func:`stable_fast` and :func:`max_alpha_drop`.
 It walks the k-subsets lexicographically, looking for a removal that leaves
 alpha below a floor, and keeps ``known``: independent sets, every one of size
->= the floor (the full-graph witness, then the set each probe that did not
-violate found).  A subset disjoint from one of them cannot violate, so it is
+>= the floor (the full-graph witness, then one set for each later subset
+that no known set missed: the set its probe found, or its swap below).  A subset disjoint from one of them cannot violate, so it is
 skipped without an alpha call and the first violator is the one the plain
 scan finds.  Each probe is a threshold query, ``alpha_mask(adj, rest,
 floor)``: it stops at the first independent set of size >= the floor instead
 of proving a maximum.  Such a set proves a subset missing it harmless just
 as a maximum one does, so the verdicts and witnesses stay those of the plain
 scan; only which subsets get probed may change.
+
+Before a probe of a subset S that meets the full-graph witness W =
+``known[0]`` in exactly one vertex v, the scan tries a one-vertex swap, the
+plateau move of the local search of Andrade, Resende & Werneck (J.
+Heuristics 18, 2012): a vertex u outside W and S whose only neighbour in W
+is v.  Then W - v + u is independent (u sees nothing else of W), as large
+as W, so at least the floor, and misses S (v was W's one vertex in S, and
+u is not in S).  It joins ``known`` in place of the set the probe would
+have found, and the probe is skipped.  A subset is still skipped only when
+a known independent set of size >= the floor misses it, so the verdicts
+and first violators do not change, and ``known`` grows by at most one set
+per skipped probe.
 """
 
 from __future__ import annotations
@@ -49,17 +61,40 @@ def stability_bound(n: int, k: int, l: int) -> int:
     return _bound(n, k, l)
 
 
+def _by_neighbours_in(adj: Code, n: int, top: int) -> dict[int, int]:
+    """The vertices grouped by their neighbours in ``top``: each mask of
+    neighbours maps to the mask of the vertices with exactly those.  At a
+    single vertex v of the independent set ``top`` it holds the vertices,
+    none of them in ``top``, whose only neighbour in ``top`` is v."""
+    groups: dict[int, int] = {}
+    for u in range(n):
+        hits = adj[u] & top
+        groups[hits] = groups.get(hits, 0) | 1 << u
+    return groups
+
+
 def _first_violator(
     adj: Code, n: int, k: int, floor: int, known: list[int]
 ) -> tuple[int, ...] | None:
-    """First k-subset whose removal leaves alpha < ``floor``; extends ``known``."""
+    """First k-subset whose removal leaves alpha < ``floor``; extends ``known``,
+    whose first set must have at least ``floor`` vertices."""
     full = (1 << n) - 1
+    top = known[0]
+    groups = None  # built at the first subset that meets ``top`` in one vertex
     for sub in combinations([1 << v for v in range(n)], k):
         smask = sum(sub)
         for w in known:
             if not w & smask:
                 break
         else:
+            hit = top & smask
+            if not hit & (hit - 1):
+                if groups is None:
+                    groups = _by_neighbours_in(adj, n, top)
+                swap = groups.get(hit, 0) & ~smask
+                if swap:
+                    known.append(top ^ hit | swap & -swap)
+                    continue
             rest, wit = alpha_mask(adj, full ^ smask, floor)
             if rest < floor:
                 return tuple(b.bit_length() - 1 for b in sub)

@@ -5,6 +5,7 @@ import random
 import re
 from array import array
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from stabilitylab.enumeration import (
     _scan_chunk,
     _subset_reps,
     atlas_read,
+    atlas_record,
     atlas_write,
     default_sizes,
     enumerate_canonical,
@@ -355,7 +357,7 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
                         code, n, *real_alpha(code, (1 << n) - 1)
                     )
                     calls.clear()
-                    assert enumeration._passes(code, n, tests, None, 0) == want
+                    assert (enumeration._passes(code, n, tests, None, 0) is not None) == want
                     if degree < k:
                         assert calls == []
 
@@ -455,14 +457,14 @@ def test_prune_soundness_small():
     rows = ((6, 2), (7, 2), (8, 2), (7, 3), (8, 3), (5, 1), (8, 1), (7, 4), (8, 4))
     for n, k in rows + ((2, 2), (3, 3), (4, 6)):  # the last three have n <= k
         spec = FilterSpec(tight=(k, 0))
-        _, plain = _filtered_scan(n, spec, prune=False)
-        _, pruned = _filtered_scan(n, spec, prune=True)
+        plain = _filtered_scan(n, spec, prune=False)[1]
+        pruned = _filtered_scan(n, spec, prune=True)[1]
         assert plain == pruned
 
 
 def test_pruned_scan_at_one_vertex_scans_level_one():
     spec = FilterSpec(tight=(1, 0))
-    assert _filtered_scan(1, spec, prune=True) == _filtered_scan(1, spec) == (1, [])
+    assert _filtered_scan(1, spec, prune=True) == _filtered_scan(1, spec) == (1, [], b"", [])
     rep = verify_theorem("COR", n_values=(1,))
     assert (rep.graphs_scanned, rep.verdict) == (1, "verified")
 
@@ -586,6 +588,63 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
     assert match and match.groups() in bounds
 
 
+@pytest.mark.parametrize("theorem_id,n", [("L21", 7), ("T1b", 7)])
+def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n):
+    # the checks run in the scan chunks, in the workers for jobs=2 (two
+    # CPUs, so that it forks), on the alpha and witness of alpha_mask: a
+    # check that rejects exactly one match reports that match as the only
+    # counterexample, the same for both
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    real = verify_theorem(theorem_id, n_values=(n,))
+    target = real.matches[len(real.matches) // 2]
+    pipeline = enumeration._PIPELINES[theorem_id]
+    code_of_target = parse_graph6(target).adj
+
+    def check(code, n, a, wit):
+        assert (a, wit) == alpha_mask(code, (1 << n) - 1)
+        return code != code_of_target and pipeline.check(code, n, a, wit)
+
+    monkeypatch.setitem(enumeration._PIPELINES, theorem_id, replace(pipeline, check=check))
+    serial, pooled = (verify_theorem(theorem_id, n_values=(n,), jobs=jobs) for jobs in (1, 2))
+    assert serial == pooled
+    assert (serial.verdict, serial.counterexamples) == ("refuted", [target])
+    assert serial.matches == real.matches and real.verdict == "verified"
+
+
+def _count_alpha(monkeypatch) -> list:
+    """Count the ``alpha_mask`` calls made from ``enumeration``."""
+    calls = []
+
+    def counting_alpha(adj, mask):
+        calls.append(adj)
+        return alpha_mask(adj, mask)
+
+    monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
+    return calls
+
+
+def test_warm_l21_pass_computes_no_alpha(monkeypatch):
+    # once level 8's alpha table is filled, the L21 scan reads every alpha
+    # from it and the check takes the scan's alpha
+    verify_theorem("L21", n_values=(8,))
+    calls = _count_alpha(monkeypatch)
+    rep = verify_theorem("L21", n_values=(8,))
+    assert (len(rep.matches), rep.verdict) == (3641, "verified")
+    assert calls == []
+
+
+def test_records_take_alpha_from_the_scan(monkeypatch):
+    # a warm filtered_records computes no alpha, and its records are those
+    # atlas_record builds from each match
+    spec = FilterSpec(stable=(1, 0))
+    provenance = filtered_records(7, spec)[1][0].provenance
+    rebuilt = [atlas_record(Graph(7, code), spec, provenance) for code in _filtered_scan(7, spec)[1]]
+    calls = _count_alpha(monkeypatch)
+    records = filtered_records(7, spec)[1]
+    assert calls == []
+    assert records == sorted(rebuilt, key=lambda r: r.g6) and len(records) == 271
+
+
 def test_level_ten_streams_the_children_of_level_nine():
     # enumerate_canonical(10) and a scan chunk at n=10 read the canonical
     # children of the level-9 parents in order
@@ -597,7 +656,7 @@ def test_level_ten_streams_the_children_of_level_nine():
             break
         children += extend_level([parent], 10)
     assert stream == [Graph(10, c) for c in children[:2000]]
-    assert _scan_chunk((level9[:40], 10, FilterSpec(), None))[0] == len(extend_level(level9[:40], 10))
+    assert _scan_chunk((level9[:40], 10, FilterSpec(), None, None))[0] == len(extend_level(level9[:40], 10))
 
 
 def test_atlas_roundtrip(tmp_path):
@@ -758,9 +817,9 @@ def test_verify_takes_size_ten_and_rejects_eleven(monkeypatch, theorem_id):
     # allows it; the scan is stubbed out, so nothing is generated
     scanned = []
 
-    def stub(n, spec, prune=False, jobs=1):
+    def stub(n, spec, prune=False, jobs=1, theorem_id=None):
         scanned.append(n)
-        return 0, []
+        return 0, [], b"", []
 
     monkeypatch.setattr(enumeration, "_filtered_scan", stub)
     rep = verify_theorem(theorem_id, n_values=(10,))

@@ -7,6 +7,8 @@ independent sets come from ``itertools.combinations`` and Hall's condition
 is checked subset by subset, with no code shared with the fast paths.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import (
@@ -18,7 +20,7 @@ from stabilitylab import enumeration
 from stabilitylab.enumeration import _l21_check, enumerate_canonical, verify_theorem
 from stabilitylab.graph6 import write_graph6
 from stabilitylab.graphs import bits, from_edges, path
-from stabilitylab.independence import independent_masks
+from stabilitylab.independence import alpha_mask, independent_masks
 from stabilitylab.structure import augment_matching, hall_matching
 
 
@@ -39,8 +41,10 @@ def oracle():
 
 
 def test_l21_check_equals_brute_force(oracle):
+    # the check takes the alpha and witness a scan hands it
     for g, _, hall in oracle:
-        assert _l21_check(g) == all(hall), write_graph6(g)
+        found = alpha_mask(g.adj, (1 << g.n) - 1)
+        assert _l21_check(g.adj, g.n, *found) == all(hall), write_graph6(g)
 
 
 def test_hall_yes_no_equals_brute_force_on_every_maximum_set(oracle):
@@ -82,14 +86,16 @@ def test_blocked_set_violates_hall(oracle):
 
 
 def test_refuting_matches_are_reported(monkeypatch):
+    # the check refutes P3 and the star K1,3; a check that refutes every
+    # match, run in the scan, reports each match as a counterexample
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    stubs = {3: path(3), 4: star}
-    monkeypatch.setattr(
-        enumeration,
-        "_filtered_scan",
-        lambda n, spec, prune=False, jobs=1: (1, [stubs[n].adj]),
-    )
+    for g in (path(3), star):
+        assert not _l21_check(g.adj, g.n, *alpha_mask(g.adj, (1 << g.n) - 1))
+    real = verify_theorem("L21", n_values=(3, 4))
+    refute = replace(enumeration._PIPELINES["L21"], check=lambda code, n, a, wit: False)
+    monkeypatch.setitem(enumeration._PIPELINES, "L21", refute)
     rep = verify_theorem("L21", n_values=(3, 4))
+    assert (real.verdict, real.counterexamples) == ("verified", [])
     assert rep.verdict == "refuted"
-    assert rep.counterexamples == sorted(write_graph6(g) for g in stubs.values())
-    assert rep.matches == rep.counterexamples
+    assert rep.matches == real.matches and len(rep.matches) == 5
+    assert rep.counterexamples == rep.matches

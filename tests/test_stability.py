@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -186,6 +187,65 @@ def test_cached_scan_skips_subsets_missing_a_known_set(monkeypatch):
             calls.clear()
             assert probe()
             assert len(calls) <= g.n
+
+
+def test_swap_probes_no_more_than_the_witness_cache(monkeypatch):
+    # the probe counts before the one-vertex swap were 31 on C31 and 30 on
+    # C15+C15; the swap only replaces probes
+    calls = []
+
+    def counting_alpha(adj, mask, at_least=None):
+        calls.append(mask)
+        return alpha_mask(adj, mask, at_least)
+
+    monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
+    for g, before in ((cycle(31), 31), (disjoint_union(cycle(15), cycle(15)), 30)):
+        for probe in (lambda: is_stable(g, 2, 0).stable, lambda: max_alpha_drop(g, 2) == 0):
+            calls.clear()
+            assert probe()
+            assert len(calls) <= before
+
+
+def test_every_known_set_is_independent_and_misses_its_subset(monkeypatch):
+    # replay the skip rule over every class with n <= 7, k <= 3 and l < k:
+    # each subset that no earlier set misses is the violator or gets the
+    # next set added to ``known``, which is independent, has at least
+    # ``floor`` vertices and misses it; some sets come from the swap, with
+    # no alpha call
+    probes = []
+
+    def counting_alpha(adj, mask, at_least=None):
+        probes.append(mask)
+        return alpha_mask(adj, mask, at_least)
+
+    monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
+    swaps = 0
+    for n in range(2, 8):
+        for g in enumerate_canonical(n):
+            a, wit = alpha_mask(g.adj, (1 << n) - 1)
+            for k in range(1, min(3, n - 1) + 1):
+                for l in range(k):
+                    floor = a - l
+                    known = [wit]
+                    probes.clear()
+                    violator = stability._first_violator(g.adj, n, k, floor, known)
+                    added = iter(known[1:])
+                    replay = [wit]
+                    for sub in combinations(range(n), k):
+                        smask = sum(1 << v for v in sub)
+                        if any(not w & smask for w in replay):
+                            continue
+                        if sub == violator:
+                            break
+                        w = next(added)
+                        assert not any(g.adj[v] & w for v in range(n) if w >> v & 1)
+                        assert w.bit_count() >= floor and not w & smask
+                        replay.append(w)
+                    else:
+                        assert violator is None
+                    assert replay == known
+                    swaps += len(known) - 1 - len(probes) + (violator is not None)
+    assert swaps > 0
 
 
 @pytest.mark.extended
