@@ -687,8 +687,8 @@ class _Pipeline:
     scan's alpha), the default sizes, the parity every size must have
     (``None``: any), whether the hereditary prune is on by default, the one
     ``k`` the theorem accepts (``None``: none) and the catalog graphs each
-    size must find (a name not found at its order is a counterexample).  Every pipeline takes the sizes 1..10
-    that its parity allows."""
+    size must find (a name not found at its order is a counterexample).
+    Every pipeline takes the sizes 1..10 that its parity allows."""
 
     spec: FilterSpec
     check: Check

@@ -10,11 +10,12 @@ the first violating subset), :func:`stable_fast` and :func:`max_alpha_drop`.
 It walks the k-subsets lexicographically, looking for a removal that leaves
 alpha below a floor, and keeps ``known``: independent sets, every one of size
 >= the floor (the full-graph witness, then one set for each later subset
-that no known set missed: the set its probe found, or its swap below).  A subset disjoint from one of them cannot violate, so it is
-skipped without an alpha call and the first violator is the one the plain
-scan finds.  Each probe is a threshold query, ``alpha_mask(adj, rest,
-floor)``: it stops at the first independent set of size >= the floor instead
-of proving a maximum.  Such a set proves a subset missing it harmless just
+that no known set missed: the set its probe found, or its swap below).  A
+subset disjoint from one of them cannot violate, so it is skipped without
+an alpha call and the first violator is the one the plain scan finds.
+Each probe is a threshold query, ``alpha_mask(adj, rest, floor)``: it
+stops at the first independent set of size >= the floor instead of
+proving a maximum.  Such a set proves a subset missing it harmless just
 as a maximum one does, so the verdicts and witnesses stay those of the plain
 scan; only which subsets get probed may change.
 
@@ -77,7 +78,7 @@ def _first_violator(
     adj: Code, n: int, k: int, floor: int, known: list[int]
 ) -> tuple[int, ...] | None:
     """First k-subset whose removal leaves alpha < ``floor``; extends ``known``,
-    whose first set must have at least ``floor`` vertices."""
+    whose first set must be independent with at least ``floor`` vertices."""
     full = (1 << n) - 1
     top = known[0]
     groups = None  # built at the first subset that meets ``top`` in one vertex

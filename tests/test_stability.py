@@ -189,23 +189,6 @@ def test_cached_scan_skips_subsets_missing_a_known_set(monkeypatch):
             assert len(calls) <= g.n
 
 
-def test_swap_probes_no_more_than_the_witness_cache(monkeypatch):
-    # the probe counts before the one-vertex swap were 31 on C31 and 30 on
-    # C15+C15; the swap only replaces probes
-    calls = []
-
-    def counting_alpha(adj, mask, at_least=None):
-        calls.append(mask)
-        return alpha_mask(adj, mask, at_least)
-
-    monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
-    for g, before in ((cycle(31), 31), (disjoint_union(cycle(15), cycle(15)), 30)):
-        for probe in (lambda: is_stable(g, 2, 0).stable, lambda: max_alpha_drop(g, 2) == 0):
-            calls.clear()
-            assert probe()
-            assert len(calls) <= before
-
-
 def test_every_known_set_is_independent_and_misses_its_subset(monkeypatch):
     # replay the skip rule over every class with n <= 7, k <= 3 and l < k:
     # each subset that no earlier set misses is the violator or gets the
