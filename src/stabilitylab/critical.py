@@ -96,10 +96,10 @@ def classify_defect(g: Graph) -> DefectClass:
     """
     if not is_connected(g):
         raise ValueError("classification requires a connected graph")
-    crit, edge = is_alpha_critical(g)
-    if not crit:
+    a = _alpha(g)
+    if (edge := alpha_preserving_edge(g.adj, g.n, a)) is not None:
         raise ValueError(f"classification requires an alpha-critical graph (edge {edge} is removable)")
-    d = defect(g)
+    d = g.n - 2 * a
     if d == 1:
         if is_odd_cycle(g):
             return DefectClass(d, CLASS_ODD_CYCLE)

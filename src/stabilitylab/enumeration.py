@@ -50,13 +50,14 @@ Every scan, and ``enumerate_canonical``, reads its codes through one
 generator, ``_codes``: a cached level is read as it is, while level 10 and
 a pruned frontier are read as the canonical children of their items.
 
-Beside each cached level lives its packed alpha table, an ``array('H')``
-with one entry per class (2 bytes; about 550 KB at level 9).  An entry
-holds ``witness | alpha << n`` exactly as ``alpha_mask`` returns them, or 0
-until the first scan that needs that class's alpha computes it; classes a
-cheaper test rejects never get one.  So each class's alpha is computed at
-most once per process however many filters scan its level.  A pool
-worker fills a copy of its chunk's slice and sends it back.  Level-10
+Beside each cached level lives its packed alpha table: 16-bit entries in a
+shared anonymous ``mmap``, one per class (about 550 KB at level 9).  An
+entry holds ``witness | alpha << n`` exactly as ``alpha_mask`` returns
+them, or 0 until the first scan that needs that class's alpha computes it;
+classes a cheaper test rejects never get one.  So each class's alpha is
+computed at most once per process however many filters scan its level.
+Each scan chunk fills its own index range in place; the mapping is shared,
+so a forked pool worker's writes land in this process's table.  Level-10
 children and pruned frontiers compute alpha per child.  The table pays
 only in a process that scans a level more than once, such as a session
 that verifies several theorems; a CLI run scans each level once and only
@@ -83,8 +84,8 @@ only the certificate builders and the AND and SUR recognizers build a
 from __future__ import annotations
 
 import json
+import mmap
 import os
-from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from multiprocessing import get_context
@@ -263,11 +264,16 @@ def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
     return [child for parent in parents for child in _canonical_children(parent, n)]
 
 
+def _alpha_table(size: int) -> memoryview:
+    """``size`` unset alpha entries, shared with forked pool workers."""
+    return memoryview(mmap.mmap(-1, 2 * size)).cast("H")
+
+
 #: n -> (level n, its packed alpha table).  Entry i of the table is 0 until
 #: a scan first needs alpha for code i, then ``witness | alpha << n`` as
 #: ``alpha_mask(code, full)`` returns them: below 2**13 for n <= 9, and never
 #: 0, since alpha >= 1.  A table is cached, and replaced, with its level.
-_LEVELS: dict[int, tuple[tuple[Code, ...], array]] = {1: (((0,),), array("H", [0]))}
+_LEVELS: dict[int, tuple[tuple[Code, ...], memoryview]] = {1: (((0,),), _alpha_table(1))}
 
 
 def _cached_level(n: int) -> tuple[Code, ...]:
@@ -281,7 +287,7 @@ def _cached_level(n: int) -> tuple[Code, ...]:
             raise InvariantViolation(
                 f"level {m} has {len(level)} classes, expected {CLASS_COUNTS[m - 1]}"
             )
-        _LEVELS[m] = level, array("H", bytes(2 * len(level)))
+        _LEVELS[m] = level, _alpha_table(len(level))
     return _LEVELS[n][0]
 
 
@@ -408,7 +414,7 @@ def _spec_tests(spec: FilterSpec) -> list[tuple]:
     return tests
 
 
-def _alpha(code: Code, n: int, table: array | None, index: int) -> tuple[int, int]:
+def _alpha(code: Code, n: int, table: memoryview | None, index: int) -> tuple[int, int]:
     """``alpha_mask(code, full)``, read from ``table[index]`` when that is
     set, else computed and stored there; with ``table=None`` computed."""
     packed = 0 if table is None else table[index]
@@ -421,7 +427,7 @@ def _alpha(code: Code, n: int, table: array | None, index: int) -> tuple[int, in
 
 
 def _passes(
-    code: Code, n: int, tests: list[tuple], table: array | None, index: int
+    code: Code, n: int, tests: list[tuple], table: memoryview | None, index: int
 ) -> tuple[int, int] | None:
     """``(alpha, witness)`` of ``code`` if it passes ``tests``, else ``None``.
     Alpha and its witness come from :func:`_alpha` at the first test that
@@ -436,29 +442,28 @@ def _passes(
 
 
 def _scan_chunk(
-    args: tuple[Sequence[Code], int, FilterSpec, array | None, str | None],
-) -> tuple[int, list[Code], bytearray, list[Code], array | None]:
-    """(codes read, matches, their alphas, failed matches, alpha table) of
-    the filter over ``_codes(items, n)`` for ``args = (items, n, spec,
-    table, theorem_id)``.  Each match is finished here: its alpha and
-    witness, from the table or from this chunk's ``alpha_mask`` call, go to
+    args: tuple[Sequence[Code], int, FilterSpec, int | None, str | None],
+) -> tuple[int, list[Code], bytearray, list[Code]]:
+    """(codes read, matches, their alphas, failed matches) of the filter
+    over ``_codes(items, n)`` for ``args = (items, n, spec, start,
+    theorem_id)``.  Each match is finished here: its alpha and witness go to
     the check of pipeline ``theorem_id`` (none for ``None``), and the
     matches it rejects are the failed ones.  The alphas are one byte per
-    match (alpha <= n <= 10).  When the items are codes of a cached level,
-    ``table`` holds their alpha entries (entry i for ``items[i]``): the scan
-    reads and fills it in place and returns it.  With ``table=None`` the
-    children of the items are read, each computing its own alpha.  An
-    exception comes back as the same type with n and the graph6 of the
-    first and last item in front of its message."""
-    items, n, spec, table, theorem_id = args
+    match (alpha <= n <= 10).  Items of cached level n read and fill entry
+    ``start + i`` of the level's alpha table for ``items[i]``; with
+    ``start=None`` the children of the items are read, each computing its
+    own alpha.  An exception comes back as the same type with n and the
+    graph6 of the first and last item in front of its message."""
+    items, n, spec, start, theorem_id = args
     try:
         tests = _spec_tests(spec)
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
+        table = None if start is None else _LEVELS[n][1]
         scanned = 0
         matches: list[Code] = []
         alphas = bytearray()
         failed: list[Code] = []
-        for index, code in enumerate(_codes(items, n)):
+        for index, code in enumerate(_codes(items, n), start or 0):
             scanned += 1
             found = _passes(code, n, tests, table, index)
             if found is None:
@@ -467,7 +472,7 @@ def _scan_chunk(
             alphas.append(found[0])
             if check is not None and not check(code, n, *found):
                 failed.append(code)
-        return scanned, matches, alphas, failed, table
+        return scanned, matches, alphas, failed
     except Exception as exc:
         first, last = (encode_rows(c, len(c)) for c in (items[0], items[-1]))
         try:
@@ -489,42 +494,34 @@ def _filtered_scan(
     the matches of the pruned tight (k-1,0) scan at n-1, or level n-1 when
     k = 1 or n = 2 (level 1 at n = 1).  About four chunks per worker, at
     most one worker per CPU and per item whatever ``jobs`` asks for; one
-    worker runs in this process.  A scan of cached level n reads and fills
-    the level's alpha table: in place with one worker, else each chunk gets
-    a copy of its slice and the filled copies are written back here."""
+    worker scans every item as one chunk in this process.  The chunks of
+    cached level n fill its shared alpha table wherever they run."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
-    table = None  # the alpha table of the items when they are cached level n
+    cached = False  # whether the items are cached level n
     if prune and n > 2 and spec.tight[0] > 1:
         items = _filtered_scan(n - 1, FilterSpec(tight=(spec.tight[0] - 1, 0)), True, jobs)[1]
     elif n > _CACHE_MAX_N or prune and n > 1:
         items = _cached_level(n - 1)
     else:
-        items = _cached_level(n)
-        table = _LEVELS[n][1]
+        items, cached = _cached_level(n), True
     workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        results = [_scan_chunk((items, n, spec, table, theorem_id))]
-    else:
-        step = -(-len(items) // (workers * 4))
-        starts = range(0, len(items), step)
-        chunks = [
-            (items[i : i + step], n, spec, None if table is None else table[i : i + step], theorem_id)
-            for i in starts
-        ]
+    step = -(-len(items) // (4 * workers)) if workers > 1 else max(len(items), 1)
+    chunks = [
+        (items[i : i + step], n, spec, i if cached else None, theorem_id)
+        for i in range(0, len(items), step)
+    ]
+    if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = list(pool.imap(_scan_chunk, chunks))
-        if table is not None:
-            for i, result in zip(starts, results):
-                table[i : i + step] = result[4]
-    matches = [c for r in results for c in r[1]]
-    alphas = b"".join(r[2] for r in results)
-    order = sorted(range(len(matches)), key=matches.__getitem__)
+    else:
+        results = list(map(_scan_chunk, chunks))
+    pairs = sorted((c, a) for r in results for c, a in zip(r[1], r[2]))
     return (
         sum(r[0] for r in results),
-        [matches[i] for i in order],
-        bytes(alphas[i] for i in order),
+        [c for c, _ in pairs],
+        bytes(a for _, a in pairs),
         sorted(c for r in results for c in r[3]),
     )
 

@@ -29,6 +29,7 @@ from stabilitylab.graphs import (
     disjoint_union,
     even_subdivision_k4,
     from_edges,
+    is_connected,
 )
 from stabilitylab.independence import alpha
 from stabilitylab.stability import is_stable
@@ -113,8 +114,6 @@ def test_defect_one_connected_critical_graphs_are_odd_cycles():
                 continue
             if not is_alpha_critical(g)[0]:
                 continue
-            from stabilitylab.graphs import is_connected
-
             if not is_connected(g):
                 continue
             assert classify_defect(g).classification == "odd_cycle"

@@ -373,7 +373,10 @@ def _fresh_tables(monkeypatch, full=False):
     levels = {}
     for n in range(1, 9):
         level = _cached_level(n)
-        table = array("H", [_packed_alpha(code, n) if full else 0 for code in level])
+        table = enumeration._alpha_table(len(level))
+        if full:
+            for index, code in enumerate(level):
+                table[index] = _packed_alpha(code, n)
         levels[n] = level, table
     monkeypatch.setattr(enumeration, "_LEVELS", levels)
     return {n: table for n, (_, table) in levels.items()}
@@ -406,7 +409,7 @@ def test_alpha_table_holds_alpha_mask_for_every_worker_count(monkeypatch, theore
                 assert entry in (0, _packed_alpha(code, n))
         filled[jobs] = {n: table.tobytes() for n, table in tables.items()}
     assert filled[1] == filled[2]
-    assert tables[8].count(0) < len(tables[8])
+    assert tables[8].tolist().count(0) < len(tables[8])
 
 
 def test_second_scan_reads_alpha_from_the_table(monkeypatch):
@@ -508,7 +511,9 @@ def test_pooled_scan_agrees_with_filtered_level(monkeypatch):
 class _InProcessContext:
     """Stands in for ``get_context("fork")``: records each requested pool
     size with the number of tasks it got, checks that no pool is larger than
-    its item count, and runs the tasks in this process."""
+    its item count and that every task names the cached-level index of its
+    first item (``None`` for children) and carries no alpha table, and runs
+    the tasks in this process."""
 
     def __init__(self):
         self.pools = []
@@ -525,6 +530,12 @@ class _InProcessContext:
 
     def imap(self, fn, tasks):
         assert self.pools[-1] <= sum(len(items) for items, *_ in tasks)
+        for items, n, _, start, _ in tasks:
+            if len(items[0]) == n:
+                assert _cached_level(n)[start : start + len(items)] == tuple(items)
+            else:
+                assert start is None
+        assert not any(isinstance(f, (array, memoryview)) for task in tasks for f in task)
         self.pools[-1] = (self.pools[-1], len(tasks))
         return map(fn, tasks)
 
