@@ -2,13 +2,13 @@
 critical families, and defect classification.
 
 A graph is alpha-critical when deleting any single edge raises the
-independence number.  Greedy edge removal reduces every graph to a spanning
-alpha-critical kernel with the same independence number; connected kernels
-with defect ``n - 2*alpha`` equal to 1, 2 or 3 fall into known families:
-odd cycles (:func:`is_odd_cycle`, walked by :func:`trace_cycle`), even
-subdivisions of the 4-clique (:func:`is_even_subdivision_k4`) and the
-named graphs (:func:`named_class`).  :func:`classify_defect` dispatches to
-them.
+independence number.  One greedy walk over the edges reduces every graph to a
+spanning alpha-critical kernel with the same independence number; connected
+kernels with defect ``n - 2*alpha`` equal to 1, 2 or 3 are odd cycles
+(:func:`is_odd_cycle`, walked by :func:`trace_cycle`), even subdivisions of
+the 4-clique (:func:`is_even_subdivision_k4`) and the named graphs, which the
+one matcher :func:`catalog_match` recognises by degree sequence and
+:func:`spanning_embedding`.  :func:`classify_defect` dispatches to them.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import catalog
-from .canonical import is_isomorphic
-from .graphs import Graph, bits, degrees, delete_edge, is_connected, min_degree
+from .graphs import Graph, bits, degrees, is_connected, min_degree
 from .independence import alpha_mask
 
 CLASS_ODD_CYCLE = "odd_cycle"
@@ -62,19 +61,23 @@ class CriticalKernel:
 
 
 def critical_reduce(g: Graph) -> CriticalKernel:
-    """Greedily delete the smallest edge whose removal preserves alpha.
+    """Delete, in ``Graph.edges()`` order, every edge whose removal preserves alpha.
 
-    The scan restarts after every removal; it stops when the remaining
-    spanning subgraph is alpha-critical.  Kernels depend on this fixed order
-    and are reproducible but not canonical.
+    One walk suffices, and gives the kernel and removal log of a scan that
+    restarts after each deletion: an edge whose removal raises alpha still
+    does so after any alpha-preserving deletion.  Kernels depend on this fixed
+    order and are reproducible but not canonical.
     """
     a = _alpha(g)
-    current = g
+    rows = list(g.adj)
+    full = (1 << g.n) - 1
     removed: list[tuple[int, int]] = []
-    while (edge := alpha_preserving_edge(current.adj, g.n, a)) is not None:
-        current = delete_edge(current, edge)
-        removed.append(edge)
-    return CriticalKernel(current, tuple(removed))
+    for u, v in g.edges():
+        if alpha_mask(rows, full & ~(rows[u] | rows[v] | 1 << u | 1 << v), a - 1)[0] < a - 1:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            removed.append((u, v))
+    return CriticalKernel(Graph(g.n, tuple(rows)), tuple(removed))
 
 
 def defect(g: Graph) -> int:
@@ -115,11 +118,55 @@ def classify_defect(g: Graph) -> DefectClass:
 
 def named_class(g: Graph) -> str | None:
     """The name in ``CLASS_NAMED`` whose catalog graph is isomorphic to ``g``, or ``None``."""
-    for name in CLASS_NAMED:
+    match = catalog_match(g)
+    return None if match is None else match[0]
+
+
+def catalog_match(g: Graph, names: tuple[str, ...] = CLASS_NAMED) -> tuple[str, tuple[int, ...]] | None:
+    """The first name in ``names`` whose catalog graph is isomorphic to ``g``,
+    with its :func:`spanning_embedding` onto ``g``, or ``None``.  Only a graph
+    of ``g``'s order and sorted degree sequence is tried: with equal edge
+    counts a spanning embedding is an isomorphism."""
+    degs = sorted(degrees(g))
+    for name in names:
         target = catalog.named_graph(name)
-        if target.n == g.n and is_isomorphic(g, target):
-            return name
+        if target.n == g.n and sorted(degrees(target)) == degs and (emb := spanning_embedding(g, target)):
+            return name, emb
     return None
+
+
+def spanning_embedding(g: Graph, target: Graph) -> tuple[int, ...] | None:
+    """First vertex bijection mapping every target edge onto a host edge.
+
+    Backtracks over target vertices in decreasing-degree order with degree
+    compatibility pruning; ``None`` when no embedding exists or sizes differ.
+    """
+    if g.n != target.n:
+        return None
+    order = sorted(range(target.n), key=lambda v: (-target.degree(v), v))
+    tdeg = degrees(target)
+    gdeg = degrees(g)
+    emb = [-1] * target.n
+    used = [False] * g.n
+
+    def rec(i: int) -> bool:
+        if i == target.n:
+            return True
+        tv = order[i]
+        fixed = [emb[u] for u in target.neighbors(tv) if emb[u] >= 0]
+        for gv in range(g.n):
+            if used[gv] or gdeg[gv] < tdeg[tv]:
+                continue
+            if all(g.has_edge(gv, f) for f in fixed):
+                emb[tv] = gv
+                used[gv] = True
+                if rec(i + 1):
+                    return True
+                emb[tv] = -1
+                used[gv] = False
+        return False
+
+    return tuple(emb) if rec(0) else None
 
 
 # -- recognizers -------------------------------------------------------------

@@ -94,7 +94,6 @@ from typing import Callable, Iterator, Sequence
 from . import __version__, catalog
 from .canonical import (
     canonical_data,
-    canonical_key,
     degree_ranks,
     neighbor_lists,
     refine_colors,
@@ -103,8 +102,9 @@ from .canonical import (
 from .critical import (
     CLASS_NAMED,
     alpha_preserving_edge,
-    classify_defect,
+    catalog_match,
     is_even_subdivision_k4,
+    named_class,
 )
 from .errors import InvariantViolation
 from .graph6 import encode_rows, parse_graph6
@@ -712,7 +712,7 @@ _PIPELINES: dict[str, _Pipeline] = {
     ),
     "SUR": _Pipeline(
         FilterSpec(min_degree=3, connected=True, defect=3, alpha_critical=True),
-        lambda code, n, a, wit: classify_defect(Graph(n, code)).classification in CLASS_NAMED,
+        lambda code, n, a, wit: named_class(Graph(n, code)) is not None,
         (5, 7, 9),
         required=CLASS_NAMED,
     ),
@@ -787,7 +787,7 @@ def verify_theorem(
 
 def _missing(names: tuple[str, ...], n: int, codes: list[Code]) -> list[str]:
     """The graph6 of each catalog graph in ``names`` on ``n`` vertices that
-    no code in ``codes`` is isomorphic to."""
-    graphs = [g for g in map(catalog.named_graph, names) if g.n == n]
-    found = {canonical_key(code) for code in codes} if graphs else set()
-    return [encode_rows(g.adj, g.n) for g in graphs if canonical_key(g.adj) not in found]
+    no code in ``codes`` matches."""
+    wanted = tuple(name for name in names if catalog.named_graph(name).n == n)
+    found = {match[0] for code in codes if wanted and (match := catalog_match(Graph(n, code), wanted))}
+    return [encode_rows(catalog.named_graph(name).adj, n) for name in wanted if name not in found]

@@ -7,8 +7,8 @@ spanning decompositions from a greedy critical kernel whose components the
 recognizers of :mod:`~stabilitylab.critical` identify.  Every returned
 certificate is checked by the independent :func:`validate_decomposition`
 before it leaves this module; the validator shares no code with the
-recognizers.  ``is_odd_cycle`` and ``is_even_subdivision_k4`` stay
-importable from here.
+recognizers.  ``is_odd_cycle``, ``is_even_subdivision_k4`` and
+``spanning_embedding`` stay importable from here.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import catalog
-from .critical import critical_reduce, is_even_subdivision_k4, named_class, trace_cycle
-from .critical import is_odd_cycle  # re-exported beside is_even_subdivision_k4
+from .critical import CLASS_NAMED, catalog_match, critical_reduce, is_even_subdivision_k4, trace_cycle
+from .critical import is_odd_cycle, spanning_embedding  # re-exported beside is_even_subdivision_k4
 from .errors import InvariantViolation
-from .graphs import Graph, bits, components, degrees, is_connected, normalize_edge
+from .graphs import Graph, bits, components, normalize_edge
 from .independence import independent_sets_of_size
 from .stability import is_tight_stable
 
@@ -412,59 +412,14 @@ def two_cycles_or_subdivision_decomposition(g: Graph) -> Decomposition:
     return d
 
 
-def spanning_embedding(g: Graph, target: Graph) -> tuple[int, ...] | None:
-    """First vertex bijection mapping every target edge onto a host edge.
-
-    Backtracks over target vertices in decreasing-degree order with degree
-    compatibility pruning; ``None`` when no embedding exists or sizes differ.
-    """
-    if g.n != target.n:
-        return None
-    order = sorted(range(target.n), key=lambda v: (-target.degree(v), v))
-    tdeg = degrees(target)
-    gdeg = degrees(g)
-    emb = [-1] * target.n
-    used = [False] * g.n
-
-    def rec(i: int) -> bool:
-        if i == target.n:
-            return True
-        tv = order[i]
-        fixed = [emb[u] for u in target.neighbors(tv) if emb[u] >= 0]
-        for gv in range(g.n):
-            if used[gv] or gdeg[gv] < tdeg[tv]:
-                continue
-            if all(g.has_edge(gv, f) for f in fixed):
-                emb[tv] = gv
-                used[gv] = True
-                if rec(i + 1):
-                    return True
-                emb[tv] = -1
-                used[gv] = False
-        return False
-
-    return tuple(emb) if rec(0) else None
-
-
 def five_graph_decomposition(g: Graph) -> Decomposition:
-    """Spanning named-graph certificate for a tight (3,0)-stable graph."""
+    """Spanning named-graph certificate for a tight (3,0)-stable graph: the catalog match of its kernel."""
     if not is_tight_stable(g, 3, 0):
         raise ValueError("input is not tight (3,0)-stable")
-    if g.n % 2 == 0:
-        if g.n != 4 or g.edge_count != 6:
-            raise InvariantViolation("an even tight (3,0)-stable graph must be the 4-clique")
-        d = Decomposition(kind=KIND_NAMED_SPANNING, name="K4", embedding=tuple(range(4)))
-    else:
-        kernel = critical_reduce(g).kernel
-        if not is_connected(kernel):
-            raise InvariantViolation("critical kernel of an odd tight (3,0)-stable graph must be connected")
-        name = named_class(kernel)
-        if name is None:
-            raise InvariantViolation("kernel matches none of the named defect-3 graphs")
-        emb = spanning_embedding(kernel, catalog.named_graph(name))
-        if emb is None:
-            raise InvariantViolation("isomorphic kernel failed to embed")
-        d = Decomposition(kind=KIND_NAMED_SPANNING, name=name, embedding=emb)
+    match = catalog_match(critical_reduce(g).kernel, ("K4", *CLASS_NAMED))
+    if match is None:
+        raise InvariantViolation("kernel matches none of the named graphs K4, K5, H7, H9, T9")
+    d = Decomposition(kind=KIND_NAMED_SPANNING, name=match[0], embedding=match[1])
     validate_decomposition(g, d)
     return d
 
@@ -477,6 +432,8 @@ def spanning_certificate(g: Graph, k: int) -> Decomposition:
     4-clique for even n and k=2 (odd n is a single odd cycle), and a named
     spanning graph for k=3.
     """
+    if type(k) is not int or not 1 <= k <= 3:
+        raise ValueError(f"spanning certificates exist for k in 1..3, got k={k!r}")
     if k == 1 and g.n % 2 == 0:
         d = Decomposition(kind=KIND_PERFECT_MATCHING, matching=perfect_matching_tight10(g))
     elif k == 1:
@@ -490,9 +447,7 @@ def spanning_certificate(g: Graph, k: int) -> Decomposition:
         if cyc is None:
             raise InvariantViolation("odd tight (2,0)-stable graph is not an odd cycle")
         d = Decomposition(kind=KIND_ODD_CYCLE_PLUS_MATCHING, cycles=(cyc,))
-    elif k == 3:
-        return five_graph_decomposition(g)
     else:
-        raise ValueError(f"spanning certificates exist for k in 1..3, got k={k}")
+        return five_graph_decomposition(g)
     validate_decomposition(g, d)
     return d

@@ -12,9 +12,11 @@ from helpers import (
     relabeled,
 )
 from stabilitylab import catalog
+from stabilitylab.canonical import canonical_key
 from stabilitylab.critical import (
     CriticalKernel,
     alpha_preserving_edge,
+    catalog_match,
     classify_defect,
     critical_reduce,
     defect,
@@ -120,11 +122,15 @@ def test_defect_one_connected_critical_graphs_are_odd_cycles():
 
 
 def test_critical_test_matches_edge_deletion_oracle():
-    # beyond the n <= 7 classes checked against naive_alpha: seeded G(n, p)
-    # graphs and relabeled cycles, pairs of odd cycles and even subdivisions
-    # of K4, against deleting each edge and recomputing alpha
+    # every class with n <= 7 (1,252), seeded G(n, p) graphs and relabeled
+    # cycles, pairs of odd cycles and even subdivisions of K4, against
+    # deleting each edge and recomputing alpha; the reduction's one edge walk
+    # must give the kernel and removal log of the loop that restarts the
+    # oracle's scan after every deletion
     rng = random.Random(1313)
-    cases = [random_graph(rng, rng.randint(9, 16), rng.uniform(0.2, 0.5)) for _ in range(200)]
+    cases = [g for n in range(1, 8) for g in enumerate_canonical(n)]
+    assert len(cases) == 1252
+    cases += [random_graph(rng, rng.randint(9, 16), rng.uniform(0.2, 0.5)) for _ in range(200)]
     cases += [relabeled(cycle(n), rng) for n in range(9, 17)]
     cases += [relabeled(disjoint_union(cycle(a), cycle(b)), rng) for a in (3, 5, 7) for b in (5, 7, 9)]
     for _ in range(12):
@@ -137,3 +143,32 @@ def test_critical_test_matches_edge_deletion_oracle():
             current = delete_edge(current, edge)
             removed.append(edge)
         assert critical_reduce(g) == CriticalKernel(current, tuple(removed))
+
+
+def _assert_matcher_agrees(g, name):
+    target = catalog.named_graph(name)
+    match = catalog_match(g, (name,))
+    assert (match is not None) == (canonical_key(g.adj) == canonical_key(target.adj))
+    if match is not None:
+        assert match[0] == name
+        assert sorted(match[1]) == list(range(g.n))
+        assert all(g.has_edge(match[1][u], match[1][v]) for u, v in target.edges())
+
+
+def test_catalog_match_agrees_with_canonical_key():
+    # every class of order 4, 5 and 7 against the catalog graph of that order
+    for name in ("K4", "K5", "H7"):
+        for g in enumerate_canonical(catalog.named_graph(name).n):
+            _assert_matcher_agrees(g, name)
+
+
+@pytest.mark.extended
+def test_catalog_match_agrees_with_canonical_key_at_nine():
+    # every 9-vertex class with the edge count of H9 (14) or T9 (15) against both
+    checked = 0
+    for g in enumerate_canonical(9):
+        if g.edge_count in (14, 15):
+            checked += 1
+            for name in ("H9", "T9"):
+                _assert_matcher_agrees(g, name)
+    assert checked > 0

@@ -185,6 +185,13 @@ def test_spanning_certificate_dispatch():
         spanning_certificate(cycle(9), 4)
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
+def test_spanning_certificate_rejects_k_that_is_not_an_int(k):
+    # True == 1, but a bool is no k, as in the stability checks and FilterSpec
+    with pytest.raises(ValueError, match="k in 1..3"):
+        spanning_certificate(cycle(6), k)
+
+
 def test_spanning_embedding():
     emb = spanning_embedding(clique(5), cycle(5))
     assert emb is not None
