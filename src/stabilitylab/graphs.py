@@ -200,19 +200,19 @@ def cone(g: Graph) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def clique(n: int) -> Graph:
     if n < 1:
         raise ValueError("a clique needs at least 1 vertex")
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("a path needs at least 1 vertex")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def bipartite_with_pm(m: int, extra_edges: Iterable[tuple[int, int]] = ()) -> Graph:

@@ -1,8 +1,9 @@
 """Constructive certificates for the structural results, and their validator.
 
-Each builder follows one constructive argument: saturating matchings come
-from an augmenting-path search, the odd-cycle-plus-matching certificate from
-an alternating breadth-first forest rooted at the unmatched vertex, and the
+Each builder follows one constructive argument: saturating matchings and
+minimal Hall violators come straight from one augmenting-path search on
+adjacency masks, the odd-cycle-plus-matching certificate from an
+alternating breadth-first forest rooted at the unmatched vertex, and the
 spanning decompositions from a greedy critical kernel whose components the
 recognizers of :mod:`~stabilitylab.critical` identify.  Every returned
 certificate is checked by the independent :func:`validate_decomposition`
@@ -21,7 +22,7 @@ from .critical import CLASS_NAMED, catalog_match, critical_reduce, is_even_subdi
 from .critical import is_odd_cycle, spanning_embedding  # re-exported beside is_even_subdivision_k4
 from .errors import InvariantViolation
 from .graphs import Graph, bits, components, normalize_edge
-from .independence import independent_sets_of_size
+from .independence import independent_masks
 from .stability import is_tight_stable
 
 Matching = tuple[tuple[int, int], ...]
@@ -55,8 +56,9 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class HallCertificate:
-    """Either a matching saturating the queried side, or a witness violating
-    the neighborhood condition (|N(violator)| < |violator|)."""
+    """Either a matching saturating the queried side, or an inclusion-minimal
+    witness violating the neighborhood condition (|N(violator)| < |violator|
+    while every proper subset meets it)."""
 
     matching: Matching | None
     violator: tuple[int, ...] | None
@@ -211,63 +213,51 @@ def hall_matching(g: Graph, a_set) -> HallCertificate:
     """Match an independent set into the rest of the graph.
 
     Returns the saturating matching :func:`augment_matching` finds when the
-    neighborhood condition holds, otherwise a minimal violating subset of
-    the set it reports blocked.
+    neighborhood condition holds, otherwise the set it reports blocked,
+    which is already an inclusion-minimal violator.  The blocked set is the
+    failed vertex and the mates of the right vertices its search visited,
+    and its neighbourhood is exactly that visited set, one smaller.  A
+    proper subset S meets the condition: the mates of its members other
+    than the failed vertex are distinct neighbours, and if S holds the
+    failed vertex, the search path to a member left out leaves S through a
+    visited vertex that neighbours S and is mated outside it.
     """
-    a_sorted = tuple(sorted(set(a_set)))
-    for v in a_sorted:
+    left = 0
+    for v in sorted(set(a_set)):
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    for u, v in combinations(a_sorted, 2):
-        if g.has_edge(u, v):
-            raise ValueError(f"set is not independent: edge ({u},{v})")
-    left = 0
-    for v in a_sorted:
         left |= 1 << v
+    for u in bits(left):
+        hit = g.adj[u] & left
+        if hit:  # the first u with a neighbour in the set has no lower one
+            raise ValueError(f"set is not independent: edge ({u},{(hit & -hit).bit_length() - 1})")
     mate, blocked = augment_matching(g.adj, left)
-    if blocked:
-        return HallCertificate(None, _minimal_violator(g, list(bits(blocked))))
-    edges = tuple(sorted(normalize_edge(a, b) for b, a in enumerate(mate) if a >= 0))
-    return HallCertificate(edges, None)
-
-
-def _neighborhood_size(g: Graph, subset) -> int:
-    acc = 0
-    for v in subset:
-        acc |= g.adj[v]
-    return acc.bit_count()
-
-
-def _minimal_violator(g: Graph, z: list[int]) -> tuple[int, ...]:
-    if len(z) <= 16:
-        for size in range(1, len(z) + 1):
-            for sub in combinations(z, size):
-                if _neighborhood_size(g, sub) < size:
-                    return sub
+    if not blocked:
+        return HallCertificate(_matching_edges(mate), None)
+    union = 0
+    for v in bits(blocked):
+        union |= g.adj[v]
+    if union.bit_count() >= blocked.bit_count():
         raise InvariantViolation("failed augmentation did not produce a violator")
-    # beyond exact-scan range, shrink one element at a time to a fixpoint
-    current = list(z)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(current):
-            trial = [u for u in current if u != v]
-            if trial and _neighborhood_size(g, trial) < len(trial):
-                current = trial
-                changed = True
-    return tuple(current)
+    return HallCertificate(None, tuple(bits(blocked)))
 
 
-def _saturated_tight10(g: Graph) -> tuple[tuple[int, ...], Matching]:
+def _matching_edges(mate: list[int]) -> Matching:
+    """The matched pairs of :func:`augment_matching`'s ``mate`` list as sorted edges."""
+    return tuple(sorted(normalize_edge(a, b) for b, a in enumerate(mate) if a >= 0))
+
+
+def _saturated_tight10(g: Graph) -> tuple[int, list[int]]:
     """First independent set of size floor(n/2) of a tight (1,0)-stable graph,
-    with the matching that saturates it into its complement."""
+    as a mask, with the mates of the matching that saturates it into its
+    complement."""
     if not is_tight_stable(g, 1, 0):
         raise ValueError("input is not tight (1,0)-stable")
-    a_set = next(independent_sets_of_size(g, g.n // 2))
-    cert = hall_matching(g, a_set)
-    if cert.matching is None:
+    amask = next(independent_masks(g.adj, (1 << g.n) - 1, g.n // 2))
+    mate, blocked = augment_matching(g.adj, amask)
+    if blocked:
         raise InvariantViolation("a (1,0)-stable graph must saturate its maximum independent set")
-    return a_set, cert.matching
+    return amask, mate
 
 
 def perfect_matching_tight10(g: Graph) -> Matching:
@@ -278,7 +268,7 @@ def perfect_matching_tight10(g: Graph) -> Matching:
     """
     if g.n % 2:
         raise ValueError("needs an even vertex count")
-    return _saturated_tight10(g)[1]
+    return _matching_edges(_saturated_tight10(g)[1])
 
 
 # -- odd cycle + matching ----------------------------------------------------
@@ -292,83 +282,76 @@ def odd_cycle_matching_decomposition(g: Graph) -> Decomposition:
     """
     if g.n % 2 == 0:
         raise ValueError("needs an odd vertex count")
-    a_set, matching = _saturated_tight10(g)
-    m = len(a_set)
-    amask = 0
-    for v in a_set:
-        amask |= 1 << v
-    pairs: list[tuple[int, int]] = []
-    for x, y in matching:
-        pairs.append((x, y) if amask >> x & 1 else (y, x))
-    pairs.sort()
-    a_of = [p[0] for p in pairs]
-    b_of = [p[1] for p in pairs]
-    leftover = set(range(g.n)) - {v for p in pairs for v in p}
-    if len(leftover) != 1:
-        raise InvariantViolation("expected exactly one unmatched vertex")
-    c = leftover.pop()
+    amask, mate = _saturated_tight10(g)
+    adj = g.adj
+    partner = [-1] * g.n  # the vertex each set vertex is matched to
+    covered = amask
+    for b, a in enumerate(mate):
+        if a >= 0:
+            partner[a] = b
+            covered |= 1 << b
+    c = (~covered & ((1 << g.n) - 1)).bit_length() - 1  # the one unmatched vertex
 
-    # Alternating breadth-first forest over pair indices rooted at c.
-    parent: dict[int, int] = {}
-    queue: list[int] = []
-    for i in range(m):
-        if g.has_edge(c, a_of[i]):
-            parent[i] = -1
-            queue.append(i)
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        for j in range(m):
-            if j not in parent and g.has_edge(b_of[i], a_of[j]):
-                parent[j] = i
-                queue.append(j)
-    reach = {b_of[i]: i for i in parent}
+    # Alternating breadth-first forest over the set vertices, rooted at c's
+    # neighbours: a set vertex hangs below the set vertex whose partner it
+    # touches, and each frontier is taken in ascending order.
+    queue = list(bits(adj[c] & amask))
+    parent = [-1] * g.n
+    unreached = amask & ~adj[c]
+    reach = 1 << c  # c and the partners of the forest's vertices
+    for a in queue:
+        b = partner[a]
+        reach |= 1 << b
+        for a2 in bits(adj[b] & unreached):
+            parent[a2] = a
+            queue.append(a2)
+        unreached &= ~adj[b]
 
     closing = None
-    for u, v in combinations(sorted([*reach, c]), 2):
-        if g.has_edge(u, v):
-            closing = (u, v)
+    for u in bits(reach):
+        above = adj[u] & reach & ~((2 << u) - 1)
+        if above:
+            closing = (u, (above & -above).bit_length() - 1)
             break
     if closing is None:
         raise InvariantViolation("no edge inside the reachable set; contradicts maximality")
 
     def forest_path(end: int) -> list[int]:
-        """Pair indices from a root down to the pair whose b-vertex is
-        ``end``; empty for ``c``, which is no pair's b-vertex."""
+        """Set vertices from a root down to the partner of ``end``; empty
+        for ``c``, which is no vertex's partner."""
         seq = []
-        i = reach.get(end, -1)
-        while i != -1:
-            seq.append(i)
-            i = parent[i]
+        a = mate[end]
+        while a != -1:
+            seq.append(a)
+            a = parent[a]
         seq.reverse()
         return seq
 
     # The cycle leaves the apex down the first path, crosses the closing
     # edge and climbs the second; the apex is c or, when the paths share a
-    # prefix, the b-vertex of its last pair.  A path to c is empty, so it
+    # prefix, the partner of its last vertex.  A path to c is empty, so it
     # goes second.
     first, second = (forest_path(v) for v in sorted(closing, key=lambda v: v == c))
     p = 0
     while p < min(len(first), len(second)) and first[p] == second[p]:
         p += 1
     prefix = first[:p]
-    cyc = [b_of[prefix[-1]] if prefix else c]
-    for t in first[p:]:
-        cyc.extend((a_of[t], b_of[t]))
-    for t in reversed(second[p:]):
-        cyc.extend((b_of[t], a_of[t]))
+    cyc = [partner[prefix[-1]] if prefix else c]
+    for a in first[p:]:
+        cyc.extend((a, partner[a]))
+    for a in reversed(second[p:]):
+        cyc.extend((partner[a], a))
     used = set(first) | set(second)
 
     matching_out: list[tuple[int, int]] = []
     if prefix:
         # c and the shared-prefix pairs leave the cycle; pair them along forest edges
-        matching_out.append(normalize_edge(c, a_of[prefix[0]]))
-        for t, nxt in zip(prefix, prefix[1:]):
-            matching_out.append(normalize_edge(b_of[t], a_of[nxt]))
-    for i in range(m):
-        if i not in used:
-            matching_out.append(normalize_edge(a_of[i], b_of[i]))
+        matching_out.append(normalize_edge(c, prefix[0]))
+        for a, nxt in zip(prefix, prefix[1:]):
+            matching_out.append(normalize_edge(partner[a], nxt))
+    for a in bits(amask):
+        if a not in used:
+            matching_out.append(normalize_edge(a, partner[a]))
     d = Decomposition(
         kind=KIND_ODD_CYCLE_PLUS_MATCHING,
         cycles=(tuple(cyc),),

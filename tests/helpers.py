@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from stabilitylab.canonical import canonical_data, neighbor_lists, refine_colors
 from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges, normalize_edge
 from stabilitylab.independence import alpha_mask
-from stabilitylab.structure import HallCertificate, _minimal_violator
+from stabilitylab.structure import HallCertificate
 
 
 def naive_alpha(g: Graph) -> int:
@@ -148,8 +148,8 @@ def naive_hall(g: Graph, a_set: tuple[int, ...]) -> bool:
 def reference_hall_matching(g: Graph, a_set) -> HallCertificate:
     """``structure.hall_matching`` as it was written with a recursive
     augmenting closure over a dict and a set: the reference its matching
-    or minimal violator must equal.  The violator is shrunk by the same
-    ``_minimal_violator``, which the bitmask matcher left unchanged."""
+    or violator must equal.  The violator is the set the failed search
+    blocked: the failed vertex and the mates of the vertices it visited."""
     a_sorted = tuple(sorted(set(a_set)))
     match: dict[int, int] = {}  # right vertex -> matched left vertex
 
@@ -166,8 +166,7 @@ def reference_hall_matching(g: Graph, a_set) -> HallCertificate:
     for a in a_sorted:
         visited: set[int] = set()
         if not augment(a, visited):
-            z = sorted({a} | {match[b] for b in visited})
-            return HallCertificate(None, _minimal_violator(g, z))
+            return HallCertificate(None, tuple(sorted({a} | {match[b] for b in visited})))
     edges = tuple(sorted(normalize_edge(left, right) for right, left in match.items()))
     return HallCertificate(edges, None)
 

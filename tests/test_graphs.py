@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +131,19 @@ def test_cycle_and_clique_basics():
     with pytest.raises(ValueError):
         cycle(2)
     assert clique(1).edge_count == 0
+
+
+@pytest.mark.parametrize("build, n", [(clique, 1000), (cycle, 10**5), (path, 10**5)])
+def test_oversized_family_fails_before_building_its_edges(build, n):
+    # the vertex count is refused before a single edge is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="outside 1..64"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bipartite_with_pm():

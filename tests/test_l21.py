@@ -7,7 +7,9 @@ independent sets come from ``itertools.combinations`` and Hall's condition
 is checked subset by subset, with no code shared with the fast paths.
 """
 
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -73,6 +75,10 @@ def test_hall_matching_equals_the_recursive_reference(oracle):
 
 
 def test_blocked_set_violates_hall(oracle):
+    # the blocked set is an inclusion-minimal violator: its neighbourhood is
+    # smaller than itself, and Hall's condition holds, subset by subset, on
+    # each set one vertex smaller
+    sizes = Counter()
     for g, sets, hall in oracle:
         for s, ok in zip(sets, hall):
             blocked = augment_matching(g.adj, _mask(s))[1]
@@ -83,6 +89,11 @@ def test_blocked_set_violates_hall(oracle):
             for v in bits(blocked):
                 union |= g.adj[v]
             assert union.bit_count() < blocked.bit_count()
+            z = tuple(bits(blocked))
+            for smaller in combinations(z, len(z) - 1):
+                assert naive_hall(g, smaller), (write_graph6(g), z, smaller)
+            sizes[len(z)] += 1
+    assert sum(sizes.values()) == 5904 and sorted(sizes) == [1, 2, 3, 4]
 
 
 def test_refuting_matches_are_reported(monkeypatch):

@@ -47,6 +47,16 @@ def test_hall_matching_violator():
     assert cert.violator == (0, 2)  # both endpoints share the single middle vertex
 
 
+@pytest.mark.parametrize("n", [31, 33])
+def test_hall_violator_is_the_whole_blocked_set(n):
+    # the even vertices of a path on an odd count are one vertex more than
+    # their neighbours, and no proper subset of them is: 16 and 17 vertices
+    evens = tuple(range(0, n, 2))
+    cert = hall_matching(path(n), evens)
+    assert cert.matching is None
+    assert cert.violator == evens and len(evens) == (n + 1) // 2
+
+
 def test_hall_matching_requires_independent_set():
     with pytest.raises(ValueError):
         hall_matching(cycle(4), [0, 1])
