@@ -190,7 +190,9 @@ def _bipartite_pm(m: int, extra_edges: int, seed: int) -> Graph:
     indexed, never listed."""
     bipartite_with_pm(m)
     size = m * (m - 1)
-    picks = random.Random(seed).sample(range(size), min(extra_edges, size))
+    if not 0 <= extra_edges <= size:
+        raise _UsageError(f"--extra-edges must be in 0..{size} for --m {m}, got {extra_edges}")
+    picks = random.Random(seed).sample(range(size), extra_edges)
     rows = (divmod(p, m - 1) for p in picks)  # (i, rank of j among the j != i)
     return bipartite_with_pm(m, [(i, m + j + (j >= i)) for i, j in rows])
 

@@ -64,11 +64,15 @@ that verifies several theorems; a CLI run scans each level once and only
 fills it, at the cost of one store per class that reaches an alpha test.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
-independence-number work.  The optional hereditary prune for a tight (k,0)
-filter at size n augments only the parents that the pruned scan for tight
-(k-1,0) finds at size n-1 (the whole level when k = 1 or n = 2).  Deleting
-a vertex of a tight (k,0)-stable graph leaves a tight (k-1,0)-stable graph,
-so the canonical parent of every match lies among them.
+independence-number work.  The ``alpha_critical`` test first checks
+Hajnal's degree bound (max degree at most n - 2*alpha + 1, plus one per
+isolated vertex), which every alpha-critical graph meets, and walks the
+edges with ``alpha_preserving_edge`` only when it holds.  The optional
+hereditary prune for a tight (k,0) filter at size n augments only the
+parents that the pruned scan for tight (k-1,0) finds at size n-1 (the whole
+level when k = 1 or n = 2).  Deleting a vertex of a tight (k,0)-stable graph
+leaves a tight (k-1,0)-stable graph, so the canonical parent of every match
+lies among them.
 
 Each match is finished in its scan chunk, in the pool workers when there
 are several.  The chunk hands the match's alpha and witness, from the
@@ -353,6 +357,14 @@ def _min_degree(code: Code) -> int:
     return min(map(int.bit_count, code))
 
 
+def _within_hajnal_bound(code: Code, n: int, a: int) -> bool:
+    """Hajnal's bound (1965): every degree of an alpha-critical graph without
+    isolated vertices is at most n - 2*alpha + 1.  Dropping i isolated
+    vertices drops n and alpha by i each, so the bound rises by i.  A graph
+    over it is not alpha-critical."""
+    return max(map(int.bit_count, code)) <= n - 2 * a + 1 + code.count(0)
+
+
 def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], object]:
     """The function recomputing atlas flag ``key`` from ``(code, n, alpha, witness)``.
 
@@ -366,7 +378,9 @@ def _flag_evaluator(key: str) -> Callable[[Code, int, int | None, int | None], o
     if key == "defect":
         return lambda code, n, a, wit: n - 2 * a
     if key == "alpha_critical":
-        return lambda code, n, a, wit: alpha_preserving_edge(code, n, a) is None
+        return lambda code, n, a, wit: _within_hajnal_bound(code, n, a) and (
+            alpha_preserving_edge(code, n, a) is None
+        )
     kind, _, kl = key.partition("_")
     if kind not in ("stable", "tight"):
         raise ValueError(f"unknown flag {key!r}")

@@ -7,12 +7,25 @@ attain.  Equivalently, no k vertices hit every independent set of size alpha-l.
 
 One scan, :func:`_first_violator`, serves :func:`is_stable` (the witness is
 the first violating subset), :func:`stable_fast` and :func:`max_alpha_drop`.
-It walks the k-subsets lexicographically, looking for a removal that leaves
-alpha below a floor, and keeps ``known``: independent sets, every one of size
->= the floor (the full-graph witness, then one set for each later subset
-that no known set missed: the set its probe found, or its swap below).  A
-subset disjoint from one of them cannot violate, so it is skipped without
-an alpha call and the first violator is the one the plain scan finds.
+It looks, in lexicographic order of the k-subsets, for a removal that
+leaves alpha below a floor, and keeps ``known``: independent sets, every
+one of size >= the floor (the full-graph witness, then one set for each
+later subset that no known set missed: the set its probe found, or its swap
+below).  A subset disjoint from one of them cannot violate, so it is
+skipped without an alpha call and the first violator is the one the plain
+scan finds.
+
+The skipped subsets are never visited.  The scan walks the (k-1)-prefixes P
+in lexicographic order; a known set misses P + {x} exactly when it misses P
+and not x, so the last vertices x no known set rules out are those above
+max(P) that lie in every known set disjoint from P, one AND of masks.
+These candidates are taken in ascending order, and each set that a swap or
+a probe adds misses the subset just taken, so P too, and is ANDed into the
+candidates left.  So the walk meets the k-subsets in lexicographic order
+and leaves out exactly those that a test against every known set would
+skip.  It makes the same probes and swaps in the same order as that test,
+hence the same ``alpha_mask`` calls, violator and ``known``.
+
 Each probe is a threshold query, ``alpha_mask(adj, rest, floor)``: it
 stops at the first independent set of size >= the floor instead of
 proving a maximum.  Such a set proves a subset missing it harmless just
@@ -23,13 +36,14 @@ Before a probe of a subset S that meets the full-graph witness W =
 ``known[0]`` in exactly one vertex v, the scan tries a one-vertex swap, the
 plateau move of the local search of Andrade, Resende & Werneck (J.
 Heuristics 18, 2012): a vertex u outside W and S whose only neighbour in W
-is v.  Then W - v + u is independent (u sees nothing else of W), as large
-as W, so at least the floor, and misses S (v was W's one vertex in S, and
-u is not in S).  It joins ``known`` in place of the set the probe would
-have found, and the probe is skipped.  A subset is still skipped only when
-a known independent set of size >= the floor misses it, so the verdicts
-and first violators do not change, and ``known`` grows by at most one set
-per skipped probe.
+is v.  Such u are v's neighbours outside S less the vertices with two or
+more neighbours in W, a mask built once per scan.  Then W - v + u is
+independent (u sees nothing else of W), as large as W, so at least the
+floor, and misses S (v was W's one vertex in S, and u is not in S).  It
+joins ``known`` in place of the set the probe would have found, and the
+probe is skipped.  A subset is still skipped only when a known independent
+set of size >= the floor misses it, so the verdicts and first violators do
+not change, and ``known`` grows by at most one set per skipped probe.
 """
 
 from __future__ import annotations
@@ -37,10 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, degrees
+from .graphs import MAX_VERTICES, Graph, degrees
 from .independence import alpha_mask
 
 Code = tuple[int, ...]
+_BITS = tuple(1 << v for v in range(MAX_VERTICES))
 
 
 def _check_params(n: int, k: int, l: int) -> None:
@@ -62,18 +77,6 @@ def stability_bound(n: int, k: int, l: int) -> int:
     return _bound(n, k, l)
 
 
-def _by_neighbours_in(adj: Code, n: int, top: int) -> dict[int, int]:
-    """The vertices grouped by their neighbours in ``top``: each mask of
-    neighbours maps to the mask of the vertices with exactly those.  At a
-    single vertex v of the independent set ``top`` it holds the vertices,
-    none of them in ``top``, whose only neighbour in ``top`` is v."""
-    groups: dict[int, int] = {}
-    for u in range(n):
-        hits = adj[u] & top
-        groups[hits] = groups.get(hits, 0) | 1 << u
-    return groups
-
-
 def _first_violator(
     adj: Code, n: int, k: int, floor: int, known: list[int]
 ) -> tuple[int, ...] | None:
@@ -81,25 +84,37 @@ def _first_violator(
     whose first set must be independent with at least ``floor`` vertices."""
     full = (1 << n) - 1
     top = known[0]
-    groups = None  # built at the first subset that meets ``top`` in one vertex
-    for sub in combinations([1 << v for v in range(n)], k):
-        smask = sum(sub)
+    shared = None  # the vertices with two or more neighbours in ``top``, built at first need
+    for pre in combinations(_BITS[: n - 1], k - 1):
+        pmask = sum(pre)
+        cand = full & -(pre[-1] << 1) if pre else full  # the vertices above max(P)
         for w in known:
-            if not w & smask:
-                break
-        else:
+            if not w & pmask:
+                cand &= w
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            smask = pmask | low
             hit = top & smask
             if not hit & (hit - 1):
-                if groups is None:
-                    groups = _by_neighbours_in(adj, n, top)
-                swap = groups.get(hit, 0) & ~smask
+                if shared is None:
+                    seen = shared = 0
+                    left = top
+                    while left:
+                        row = adj[(left & -left).bit_length() - 1]
+                        left &= left - 1
+                        shared |= seen & row
+                        seen |= row
+                swap = adj[hit.bit_length() - 1] & ~(shared | smask)
                 if swap:
-                    known.append(top ^ hit | swap & -swap)
+                    known.append(new := top ^ hit | swap & -swap)
+                    cand &= new
                     continue
             rest, wit = alpha_mask(adj, full ^ smask, floor)
             if rest < floor:
-                return tuple(b.bit_length() - 1 for b in sub)
+                return tuple([b.bit_length() - 1 for b in pre]) + (low.bit_length() - 1,)
             known.append(wit)
+            cand &= wit
     return None
 
 

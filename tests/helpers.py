@@ -109,6 +109,39 @@ def plain_removal_alphas(adj: tuple[int, ...], n: int, k: int):
         yield sub, alpha_mask(adj, full ^ smask)[0]
 
 
+def reference_first_violator(
+    adj: tuple[int, ...], n: int, k: int, floor: int, known: list[int], alpha=alpha_mask
+) -> tuple[int, ...] | None:
+    """``stability._first_violator`` as it was written subset by subset: every
+    k-subset in lexicographic order is tested against the whole ``known``
+    list, then swapped or probed with ``alpha(adj, rest, floor)``.  The
+    reference for the order of the scan's ``alpha_mask`` calls, its result
+    and the sets it adds to ``known``."""
+    full = (1 << n) - 1
+    top = known[0]
+    groups = None
+    for sub in combinations([1 << v for v in range(n)], k):
+        smask = sum(sub)
+        if any(not w & smask for w in known):
+            continue
+        hit = top & smask
+        if not hit & (hit - 1):
+            if groups is None:
+                groups = {}
+                for u in range(n):
+                    hits = adj[u] & top
+                    groups[hits] = groups.get(hits, 0) | 1 << u
+            swap = groups.get(hit, 0) & ~smask
+            if swap:
+                known.append(top ^ hit | swap & -swap)
+                continue
+        rest, wit = alpha(adj, full ^ smask, floor)
+        if rest < floor:
+            return tuple(b.bit_length() - 1 for b in sub)
+        known.append(wit)
+    return None
+
+
 def naive_independent_sets(g: Graph, t: int) -> list[tuple[int, ...]]:
     out = []
     for sub in combinations(range(g.n), t):

@@ -10,7 +10,7 @@ from stabilitylab.canonical import is_isomorphic
 from stabilitylab import cli
 from stabilitylab.cli import build_parser, main, validate_report
 from stabilitylab.graph6 import parse_graph6, write_graph6
-from stabilitylab.graphs import cycle, disjoint_union, even_subdivision_k4
+from stabilitylab.graphs import cycle, disjoint_union, even_subdivision_k4, from_edges
 
 
 def run(capsys, *argv):
@@ -210,6 +210,19 @@ def test_bipartite_pm_checks_m_before_drawing_extra_edges(capsys):
         tracemalloc.stop()
     assert (code, out) == (1, "") and err.startswith("error:")
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("extra", ["100", "7", "-5", "-1"])
+def test_bipartite_pm_rejects_extra_edges_out_of_range(capsys, extra):
+    # m = 3 has 3 * 2 = 6 cross pairs off the matching
+    argv = ("construct", "--family", "bipartite-pm", "--m", "3", "--extra-edges", extra)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: --extra-edges must be in 0..6 for --m 3, got {extra}\n"
+    code, out, _ = run(capsys, *argv[:-1], "6")
+    assert code == 0 and last_report(out)["result"]["g6"] == write_graph6(
+        from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    )
 
 
 def test_construct_output_feeds_analysis(capsys, tmp_path):

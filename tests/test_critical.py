@@ -11,7 +11,7 @@ from helpers import (
     random_graph,
     relabeled,
 )
-from stabilitylab import catalog
+from stabilitylab import catalog, enumeration
 from stabilitylab.canonical import canonical_key
 from stabilitylab.critical import (
     CriticalKernel,
@@ -25,6 +25,7 @@ from stabilitylab.critical import (
 )
 from stabilitylab.enumeration import enumerate_canonical
 from stabilitylab.graphs import (
+    add_isolated,
     clique,
     cycle,
     delete_edge,
@@ -33,7 +34,7 @@ from stabilitylab.graphs import (
     from_edges,
     is_connected,
 )
-from stabilitylab.independence import alpha
+from stabilitylab.independence import alpha, alpha_mask
 from stabilitylab.stability import is_stable
 
 
@@ -143,6 +144,25 @@ def test_critical_test_matches_edge_deletion_oracle():
             current = delete_edge(current, edge)
             removed.append(edge)
         assert critical_reduce(g) == CriticalKernel(current, tuple(removed))
+
+
+def test_hajnal_pretest_keeps_the_alpha_critical_flag():
+    # the alpha_critical flag rejects on Hajnal's degree bound before the edge
+    # walk; on every class with n <= 8 it must equal the walk's verdict
+    flag = enumeration._flag_evaluator("alpha_critical")
+    pretested = 0
+    for n in range(1, 9):
+        for g in enumerate_canonical(n):
+            a = alpha_mask(g.adj, (1 << n) - 1)[0]
+            assert flag(g.adj, n, a, None) == (alpha_preserving_edge(g.adj, n, a) is None)
+            pretested += not enumeration._within_hajnal_bound(g.adj, n, a)
+    assert pretested > 5_828  # AND's n = 8 candidates over the bound alone
+    # alpha-critical graphs over the bound without its isolated-vertex term:
+    # C5 + K1 has degree 2 against 6 - 6 + 1, C7 + 2K1 degree 2 against 9 - 10 + 1
+    for g in (add_isolated(cycle(5), 1), add_isolated(cycle(7), 2)):
+        a = alpha(g).alpha
+        assert max(row.bit_count() for row in g.adj) > g.n - 2 * a + 1
+        assert flag(g.adj, g.n, a, None) is True
 
 
 def _assert_matcher_agrees(g, name):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     naive_removal_alphas,
     plain_removal_alphas,
     random_graph,
+    reference_first_violator,
     relabeled,
 )
 from stabilitylab import stability
@@ -157,7 +159,7 @@ def _assert_matches_plain_scan(g):
             assert stable_fast(g.adj, g.n, k, l, a, wit) == (first is None)
 
 
-def test_cached_scan_matches_plain_scan():
+def _seeded_scan_cases():
     rng = random.Random(4242)
     cases = [random_graph(rng, rng.randint(9, 16), rng.uniform(0.2, 0.5)) for _ in range(200)]
     cases += [relabeled(cycle(n), rng) for n in range(4, 17)]
@@ -166,8 +168,58 @@ def test_cached_scan_matches_plain_scan():
         for a in range(3, 9)
         for b in range(a, 9)
     ]
-    for g in cases:
+    return cases
+
+
+def test_cached_scan_matches_plain_scan():
+    for g in _seeded_scan_cases():
         _assert_matches_plain_scan(g)
+
+
+def _assert_same_probe_sequence(g, monkeypatch):
+    # the prefix scan against the subset-by-subset reference: the same
+    # alpha_mask calls (mask, floor) in the same order, the same violator and
+    # the same ``known`` list for every k <= 3 and l < k, and the same calls
+    # and drop from max_alpha_drop; returns the number of calls compared
+    calls = []
+
+    def recording_alpha(adj, mask, at_least=None):
+        calls.append((mask, at_least))
+        return alpha_mask(adj, mask, at_least)
+
+    def traced(run, *args):
+        calls.clear()
+        return run(*args), calls[:]
+
+    a, wit = alpha_mask(g.adj, (1 << g.n) - 1)
+    reference = partial(reference_first_violator, alpha=recording_alpha)
+    compared = 0
+    with monkeypatch.context() as m:
+        m.setattr(stability, "alpha_mask", recording_alpha)
+        for k in range(1, min(3, g.n - 1) + 1):
+            for l in range(k):
+                known, ref_known = [wit], [wit]
+                got = traced(stability._first_violator, g.adj, g.n, k, a - l, known)
+                want = traced(reference, g.adj, g.n, k, a - l, ref_known)
+                assert (got, known) == (want, ref_known)
+                compared += len(got[1])
+            got = traced(max_alpha_drop, g, k)
+            with monkeypatch.context() as m2:
+                m2.setattr(stability, "_first_violator", reference)
+                want = traced(max_alpha_drop, g, k)
+            assert got == want
+            compared += len(got[1])
+    return compared
+
+
+def test_scan_probe_sequence_matches_reference(monkeypatch):
+    compared = 0
+    for n in range(1, 8):
+        for g in enumerate_canonical(n):
+            compared += _assert_same_probe_sequence(g, monkeypatch)
+    for g in _seeded_scan_cases():
+        compared += _assert_same_probe_sequence(g, monkeypatch)
+    assert compared > 10_000
 
 
 def test_cached_scan_skips_subsets_missing_a_known_set(monkeypatch):
@@ -235,6 +287,12 @@ def test_every_known_set_is_independent_and_misses_its_subset(monkeypatch):
 def test_cached_scan_matches_plain_scan_every_class_n8():
     for g in enumerate_canonical(8):
         _assert_matches_plain_scan(g)
+
+
+@pytest.mark.extended
+def test_scan_probe_sequence_matches_reference_every_class_n8(monkeypatch):
+    for g in enumerate_canonical(8):
+        _assert_same_probe_sequence(g, monkeypatch)
 
 
 def test_monotonicity_over_stream():
