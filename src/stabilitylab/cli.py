@@ -197,6 +197,13 @@ def _bipartite_pm(m: int, extra_edges: int, seed: int) -> Graph:
     return bipartite_with_pm(m, [(i, m + j + (j >= i)) for i, j in rows])
 
 
+def _ints(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+
+
 #: construct families: name -> (constructor, the flags it reads with their
 #: defaults, ``None`` for a required flag).  ``graph`` is the base graph from
 #: --g6 or --file; the constructor takes the values in row order.
@@ -210,10 +217,7 @@ _FAMILIES = {
     ),
     "isolift": (add_isolated, {"graph": None, "count": 1}),
     "bipartite-pm": (_bipartite_pm, {"m": None, "extra_edges": 0, "seed": 0}),
-    "evensub-k4": (
-        lambda counts: even_subdivision_k4(tuple(int(x) for x in counts.split(","))),
-        {"counts": None},
-    ),
+    "evensub-k4": (lambda counts: even_subdivision_k4(_ints("--counts", counts)), {"counts": None}),
 }
 
 #: every flag a family can read, in ``input.args`` order
@@ -246,14 +250,6 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _parse_kl(text: str) -> tuple[int, int]:
-    try:
-        k, l = (int(x) for x in text.split(","))
-    except ValueError:
-        raise _UsageError(f"expected K,L integers, got {text!r}")
-    return k, l
-
-
 def _spec_from_args(args) -> FilterSpec:
     return FilterSpec(
         min_degree=args.min_degree,
@@ -261,8 +257,8 @@ def _spec_from_args(args) -> FilterSpec:
         alpha=args.alpha,
         defect=args.defect,
         alpha_critical=True if args.alpha_critical else None,
-        stable=_parse_kl(args.stable) if args.stable else None,
-        tight=_parse_kl(args.tight) if args.tight else None,
+        stable=_ints("--stable", args.stable) if args.stable else None,
+        tight=_ints("--tight", args.tight) if args.tight else None,
     )
 
 

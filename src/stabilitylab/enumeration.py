@@ -75,10 +75,10 @@ leaves a tight (k-1,0)-stable graph, so the canonical parent of every match
 lies among them.
 
 Each match is finished in its scan chunk, in the pool workers when there
-are several.  The chunk hands the match's alpha and witness, from the
-level's table or from its own ``alpha_mask`` call, to the pipeline's check
-``(code, n, alpha, witness)``, and returns the codes, one alpha byte per
-match and the codes the check rejects.  A chunk names its pipeline by
+are several: the chunk hands its alpha and witness (from the level's table
+or an ``alpha_mask`` call; L21's check reads neither) to the pipeline's
+check ``(code, n, alpha, witness)`` and returns the codes, one alpha byte
+per match and the codes the check rejects.  A chunk names its pipeline by
 theorem id, since a check may be a closure, which cannot be pickled.
 Reports and atlas records are encoded straight from the adjacency rows;
 only the certificate builders and the AND and SUR recognizers build a
@@ -113,7 +113,7 @@ from .critical import (
 from .errors import InvariantViolation
 from .graph6 import encode_rows, parse_graph6
 from .graphs import Graph, reachable
-from .independence import alpha_mask, independent_masks
+from .independence import alpha_mask
 from .stability import stable_fast, tight_fast
 from .structure import augment_matching, spanning_certificate
 
@@ -677,13 +677,13 @@ def _certificate_check(k: int) -> Check:
 
 
 def _l21_check(code: Code, n: int, a: int, witness: int) -> bool:
-    """Match test of L21: every maximum independent set saturates into its
-    complement.  By Hall's theorem that is whether the augmenting-path
-    search of ``augment_matching`` matches every vertex of the set; it runs
-    on each set ``independent_masks`` yields at size ``a``, the alpha the
-    scan computed, stopping at the first set that fails."""
-    sets = independent_masks(code, (1 << n) - 1, a)
-    return all(not augment_matching(code, s)[1] for s in sets)
+    """Match test of L21: every maximum independent set S saturates into
+    V - S, that is, |N(X)| >= |X| for every vertex set X, which one
+    ``augment_matching`` search on the bipartite double cover decides.  If
+    it holds, N(Y) avoids S for each Y in S.  If not, a largest deficiency
+    |X| - |N(X)| lies on an independent set (Zhang, SIAM J. Discrete Math.
+    1990) inside a maximum S (Larson, European J. Combin. 2011)."""
+    return not augment_matching(code, (1 << n) - 1)[1]
 
 
 def _refuted(code: Code, n: int, a: int, witness: int) -> bool:

@@ -113,10 +113,8 @@ def independent_masks(adj: Code, mask: int, t: int) -> Iterator[int]:
     order; it is dropped when fewer candidates remain than are still needed.
     """
     stack = [(0, mask, t)]
-    pop = stack.pop
-    push = stack.append
     while stack:
-        chosen, cand, need = pop()
+        chosen, cand, need = stack.pop()
         if not need:
             yield chosen
             continue
@@ -124,8 +122,8 @@ def independent_masks(adj: Code, mask: int, t: int) -> Iterator[int]:
             continue
         low = cand & -cand
         cand ^= low
-        push((chosen, cand, need))
-        push((chosen | low, cand & ~adj[low.bit_length() - 1], need - 1))
+        stack.append((chosen, cand, need))
+        stack.append((chosen | low, cand & ~adj[low.bit_length() - 1], need - 1))
 
 
 def independent_sets_of_size(g: Graph, t: int) -> Iterator[tuple[int, ...]]:

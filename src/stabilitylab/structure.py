@@ -1,15 +1,15 @@
 """Constructive certificates for the structural results, and their validator.
 
-Each builder follows one constructive argument: saturating matchings and
-minimal Hall violators come straight from one augmenting-path search on
-adjacency masks, the odd-cycle-plus-matching certificate from an
-alternating breadth-first forest rooted at the unmatched vertex, and the
-spanning decompositions from a greedy critical kernel whose components the
-recognizers of :mod:`~stabilitylab.critical` identify.  Every returned
-certificate is checked by the independent :func:`validate_decomposition`
-before it leaves this module; the validator shares no code with the
-recognizers.  ``is_odd_cycle``, ``is_even_subdivision_k4`` and
-``spanning_embedding`` stay importable from here.
+Each builder follows one constructive argument: saturating matchings,
+minimal Hall violators and L21's check (on the bipartite double cover) come
+from one augmenting-path search on adjacency masks, the odd-cycle-plus-
+matching certificate from an alternating breadth-first forest rooted at
+the unmatched vertex, and the spanning decompositions from a greedy
+critical kernel whose components the recognizers of
+:mod:`~stabilitylab.critical` identify.  Every certificate passes the
+independent :func:`validate_decomposition` before it leaves this module;
+the validator shares no code with the recognizers.  ``is_odd_cycle``,
+``is_even_subdivision_k4`` and ``spanning_embedding`` stay importable here.
 """
 
 from __future__ import annotations
@@ -158,17 +158,19 @@ def _check_subdivision_paths(g: Graph, paths: tuple[tuple[int, ...], ...]) -> li
 
 
 def augment_matching(adj: tuple[int, ...], left: int) -> tuple[list[int], int]:
-    """Match the independent vertex set ``left`` into its neighbourhood by
-    augmenting paths (Kuhn's algorithm) on the adjacency masks ``adj``.
+    """Match the vertex set ``left`` into its neighbourhood by augmenting
+    paths (Kuhn's algorithm) on the adjacency masks ``adj``.
 
-    Left vertices are taken in ascending order, each with a fresh visited
-    set, and every search tries a vertex's unvisited neighbours in ascending
-    order, depth first on an explicit stack.  Returns ``(mate, blocked)``:
-    ``mate[b]`` is the left vertex matched to ``b``, or -1.  ``blocked`` is 0
-    when every left vertex is matched; otherwise the search stopped at the
-    first left vertex it could not match, and ``blocked`` is the mask of
-    that vertex and the mates of the vertices its search visited, a set
-    whose neighbourhood is smaller than itself (Hall's condition fails).
+    The right side is a separate copy of V: an independent ``left`` meets
+    only V - left, and ``left`` = V searches the bipartite double cover,
+    matched perfectly iff disjoint edges and cycles span G.  Left vertices
+    go in ascending order, each with a fresh visited set, and each search
+    tries unvisited neighbours in ascending order, depth first on an
+    explicit stack.  Returns ``(mate, blocked)``: ``mate[b]`` is the left
+    vertex matched to right ``b``, or -1.  ``blocked`` is 0 when every left
+    vertex is matched, else the first left vertex the search could not
+    match and the mates of the vertices its search visited, a set with
+    fewer neighbours than members.
     """
     mate = [-1] * len(adj)
     rest = left

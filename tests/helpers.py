@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from stabilitylab.canonical import canonical_data, neighbor_lists, refine_colors
 from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges, normalize_edge
-from stabilitylab.independence import alpha_mask
-from stabilitylab.structure import HallCertificate
+from stabilitylab.independence import alpha_mask, independent_masks
+from stabilitylab.structure import HallCertificate, augment_matching
 
 
 def naive_alpha(g: Graph) -> int:
@@ -202,6 +202,35 @@ def reference_hall_matching(g: Graph, a_set) -> HallCertificate:
             return HallCertificate(None, tuple(sorted({a} | {match[b] for b in visited})))
     edges = tuple(sorted(normalize_edge(left, right) for right, left in match.items()))
     return HallCertificate(edges, None)
+
+
+def reference_l21_check(adj: tuple[int, ...], n: int, a: int) -> bool:
+    """``enumeration._l21_check`` as it was written set by set: every
+    independent set of size ``a`` (the independence number) from
+    ``independent_masks``, each put to ``augment_matching``, stopping at the
+    first set that does not saturate into its complement."""
+    sets = independent_masks(adj, (1 << n) - 1, a)
+    return all(not augment_matching(adj, s)[1] for s in sets)
+
+
+def has_cycle_cover(adj: tuple[int, ...], n: int) -> bool:
+    """Whether some permutation sigma of the vertices sends every v to a
+    neighbour sigma(v), by backtracking over v = 0, 1, ...: a perfect
+    matching of the bipartite double cover, found without a matcher."""
+    used = [False] * n
+
+    def place(v: int) -> bool:
+        if v == n:
+            return True
+        for u in range(n):
+            if adj[v] >> u & 1 and not used[u]:
+                used[u] = True
+                if place(v + 1):
+                    return True
+                used[u] = False
+        return False
+
+    return place(0)
 
 
 def labeled_codes(n: int):

@@ -225,6 +225,17 @@ def test_bipartite_pm_rejects_extra_edges_out_of_range(capsys, extra):
     )
 
 
+@pytest.mark.parametrize("counts", ["a,b", "0,0,0,0,0,x", "2;0", ""])
+def test_evensub_k4_rejects_non_integer_counts(capsys, counts):
+    argv = ("construct", "--family", "evensub-k4", "--counts", counts)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: --counts expects comma-separated integers, got {counts!r}\n"
+    code, out, _ = run(capsys, *argv[:-1], "0,0,0,0,0,2")
+    assert code == 0
+    assert last_report(out)["result"]["g6"] == write_graph6(even_subdivision_k4((0, 0, 0, 0, 0, 2)))
+
+
 def test_construct_output_feeds_analysis(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--family", "clique", "--n", "4")
     assert code == 0
@@ -294,11 +305,12 @@ def test_verify_repeated_size_exits_one(capsys):
     assert (code, out) == (1, "") and err == "error: size 5 is given twice\n"
 
 
-@pytest.mark.parametrize("kl", ["1,1", "0,0", "2,-1"])
+@pytest.mark.parametrize("kl", ["1,1", "0,0", "2,-1", "1", "1,2,3", "1,x"])
 @pytest.mark.parametrize("kind", ["--stable", "--tight"])
 def test_enumerate_rejects_malformed_stability_filter(capsys, kind, kl):
     code, out, err = run(capsys, "enumerate", "--n", "5", kind, kl)
     assert (code, out) == (1, "") and err.startswith("error:")
+    assert kind[2:] in err  # the message names the filter
 
 
 @pytest.mark.parametrize("flag,value", [("--min-degree", "-1"), ("--alpha", "0")])

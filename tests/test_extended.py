@@ -4,12 +4,12 @@ The default acceptance suite proves the size-10 emptiness result through the
 hereditary prune; this module repeats it over the full unpruned stream of
 ~1.2e7 classes, and runs T1d at n = 10 through the prune, which augments the
 8,345 classes of T(1,9) into 844,279 children, and checks L21 at n = 9, one
-size beyond its default range, over every maximum independent set of the
-84,571 (1,0)-stable classes of level 9.  The worker count comes from
-STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU x86-64 VM the
-unpruned scan took 3.1 to 5.5 minutes and T1d about 23 seconds; with 1
-worker L21 at n = 9 took about 36 seconds, building level 9 included
-(Python 3.11.7).
+size beyond its default range, with one matching search on the bipartite
+double cover for each of the 84,571 (1,0)-stable classes of level 9.  The
+worker count comes from STABILITYLAB_JOBS (default 1); with 2 workers on a
+2-vCPU x86-64 VM the unpruned scan took 3.1 to 5.5 minutes and T1d about
+23 seconds; with 1 worker L21 at n = 9 took 17 to 19 seconds, building
+level 9 included (Python 3.11.7).
 """
 
 import os

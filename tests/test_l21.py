@@ -4,7 +4,11 @@ graph saturates into its complement.
 The mask enumerator, the augmenting-path matcher and ``_l21_check`` are
 compared against brute force over every class with n <= 8: the maximum
 independent sets come from ``itertools.combinations`` and Hall's condition
-is checked subset by subset, with no code shared with the fast paths.
+is checked subset by subset, with no code shared with the fast paths.  The
+check is one matching search on the bipartite double cover; the matcher
+run that way is compared with a backtracking search for a permutation
+along edges at n <= 7, and the check with the set-by-set reference on
+every class of level 9 (``-m extended``).
 """
 
 from collections import Counter
@@ -14,12 +18,14 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    has_cycle_cover,
     naive_hall,
     naive_maximum_independent_sets,
     reference_hall_matching,
+    reference_l21_check,
 )
 from stabilitylab import enumeration
-from stabilitylab.enumeration import _l21_check, enumerate_canonical, verify_theorem
+from stabilitylab.enumeration import _cached_level, _l21_check, enumerate_canonical, verify_theorem
 from stabilitylab.graph6 import write_graph6
 from stabilitylab.graphs import bits, from_edges, path
 from stabilitylab.independence import alpha_mask, independent_masks
@@ -47,6 +53,46 @@ def test_l21_check_equals_brute_force(oracle):
     for g, _, hall in oracle:
         found = alpha_mask(g.adj, (1 << g.n) - 1)
         assert _l21_check(g.adj, g.n, *found) == all(hall), write_graph6(g)
+
+
+def test_per_set_reference_equals_brute_force(oracle):
+    for g, sets, hall in oracle:
+        assert reference_l21_check(g.adj, g.n, len(sets[0])) == all(hall), write_graph6(g)
+
+
+@pytest.mark.extended
+def test_l21_check_equals_per_set_reference_at_nine():
+    # every class of level 9, (1,0)-stable or not, by both checks
+    failing = 0
+    for code in _cached_level(9):
+        found = alpha_mask(code, (1 << 9) - 1)
+        ok = _l21_check(code, 9, *found)
+        assert ok == reference_l21_check(code, 9, found[0]), code
+        failing += not ok
+    assert failing == 36842
+
+
+def test_double_cover_matching_equals_cycle_cover_search():
+    # with every vertex on the left, augment_matching decides whether a
+    # permutation sends each vertex to a neighbour; on success its mates are
+    # such a permutation, and a failed search blocks a set with fewer
+    # neighbours than members
+    failing = 0
+    for n in range(1, 8):
+        for g in enumerate_canonical(n):
+            mate, blocked = augment_matching(g.adj, (1 << n) - 1)
+            assert (not blocked) == has_cycle_cover(g.adj, n), write_graph6(g)
+            if not blocked:
+                assert sorted(mate) == list(range(n))
+                assert all(g.adj[b] >> a & 1 for b, a in enumerate(mate))
+                continue
+            union = 0
+            for v in bits(blocked):
+                union |= g.adj[v]
+            assert union.bit_count() < blocked.bit_count(), write_graph6(g)
+            failing += 1
+    # the classes where L21's per-set check fails (test_both_outcomes_occur)
+    assert failing == 487
 
 
 def test_hall_yes_no_equals_brute_force_on_every_maximum_set(oracle):
