@@ -32,15 +32,23 @@ def alpha_mask(adj: Code, mask: int, at_least: int | None = None) -> tuple[int, 
     as without the bounds.
 
     ``at_least=t`` asks a threshold question instead: the incumbent starts
-    at ``t - 1``, so both bounds prune from the root, and the search returns
-    the first independent set of size >= t it reaches.  The size returned is
-    >= t exactly when alpha(mask) >= t, and the set is then independent and
-    inside ``mask``; otherwise the result is ``(t - 1, 0)``.
+    at ``t - 1``, so both bounds prune from the root.  When neither refutes
+    t there, one greedy dive runs before any branching: it takes a vertex of
+    least degree among those left (the first of degree <= 1 it meets, since
+    some maximum independent set holds such a vertex), drops its closed
+    neighbourhood, and repeats until it holds t vertices or too few are left
+    to reach t (the min-degree greedy, Halldórsson & Radhakrishnan,
+    Algorithmica 18, 1997; exact on paths and cycles).  If it reaches t its
+    set is the answer; otherwise the branch and bound returns the first
+    independent set of size >= t it reaches.  The size returned is >= t
+    exactly when alpha(mask) >= t, and the set, of that size, is then
+    independent and inside ``mask``; otherwise the result is ``(t - 1, 0)``.
     """
     if at_least is None:
         best, goal = 0, mask.bit_count() + 1  # a goal no set reaches
     else:
         best, goal = at_least - 1, at_least
+    dive = at_least is not None
     best_set = 0
     stack = [(mask, 0, 0)]
     pop = stack.pop
@@ -68,6 +76,28 @@ def alpha_mask(adj: Code, mask: int, at_least: int | None = None) -> tuple[int, 
                     grow &= adj[low.bit_length() - 1]
             else:
                 continue
+        if dive:
+            # the root's bounds left t open: the min-degree greedy, once
+            dive = False
+            left, got, taken = avail, 0, 0
+            while got < goal <= got + left.bit_count():
+                bd = left.bit_count()  # above every degree within ``left``
+                rest = left
+                while rest:
+                    low = rest & -rest
+                    v = low.bit_length() - 1
+                    rest ^= low
+                    d = (adj[v] & left).bit_count()
+                    if d < bd:
+                        bd, bv = d, v
+                        if d <= 1:
+                            break
+                low = 1 << bv
+                left &= ~(adj[bv] | low)
+                got += 1
+                taken |= low
+            if got >= goal:
+                return got, taken
         bv = -1
         bd = -1
         rest = avail

@@ -27,10 +27,11 @@ skip.  It makes the same probes and swaps in the same order as that test,
 hence the same ``alpha_mask`` calls, violator and ``known``.
 
 Each probe is a threshold query, ``alpha_mask(adj, rest, floor)``: it
-stops at the first independent set of size >= the floor instead of
-proving a maximum.  Such a set proves a subset missing it harmless just
-as a maximum one does, so the verdicts and witnesses stay those of the plain
-scan; only which subsets get probed may change.
+returns an independent set of size >= the floor, most often the set of
+its min-degree greedy dive, or else the first one its search reaches,
+instead of proving a maximum.  Such a set proves a subset missing it
+harmless just as a maximum one does, so the verdicts and witnesses stay
+those of the plain scan; only which subsets get probed may change.
 
 Before a probe of a subset S that meets the full-graph witness W =
 ``known[0]`` in exactly one vertex v, the scan tries a one-vertex swap, the

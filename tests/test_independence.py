@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -167,13 +168,13 @@ def test_witness_matches_plain_kernel():
         assert alpha_mask(adj, mask) == plain_alpha_mask(adj, mask), (adj, mask)
 
 
-def _class_masks(n):
-    """Every class on ``n`` vertices with the full mask and each single vertex deleted."""
+def _class_masks(n, k=1):
+    """Every class on ``n`` vertices with every set of at most ``k`` vertices deleted."""
     full = (1 << n) - 1
     for g in enumerate_canonical(n):
-        yield n, g.adj, full
-        for v in range(n):
-            yield n, g.adj, full ^ 1 << v
+        for r in range(min(k, n) + 1):
+            for sub in combinations(range(n), r):
+                yield n, g.adj, full ^ sum(1 << v for v in sub)
 
 
 def _seeded_masks():
@@ -198,21 +199,32 @@ def _seeded_masks():
 
 def _assert_threshold_decides(cases):
     # alpha_mask(adj, mask, t) answers alpha(mask) >= t for every t in 0..n+1,
-    # with an independent set of at least t vertices inside mask when it holds
+    # with an independent set of ``size`` >= t vertices inside mask when it holds
     for n, adj, mask in cases:
         a = plain_alpha_mask(adj, mask)[0]
         for t in range(n + 2):
             size, found = alpha_mask(adj, mask, t)
             assert (size >= t) == (a >= t), (adj, mask, t)
             if size >= t:
-                assert found & ~mask == 0 and found.bit_count() >= t, (adj, mask, t)
+                assert found & ~mask == 0 and found.bit_count() == size, (adj, mask, t)
                 assert all(adj[v] & found == 0 for v in bits(found)), (adj, mask, t)
 
 
 def test_threshold_matches_plain_kernel():
-    for n in range(1, 8):
-        _assert_threshold_decides(_class_masks(n))
+    # up to 6 vertices, every mask the stability scan probes for k <= 3
+    for n in range(1, 7):
+        _assert_threshold_decides(_class_masks(n, 3))
+    _assert_threshold_decides(_class_masks(7))
     _assert_threshold_decides(_seeded_masks())
+
+
+def test_threshold_returns_the_greedy_set():
+    # on P8 the min-degree greedy dive reaches t = 4 with the even vertices,
+    # where the search alone takes the odd ones; full mode keeps the search's
+    # witness
+    adj = path(8).adj
+    assert alpha_mask(adj, 0xFF, 4) == (4, 0b01010101)
+    assert alpha_mask(adj, 0xFF) == plain_alpha_mask(adj, 0xFF) == (4, 0b10101010)
 
 
 @pytest.mark.extended
