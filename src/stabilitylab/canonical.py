@@ -67,13 +67,17 @@ def refine_colors(nlists: list[list[int]], colors: list[int]) -> list[int]:
 
     Color values are compact ranks assigned by sorted signature, so the cell
     order is an isomorphism invariant and refinement only ever splits cells
-    in place.
+    in place.  A vertex alone in its cell keeps the signature ``(color, ())``:
+    its color alone fixes its rank.
     """
     n = len(nlists)
     ncolors = len(set(colors))
     while True:
         at = colors.__getitem__
-        sigs = [(c, tuple(sorted(map(at, nb)))) for c, nb in zip(colors, nlists)]
+        count = colors.count
+        sigs = [
+            (c, tuple(sorted(map(at, nb))) if count(c) > 1 else ()) for c, nb in zip(colors, nlists)
+        ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
         k = len(rank)

@@ -8,21 +8,22 @@ The canonical deletion vertex always sits in the last cell of the equitable
 partition, and refinement from degree ranks only splits cells in place, so
 that cell lies inside the last cell of every earlier refinement round.  The
 gate runs these tests in order, each exact, and stops at the first that
-decides:
+decides.  Steps 1-4 read only the parent and the attachment mask S and run
+on each mask before the orbit walk; steps 5-7 run on a built child:
 
-1. z must have the largest degree, decided on the attachment subset before
-   any child is built;
-2. z alone of largest degree: accept;
-3. the second refinement round, on the largest-degree cell only: another
-   vertex with a larger sorted list of neighbour degrees rejects, a list
-   of z's larger than all others accepts, and only ties go on;
-4. every tied vertex a twin of z (the same neighbours apart from z and
-   itself): accept;
-5. the equitable partition: z outside its last cell rejects, a singleton
-   last cell accepts;
-6. every other vertex of the last cell proved to be in z's orbit by
-   :func:`~stabilitylab.canonical.shares_orbit` accepts, since the
-   canonical deletion vertex is one of them;
+1. z must have the largest degree: |S| >= max degree + [S meets one];
+2. z alone of largest degree: accept.  The others of degree |S| are
+   ``S & D[|S|-1] | D[|S|] & ~S``, D[d] holding the parent's vertices of
+   degree d;
+3. the second refinement round, on that cell only: another vertex with a
+   larger sorted list of neighbour degrees rejects, a list of z's larger
+   than all others accepts, and only ties go on;
+4. every tied vertex v a twin of z, ``(S ^ N(v)) & ~v == 0``: accept;
+5. the equitable partition, refined on neighbour lists extended from the
+   parent's: z outside its last cell rejects;
+6. the last cell's other vertices that are not twins of z: none, or all
+   proved to be in z's orbit by :func:`~stabilitylab.canonical.shares_orbit`,
+   accepts, since the canonical deletion vertex is one of them;
 7. the full canonical labeling decides the rest.
 
 Step 3 sorts no list.  It compares weights: a vertex's weight is the sum of
@@ -33,16 +34,20 @@ length.  At the first place where two such ascending lists differ, the
 smaller list has the smaller entry d; both lists agree on the entries below
 d, and only the smaller one has another d.  So it has the larger digit
 n-d, and every higher digit is equal.  A larger weight is therefore a
-smaller list, and equal weights are equal lists.
+smaller list, and equal weights are equal lists.  Per parent, with parent
+degrees, ``out_w[m]`` sums ``(n+1) ** (n - deg u)`` over u in m and
+``in_w[m]`` sums ``(n+1) ** (n - deg u - 1)``.  A vertex of S gains one
+degree, so z weighs ``in_w[S]`` and v weighs ``in_w[N(v) & S] +
+out_w[N(v) & ~S]``, plus ``(n+1) ** (n - |S|)`` for z when v is in S.
 
-Step 4 is exact because the last equitable cell lies inside the last cell
-of round two, which is z and the tied vertices, and because swapping z with
-a twin of it is an automorphism.  So every vertex of that cell, the
-canonical deletion vertex included, is in z's orbit.
-
-Attachment subsets come from masks bucketed by popcount once per parent
-size, and their orbits are closed through one image table per automorphism
-generator.
+Steps 4 and 6 are exact because swapping z with a twin is an automorphism,
+and the last equitable cell lies inside z and its round-two ties.  An
+automorphism of the parent, z fixed, maps the child of S onto the child of
+its image, so steps 1-4 decide an orbit's masks alike: a rejected mask is
+dropped before the walk, which closes the survivors' orbits only, and each
+survivor's orbit keeps its least mask as representative.  Masks come
+bucketed by popcount once per parent size, and orbits are closed through
+one image table per automorphism generator.
 
 Levels up to 9 vertices are cached as the tuples of adjacency-row codes
 that ``extend_level`` returns, checked against the known class counts.
@@ -145,24 +150,27 @@ def _popcount_buckets(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(map(tuple, exactly)), tuple(map(tuple, above))
 
 
-def _image_table(sigma: tuple[int, ...]) -> list[int]:
-    """``table[s]`` is the image of mask ``s`` under the permutation ``sigma``,
-    for every ``s`` below ``2**len(sigma)``, built by doubling: the masks with
-    highest bit v are those below ``1 << v`` plus v, so their images are the
-    images already built plus ``sigma[v]``."""
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """``table[s]`` sums ``values[v]`` over the set bits v of ``s < 2**len(values)``,
+    built by doubling: the masks with highest bit v are those below ``1 << v``
+    plus v, so their sums are the sums already built plus ``values[v]``."""
     table = [0]
-    for image in sigma:
-        bit = 1 << image
-        table += [t | bit for t in table]
+    for value in values:
+        table += [t + value for t in table]
     return table
 
 
-def _subset_reps(parent: Code) -> list[int]:
-    """One attachment subset per orbit of the parent's automorphism group,
-    the least of each orbit in ascending order, keeping only subsets S that
-    give the new vertex the largest degree in the child:
-    |S| >= max degree + [S meets a max-degree vertex].  Automorphisms keep
-    both sides, so the gate removes whole orbits."""
+def _image_table(sigma: tuple[int, ...]) -> list[int]:
+    """``table[s]`` is the image of mask ``s`` under the permutation ``sigma``:
+    the subset sum of ``1 << sigma[v]``, whose bits are distinct."""
+    return _subset_sums([1 << image for image in sigma])
+
+
+def _subset_reps(parent: Code, keep: Callable[[int], int]) -> list[tuple[int, int]]:
+    """``(S, keep(S))`` for one attachment subset S per orbit of the parent's
+    automorphism group, the least of each orbit in ascending order, keeping
+    only subsets that give the new vertex the largest degree in the child
+    and that ``keep``, constant on orbits, maps to a nonzero value."""
     m = len(parent)
     degs = [row.bit_count() for row in parent]
     top = max(degs)
@@ -173,14 +181,14 @@ def _subset_reps(parent: Code) -> list[int]:
     masks.sort()  # two ascending runs: one merge
     gens = canonical_data(parent).generators
     if not gens:
-        return masks
+        return [(s, verdict) for s in masks if (verdict := keep(s))]
     tables = [_image_table(g) for g in gens]
     seen = bytearray(1 << m)
     reps = []
     for s in masks:
-        if seen[s]:
+        if seen[s] or not (verdict := keep(s)):
             continue
-        reps.append(s)
+        reps.append((s, verdict))
         stack = [s]
         seen[s] = 1
         while stack:
@@ -200,14 +208,40 @@ def _degree_weights(n: int) -> tuple[int, ...]:
     return tuple((n + 1) ** (n - d) for d in range(n))
 
 
-def _neighbour_weight(row: int, weights: list[int]) -> int:
-    """The sum of ``weights[u]`` over the set bits u of ``row``."""
-    total = 0
-    while row:
-        low = row & -row
-        total += weights[low.bit_length() - 1]
-        row ^= low
-    return total
+#: verdicts of :func:`_mask_gate`; a reject is 0, so ``_subset_reps`` drops it
+_REJECT, _ACCEPT, _TIE = 0, 1, 2
+
+
+def _mask_gate(parent: Code) -> Callable[[int], int]:
+    """Steps 2-4 of the gate on a mask S that passed step 1, from tables built
+    once for ``parent``: ``_ACCEPT``, ``_REJECT``, or ``_TIE`` when a vertex
+    that is not a twin of z ties with z in round two."""
+    n = len(parent) + 1
+    degs = [row.bit_count() for row in parent]
+    weights = _degree_weights(n)
+    out_w = _subset_sums([weights[d] for d in degs])
+    in_w = _subset_sums([weights[d + 1] for d in degs])
+    cells = [sum(1 << v for v, d in enumerate(degs) if d == c) for c in range(n)]
+
+    def verdict(s: int) -> int:
+        k = s.bit_count()
+        top = s & cells[k - 1] | cells[k] & ~s
+        zweight = in_w[s]
+        found = _ACCEPT
+        while top:
+            low = top & -top
+            top ^= low
+            row = parent[low.bit_length() - 1]
+            weight = in_w[row & s] + out_w[row & ~s]
+            if s & low:
+                weight += weights[k]
+            if weight < zweight:
+                return _REJECT
+            if weight == zweight and (s ^ row) & ~low:
+                found = _TIE
+        return found
+
+    return verdict
 
 
 def _child_code(parent: Code, subset: int) -> Code:
@@ -218,54 +252,40 @@ def _child_code(parent: Code, subset: int) -> Code:
     return tuple(rows)
 
 
-def _is_canonical_child(code: Code, n: int) -> bool:
-    """Whether the new vertex ``z = n - 1`` lies in the child's canonical
-    deletion orbit; the attachment subset already gave it the largest degree."""
-    z = n - 1
-    degs = [row.bit_count() for row in code]
-    top = [v for v in range(z) if degs[v] == degs[z]]
-    if not top:
-        return True  # the last cell is {z} from the start
-    # the second refinement round, on the top-degree cell only: a larger
-    # weight is a smaller sorted list of neighbour degrees
-    by_degree = _degree_weights(n)
-    weights = [by_degree[d] for d in degs]
-    zrow = code[z]
-    zweight = _neighbour_weight(zrow, weights)
-    tied = []
-    for v in top:
-        weight = _neighbour_weight(code[v], weights)
-        if weight < zweight:
-            return False
-        if weight == zweight:
-            tied.append(v)
-    if not tied:
-        return True
-    zbit = 1 << z
-    if all(not (zrow ^ code[w]) & ~(zbit | 1 << w) for w in tied):
-        return True  # each tied vertex is a twin of z
-    nlists = neighbor_lists(code)
-    colors = refine_colors(nlists, degree_ranks(code))
+def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int) -> bool:
+    """Steps 5-7 of the gate on a child that :func:`_mask_gate` left tied,
+    refined on neighbour lists extended from the parent's."""
+    z = len(parent_lists)
+    nlists = [nb + [z] if subset >> v & 1 else nb for v, nb in enumerate(parent_lists)]
+    nlists.append([v for v in range(z) if subset >> v & 1])
+    colors = refine_colors(nlists, degree_ranks(child))
     if colors[z] != max(colors):
         return False
-    cell = [v for v in top if colors[v] == colors[z]]
+    # twins of z share its orbit: swapping one with z is an automorphism
+    cell = [v for v in range(z) if colors[v] == colors[z]]
+    cell = [v for v in cell if (subset ^ child[v]) & ~(1 << z | 1 << v)]
     if not cell or shares_orbit(nlists, colors, z, cell):
         return True
-    data = canonical_data(code)
+    data = canonical_data(child)
     return data.orbit[data.order[z]] == data.orbit[z]
 
 
-def _canonical_children(parent: Code, n: int) -> Iterator[Code]:
-    """Children of ``parent`` on ``n`` vertices whose deletion parent it is."""
-    for subset in _subset_reps(parent):
+def _canonical_children(parent: Code) -> Iterator[Code]:
+    """Children of ``parent`` on one more vertex whose deletion parent it is."""
+    parent_lists = neighbor_lists(parent)
+    for subset, verdict in _subset_reps(parent, _mask_gate(parent)):
         child = _child_code(parent, subset)
-        if _is_canonical_child(child, n):
+        if verdict == _ACCEPT or _tie_accepts(child, parent_lists, subset):
             yield child
 
 
 def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
-    """All canonical graphs on ``n`` vertices whose deletion parent is listed."""
-    return [child for parent in parents for child in _canonical_children(parent, n)]
+    """All canonical graphs on ``n`` vertices whose deletion parent is listed;
+    every parent must have ``n - 1`` vertices."""
+    for parent in parents:
+        if len(parent) != n - 1:
+            raise ValueError(f"children on {n} vertices need parents on {n - 1}, got {len(parent)}")
+    return [child for parent in parents for child in _canonical_children(parent)]
 
 
 def _alpha_table(size: int) -> memoryview:
@@ -303,7 +323,7 @@ def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
         if len(item) == n:
             yield item
         else:
-            yield from _canonical_children(item, n)
+            yield from _canonical_children(item)
 
 
 def enumerate_canonical(n: int) -> Iterator[Graph]:

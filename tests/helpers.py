@@ -278,6 +278,21 @@ def brute_orbits(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
+def reference_refine_colors(nlists: list[list[int]], colors: list[int]) -> list[int]:
+    """``refine_colors`` as it was before it skipped the signatures of
+    vertices alone in their cells: every vertex is ranked by its color and
+    its full sorted list of neighbour colors."""
+    n = len(nlists)
+    ncolors = len(set(colors))
+    while True:
+        sigs = [(c, tuple(sorted(colors[u] for u in nb))) for c, nb in zip(colors, nlists)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if len(rank) in (ncolors, n):
+            return new
+        colors, ncolors = new, len(rank)
+
+
 def reference_canonical_children(parent: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """Canonical children of ``parent`` on ``n`` vertices by the ungated path:
     the least attachment subset of every orbit of the parent's automorphism

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given
 
-from helpers import brute_orbits, graphs_st, labeled_codes, random_graph
+from helpers import brute_orbits, graphs_st, labeled_codes, random_graph, reference_refine_colors
 from stabilitylab import catalog
 from stabilitylab.canonical import (
     automorphism_orbits,
@@ -114,6 +114,29 @@ def test_refinement_from_degree_ranks_matches_unit_start():
     for adj in codes:
         nl = neighbor_lists(adj)
         assert refine_colors(nl, degree_ranks(adj)) == refine_colors(nl, [0] * len(adj))
+
+
+def test_refinement_matches_reference_on_every_class_below_eight():
+    # from the degree ranks, from the unit partition, and after each
+    # individualization down every vertex's fixed search path
+    compared = 0
+    for n in range(1, 8):
+        for g in _all_small(n):
+            nl = neighbor_lists(g.adj)
+            for start in (degree_ranks(g.adj), [0] * n):
+                assert refine_colors(nl, start) == reference_refine_colors(nl, start)
+            base = refine_colors(nl, degree_ranks(g.adj))
+            for v in range(n):
+                colors, w = base, v
+                while w is not None:
+                    child = [2 * c for c in colors]
+                    child[w] -= 1
+                    colors = refine_colors(nl, child)
+                    assert colors == reference_refine_colors(nl, child), (g.adj, child)
+                    compared += 1
+                    shared = [c for c in sorted(set(colors)) if colors.count(c) > 1]
+                    w = colors.index(shared[0]) if shared else None
+    assert compared > 10000
 
 
 def test_shares_orbit_proves_only_true_orbits():

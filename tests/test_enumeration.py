@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from helpers import labeled_codes, random_graph, reference_canonical_children
 from stabilitylab import enumeration, structure
-from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic
+from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic, neighbor_lists
 from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
+    _ACCEPT,
+    _TIE,
     THEOREM_IDS,
     FilterSpec,
     _cached_level,
@@ -24,10 +26,11 @@ from stabilitylab.enumeration import (
     _degree_weights,
     _filtered_scan,
     _image_table,
-    _is_canonical_child,
-    _neighbour_weight,
+    _mask_gate,
     _scan_chunk,
     _subset_reps,
+    _subset_sums,
+    _tie_accepts,
     atlas_read,
     atlas_record,
     atlas_write,
@@ -63,9 +66,29 @@ def test_gated_children_match_ungated_reference():
     # same children in the same order as gating each built child
     for size in range(1, 7):
         for parent in _cached_level(size):
-            assert list(_canonical_children(parent, size + 1)) == reference_canonical_children(
+            assert list(_canonical_children(parent)) == reference_canonical_children(
                 parent, size + 1
             )
+
+
+def _degree_gated_reps(parent):
+    """Every orbit representative that gives the new vertex the largest
+    degree, none dropped by the mask gate."""
+    return [s for s, _ in _subset_reps(parent, lambda s: 1)]
+
+
+def _parent_gate(parent):
+    """The gate's decision on an attachment mask of ``parent``, as
+    ``_canonical_children`` takes it: the mask gate, then the built child
+    for a tie."""
+    verdict = _mask_gate(parent)
+    lists = neighbor_lists(parent)
+
+    def decide(s):
+        found = verdict(s)
+        return found == _ACCEPT or found == _TIE and _tie_accepts(_child_code(parent, s), lists, s)
+
+    return decide
 
 
 def _full_labeling_gate(code, n):
@@ -102,8 +125,8 @@ def _cycle_like(rng, m):
 
 
 def _random_gate_candidates(seed, count):
-    """Seeded children on 10..13 vertices whose new vertex has the largest
-    degree, half of them on cycle-like parents."""
+    """Seeded (parent, [subset]) pairs for children on 10..13 vertices whose
+    new vertex has the largest degree, half of them on cycle-like parents."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -118,7 +141,7 @@ def _random_gate_candidates(seed, count):
         size = rng.randint(top, min(m, top + 2))
         subset = sum(1 << v for v in rng.sample(range(m), size))
         if size >= top + (subset & hubs != 0):
-            out.append((_child_code(parent, subset), m + 1))
+            out.append((parent, [subset]))
     return out
 
 
@@ -135,14 +158,31 @@ def _round_two_ties(code, n):
     return [v for v in range(z) if degs[v] == degs[z] and sig(v) == sig(z)]
 
 
+def _gate_branch(code, n, got, seen):
+    """The step of the gate that decided ``code``, given the functions of
+    the built-child steps it called (``seen``)."""
+    if "refine_colors" not in seen:
+        tied = _round_two_ties(code, n)
+        if got and tied:
+            # z adjacent to a tied twin, or to none of them
+            near = any(code[n - 1] >> w & 1 for w in tied)
+            return "twin accept, adjacent" if near else "twin accept, apart"
+        degs = [row.bit_count() for row in code]
+        ties = degs.count(degs[n - 1]) > 1
+        return ("round-2 " if ties else "top-degree ") + ("accept" if got else "reject")
+    if "canonical_data" in seen:
+        return "fallback"
+    if seen.get("shares_orbit"):
+        return "one-orbit accept"
+    return "refined " + ("accept" if got else "reject")
+
+
 def test_gate_matches_full_labeling(monkeypatch):
-    # every degree-gated candidate on levels 1-7 and seeded larger ones: the
-    # shortcuts of _is_canonical_child decide exactly as the full labeling
+    # every degree-gated candidate on levels 1-7, the masks the mask gate
+    # drops before the orbit walk included, and seeded larger ones: the
+    # parent-side gate decides exactly as the full labeling
     candidates = [
-        (_child_code(parent, subset), m + 1)
-        for m in range(1, 8)
-        for parent in _cached_level(m)
-        for subset in _subset_reps(parent)
+        (parent, _degree_gated_reps(parent)) for m in range(1, 8) for parent in _cached_level(m)
     ]
     candidates += _random_gate_candidates(6, 2400)
     seen = {}
@@ -158,29 +198,22 @@ def test_gate_matches_full_labeling(monkeypatch):
     for name in ("refine_colors", "shares_orbit", "canonical_data"):
         spy(name, getattr(enumeration, name))
     branches = Counter()
-    for code, n in candidates:
-        seen.clear()
-        got = _is_canonical_child(code, n)
-        assert got == _full_labeling_gate(code, n), code
-        degs = [row.bit_count() for row in code]
-        if "refine_colors" not in seen:
-            tied = _round_two_ties(code, n)
-            if got and tied:
-                # z adjacent to a tied twin, or to none of them
-                near = any(code[n - 1] >> w & 1 for w in tied)
-                branches["twin accept, adjacent" if near else "twin accept, apart"] += 1
-                continue
-            ties = degs.count(degs[n - 1]) > 1
-            branches[("round-2 " if ties else "top-degree ") + ("accept" if got else "reject")] += 1
-        elif "canonical_data" in seen:
-            branches["fallback"] += 1
-        elif seen.get("shares_orbit"):
-            branches["one-orbit accept"] += 1
+    for parent, subsets in candidates:
+        decide = _parent_gate(parent)
+        n = len(parent) + 1
+        for subset in subsets:
+            seen.clear()
+            got = decide(subset)
+            code = _child_code(parent, subset)
+            assert got == _full_labeling_gate(code, n), code
+            branches[_gate_branch(code, n, got, seen)] += 1
     for branch in (
         "round-2 accept",
         "round-2 reject",
         "twin accept, adjacent",
         "twin accept, apart",
+        "refined reject",
+        "refined accept",
         "one-orbit accept",
         "fallback",
     ):
@@ -189,17 +222,39 @@ def test_gate_matches_full_labeling(monkeypatch):
 
 @pytest.mark.extended
 def test_gate_exhaustive_level_eight():
-    # every degree-gated candidate of every level-8 parent: the gate decides
-    # as the full labeling, and what it accepts is level 9
+    # every degree-gated candidate of every level-8 parent, the masks the
+    # mask gate drops included: the parent-side gate decides as the full
+    # labeling, and what it accepts is level 9
     candidates = accepted = 0
     for parent in _cached_level(8):
-        for subset in _subset_reps(parent):
+        decide = _parent_gate(parent)
+        for subset in _degree_gated_reps(parent):
+            got = decide(subset)
             code = _child_code(parent, subset)
-            got = _is_canonical_child(code, 9)
             assert got == _full_labeling_gate(code, 9), code
             candidates += 1
             accepted += got
     assert (candidates, accepted) == (435646, 274668)
+
+
+def test_mask_gate_is_constant_on_orbits():
+    # _subset_reps drops a mask before its orbit is closed, which keeps the
+    # least mask of every surviving orbit only if no automorphism changes
+    # the verdict
+    for m in range(1, 8):
+        for parent in _cached_level(m):
+            verdict = _mask_gate(parent)
+            verdicts = [verdict(s) for s in range(1 << m)]
+            for g in canonical_data(parent).generators:
+                image = _image_table(g)
+                assert all(verdicts[image[s]] == v for s, v in enumerate(verdicts)), (parent, g)
+
+
+@pytest.mark.parametrize("n", [5, 1])
+def test_extend_level_rejects_parents_of_another_size(n):
+    message = f"^children on {n} vertices need parents on {n - 1}, got 1$"
+    with pytest.raises(ValueError, match=message):
+        extend_level([(0,)], n)
 
 
 #: sha256 of the canonical children of every 400th level-9 class (from the
@@ -232,10 +287,7 @@ def test_weight_order_is_reverse_sorted_list_order(data):
         sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
         for _ in range(2)
     ]
-    a, b = (
-        _neighbour_weight((1 << size) - 1, [_degree_weights(n)[d] for d in degs])
-        for degs in lists
-    )
+    a, b = (_subset_sums([_degree_weights(n)[d] for d in degs])[(1 << size) - 1] for degs in lists)
     assert (a > b, a == b) == (lists[0] < lists[1], lists[0] == lists[1])
 
 
@@ -244,9 +296,9 @@ def test_weight_order_on_every_list_pair_below_seven():
         weights = _degree_weights(n)
         for size in range(n):
             lists = list(itertools.combinations_with_replacement(range(n), size))
-            by_weight = sorted(lists, key=lambda degs: -sum(weights[d] for d in degs))
-            assert by_weight == sorted(lists)
-            assert len({sum(weights[d] for d in degs) for degs in lists}) == len(lists)
+            weight = {degs: _subset_sums([weights[d] for d in degs])[-1] for degs in lists}
+            assert sorted(lists, key=lambda degs: -weight[degs]) == sorted(lists)
+            assert len(set(weight.values())) == len(lists)
 
 
 def test_class_count_mismatch_raises(monkeypatch):
