@@ -265,7 +265,3 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_key(g.adj) == canonical_key(h.adj)
-
-
-def automorphism_orbits(g: Graph) -> tuple[int, ...]:
-    return canonical_data(g.adj).orbit

@@ -77,11 +77,6 @@ class Graph:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-def check_invariants(g: Graph) -> None:
-    """Re-run the structural validation on an existing graph value."""
-    Graph(g.n, g.adj)
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on ``n`` vertices from an edge list (duplicates collapse)."""
     if not 1 <= n <= MAX_VERTICES:

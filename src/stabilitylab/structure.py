@@ -2,13 +2,15 @@
 
 Each builder follows one constructive argument: saturating matchings,
 minimal Hall violators and L21's check (on the bipartite double cover) come
-from one augmenting-path search on adjacency masks, the odd-cycle-plus-
-matching certificate from an alternating breadth-first forest rooted at
-the unmatched vertex, and the spanning decompositions from a greedy
-critical kernel whose components the recognizers of
-:mod:`~stabilitylab.critical` identify.  Every certificate passes the
-independent :func:`validate_decomposition` before it leaves this module;
-the validator shares no code with the recognizers.  ``is_odd_cycle``,
+from one augmenting-path search on adjacency masks.  Both tight (1,0)
+certificates read the cycle cover that search finds on the double cover:
+an independent set takes at most floor(L/2) vertices of a cycle of length
+L, so alpha = floor(n/2) leaves exactly n mod 2 odd cycles, and alternate
+vertices of the even cycles pair up beside the odd one.  The spanning
+decompositions come from a greedy critical kernel whose components the
+recognizers of :mod:`~stabilitylab.critical` identify.  Every certificate
+passes the independent :func:`validate_decomposition` before it leaves this
+module; the validator shares no code with the recognizers.  ``is_odd_cycle``,
 ``is_even_subdivision_k4`` and ``spanning_embedding`` stay importable here.
 """
 
@@ -22,7 +24,6 @@ from .critical import CLASS_NAMED, catalog_match, critical_reduce, is_even_subdi
 from .critical import is_odd_cycle, spanning_embedding  # re-exported beside is_even_subdivision_k4
 from .errors import InvariantViolation
 from .graphs import Graph, bits, components, normalize_edge
-from .independence import independent_masks
 from .stability import is_tight_stable
 
 Matching = tuple[tuple[int, int], ...]
@@ -249,116 +250,69 @@ def _matching_edges(mate: list[int]) -> Matching:
     return tuple(sorted(normalize_edge(a, b) for b, a in enumerate(mate) if a >= 0))
 
 
-def _saturated_tight10(g: Graph) -> tuple[int, list[int]]:
-    """First independent set of size floor(n/2) of a tight (1,0)-stable graph,
-    as a mask, with the mates of the matching that saturates it into its
-    complement."""
+def _cycle_cover(adj: tuple[int, ...]) -> list[list[int]] | None:
+    """The cycle cover that one :func:`augment_matching` search on the
+    bipartite double cover finds (the search L21's check makes), or ``None``
+    when it is blocked.  The mates are a permutation sending each vertex to
+    a neighbour; each of its cycles, walked from its least vertex, is an
+    edge (length 2) or a cycle of the graph."""
+    mate, blocked = augment_matching(adj, (1 << len(adj)) - 1)
+    if blocked:
+        return None
+    cycles: list[list[int]] = []
+    seen = 0
+    for first in range(len(adj)):
+        v, cyc = first, []
+        while not seen >> v & 1:
+            seen |= 1 << v
+            cyc.append(v)
+            v = mate[v]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def _tight10_cover(g: Graph) -> tuple[tuple[int, ...], Matching]:
+    """The odd cycle (empty for even n) and the matching of a tight
+    (1,0)-stable graph's cycle cover, alternate vertices of every even cycle
+    paired.
+
+    The search is never blocked: every maximum independent set saturates
+    into its complement (L21), so |N(X)| >= |X| for every vertex set X.  An
+    independent set takes at most floor(L/2) vertices of a cycle of length
+    L, so alpha = floor(n/2) leaves exactly n mod 2 odd cycles.
+    """
     if not is_tight_stable(g, 1, 0):
         raise ValueError("input is not tight (1,0)-stable")
-    amask = next(independent_masks(g.adj, (1 << g.n) - 1, g.n // 2))
-    mate, blocked = augment_matching(g.adj, amask)
-    if blocked:
-        raise InvariantViolation("a (1,0)-stable graph must saturate its maximum independent set")
-    return amask, mate
+    cycles = _cycle_cover(g.adj)
+    if cycles is None:
+        raise InvariantViolation("a (1,0)-stable graph must have a spanning cycle cover")
+    odd = [tuple(c) for c in cycles if len(c) % 2]
+    if len(odd) != g.n % 2:
+        raise InvariantViolation("cycle cover has an odd-cycle count other than n mod 2")
+    even = (c for c in cycles if len(c) % 2 == 0)
+    pairs = sorted(normalize_edge(a, b) for c in even for a, b in zip(c[::2], c[1::2]))
+    return (odd[0] if odd else ()), tuple(pairs)
 
 
 def perfect_matching_tight10(g: Graph) -> Matching:
-    """Perfect matching of an even tight (1,0)-stable graph.
-
-    Built exactly as the existence argument does: saturate a maximum
-    independent set (half the vertices) into its complement.
-    """
+    """Perfect matching of an even tight (1,0)-stable graph, read off its cycle cover."""
     if g.n % 2:
         raise ValueError("needs an even vertex count")
-    return _matching_edges(_saturated_tight10(g)[1])
+    return _tight10_cover(g)[1]
 
 
 # -- odd cycle + matching ----------------------------------------------------
 
 
 def odd_cycle_matching_decomposition(g: Graph) -> Decomposition:
-    """Spanning odd cycle plus matching for an odd tight (1,0)-stable graph.
-
-    Choice points (maximum independent set, matching, forest order, closing
-    edge) are all resolved lexicographically, so the output is reproducible.
-    """
+    """Spanning odd cycle plus matching for an odd tight (1,0)-stable graph,
+    read off its cycle cover; the matcher's fixed search order makes the
+    output reproducible."""
     if g.n % 2 == 0:
         raise ValueError("needs an odd vertex count")
-    amask, mate = _saturated_tight10(g)
-    adj = g.adj
-    partner = [-1] * g.n  # the vertex each set vertex is matched to
-    covered = amask
-    for b, a in enumerate(mate):
-        if a >= 0:
-            partner[a] = b
-            covered |= 1 << b
-    c = (~covered & ((1 << g.n) - 1)).bit_length() - 1  # the one unmatched vertex
-
-    # Alternating breadth-first forest over the set vertices, rooted at c's
-    # neighbours: a set vertex hangs below the set vertex whose partner it
-    # touches, and each frontier is taken in ascending order.
-    queue = list(bits(adj[c] & amask))
-    parent = [-1] * g.n
-    unreached = amask & ~adj[c]
-    reach = 1 << c  # c and the partners of the forest's vertices
-    for a in queue:
-        b = partner[a]
-        reach |= 1 << b
-        for a2 in bits(adj[b] & unreached):
-            parent[a2] = a
-            queue.append(a2)
-        unreached &= ~adj[b]
-
-    closing = None
-    for u in bits(reach):
-        above = adj[u] & reach & ~((2 << u) - 1)
-        if above:
-            closing = (u, (above & -above).bit_length() - 1)
-            break
-    if closing is None:
-        raise InvariantViolation("no edge inside the reachable set; contradicts maximality")
-
-    def forest_path(end: int) -> list[int]:
-        """Set vertices from a root down to the partner of ``end``; empty
-        for ``c``, which is no vertex's partner."""
-        seq = []
-        a = mate[end]
-        while a != -1:
-            seq.append(a)
-            a = parent[a]
-        seq.reverse()
-        return seq
-
-    # The cycle leaves the apex down the first path, crosses the closing
-    # edge and climbs the second; the apex is c or, when the paths share a
-    # prefix, the partner of its last vertex.  A path to c is empty, so it
-    # goes second.
-    first, second = (forest_path(v) for v in sorted(closing, key=lambda v: v == c))
-    p = 0
-    while p < min(len(first), len(second)) and first[p] == second[p]:
-        p += 1
-    prefix = first[:p]
-    cyc = [partner[prefix[-1]] if prefix else c]
-    for a in first[p:]:
-        cyc.extend((a, partner[a]))
-    for a in reversed(second[p:]):
-        cyc.extend((partner[a], a))
-    used = set(first) | set(second)
-
-    matching_out: list[tuple[int, int]] = []
-    if prefix:
-        # c and the shared-prefix pairs leave the cycle; pair them along forest edges
-        matching_out.append(normalize_edge(c, prefix[0]))
-        for a, nxt in zip(prefix, prefix[1:]):
-            matching_out.append(normalize_edge(partner[a], nxt))
-    for a in bits(amask):
-        if a not in used:
-            matching_out.append(normalize_edge(a, partner[a]))
-    d = Decomposition(
-        kind=KIND_ODD_CYCLE_PLUS_MATCHING,
-        cycles=(tuple(cyc),),
-        matching=tuple(sorted(matching_out)),
-    )
+    cyc, matching = _tight10_cover(g)
+    d = Decomposition(kind=KIND_ODD_CYCLE_PLUS_MATCHING, cycles=(cyc,), matching=matching)
     validate_decomposition(g, d)
     return d
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from helpers import brute_orbits, graphs_st, labeled_codes, random_graph, reference_refine_colors
 from stabilitylab import catalog
 from stabilitylab.canonical import (
-    automorphism_orbits,
     canonical_data,
     canonical_form,
     canonical_key,
@@ -63,7 +62,7 @@ def test_orbits_match_brute_force_small():
     graphs += [random_graph(rng, 6, 0.5) for _ in range(40)]
     graphs += [random_graph(rng, 7, 0.3) for _ in range(20)]
     for g in graphs:
-        assert automorphism_orbits(g) == brute_orbits(g)
+        assert canonical_form(g).orbit == brute_orbits(g)
 
 
 def _all_small(n):
@@ -82,12 +81,12 @@ def _petersen():
 
 
 def test_orbit_structure_of_named_graphs():
-    assert len(set(automorphism_orbits(clique(4)))) == 1
-    assert len(set(automorphism_orbits(cycle(9)))) == 1
+    assert len(set(canonical_form(clique(4)).orbit)) == 1
+    assert len(set(canonical_form(cycle(9)).orbit)) == 1
     p4 = path(4)
-    orb = automorphism_orbits(p4)
+    orb = canonical_form(p4).orbit
     assert orb[0] == orb[3] and orb[1] == orb[2] and orb[0] != orb[1]
-    assert len(set(automorphism_orbits(_petersen()))) == 1
+    assert len(set(canonical_form(_petersen()).orbit)) == 1
 
 
 def test_generators_are_automorphisms():

@@ -5,7 +5,9 @@ hereditary prune; this module repeats it over the full unpruned stream of
 ~1.2e7 classes, and runs T1d at n = 10 through the prune, which augments the
 8,345 classes of T(1,9) into 844,279 children, and checks L21 at n = 9, one
 size beyond its default range, with one matching search on the bipartite
-double cover for each of the 84,571 (1,0)-stable classes of level 9.  The
+double cover for each of the 84,571 (1,0)-stable classes of level 9, and
+builds and validates the odd cycle plus matching of each of the 8,345 tight
+(1,0)-stable classes of level 9 and of three relabelings of each.  The
 worker count comes from STABILITYLAB_JOBS (default 1); with 2 workers on a
 2-vCPU x86-64 VM the unpruned scan took 3.1 to 5.5 minutes and T1d about
 23 seconds; with 1 worker L21 at n = 9 took 17 to 19 seconds, building
@@ -13,11 +15,15 @@ level 9 included (Python 3.11.7).
 """
 
 import os
+import random
 import time
 
 import pytest
 
-from stabilitylab.enumeration import verify_theorem
+from stabilitylab.enumeration import FilterSpec, filtered_records, verify_theorem
+from stabilitylab.graph6 import parse_graph6
+from stabilitylab.graphs import from_edges
+from stabilitylab.structure import KIND_ODD_CYCLE_PLUS_MATCHING, spanning_certificate, validate_decomposition
 
 
 def _timed(theorem_id, **kwargs):
@@ -53,3 +59,26 @@ def test_l21_at_nine():
     assert rep.verdict == "verified"
     assert len(rep.matches) == 84571
     assert rep.graphs_scanned == 274668
+
+
+@pytest.mark.extended
+def test_tight_10_certificates_at_nine():
+    # a relabeling changes the matcher's search order and so the cover it
+    # reads; every cover must still give one odd cycle plus a matching
+    jobs = int(os.environ.get("STABILITYLAB_JOBS", "1"))
+    _, records = filtered_records(9, FilterSpec(tight=(1, 0)), jobs=jobs)
+    rng = random.Random(9)
+    built = 0
+    for rec in records:
+        g = parse_graph6(rec.g6)
+        graphs = [g]
+        for _ in range(3):
+            perm = rng.sample(range(9), 9)
+            graphs.append(from_edges(9, [(perm[u], perm[v]) for u, v in g.edges()]))
+        for h in graphs:
+            d = spanning_certificate(h, 1)
+            validate_decomposition(h, d)
+            assert d.kind == KIND_ODD_CYCLE_PLUS_MATCHING, rec.g6
+            built += 1
+    assert len(records) == 8345
+    assert built == 4 * 8345

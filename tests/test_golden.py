@@ -272,9 +272,10 @@ def _relabelings(g: Graph, rng: random.Random, count: int) -> list[Graph]:
 
 #: (certificates, sha256 of ``asdict(spanning_certificate(g, 1))`` per line)
 #: over every tight (1,0) class on 2..8 vertices, each followed by three
-#: relabelings drawn from ``random.Random(10)``
+#: relabelings drawn from ``random.Random(10)``; both kinds are read off
+#: the cycle cover of one matching search on the bipartite double cover
 TIGHT_10_CERTIFICATES = (
-    1228, "f70c1007074bd10904992e07a907c0cab4187630299ad094c45d7d95d31bac27")
+    1228, "0ddccdc02ce9f1ef43a5b64cd1a7e6322a15721868a88c9c7cbda883ec12b7c5")
 
 
 def test_tight_10_certificates_unchanged():

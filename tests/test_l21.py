@@ -8,7 +8,9 @@ is checked subset by subset, with no code shared with the fast paths.  The
 check is one matching search on the bipartite double cover; the matcher
 run that way is compared with a backtracking search for a permutation
 along edges at n <= 7, and the check with the set-by-set reference on
-every class of level 9 (``-m extended``).
+every class of level 9 (``-m extended``).  The cycle cover the tight (1,0)
+certificates read off that search is checked for the parity lemma on every
+class with n <= 8 and alpha = floor(n/2) that has a cover, stable or not.
 """
 
 from collections import Counter
@@ -29,7 +31,7 @@ from stabilitylab.enumeration import _cached_level, _l21_check, enumerate_canoni
 from stabilitylab.graph6 import write_graph6
 from stabilitylab.graphs import bits, from_edges, path
 from stabilitylab.independence import alpha_mask, independent_masks
-from stabilitylab.structure import augment_matching, hall_matching
+from stabilitylab.structure import _cycle_cover, augment_matching, hall_matching
 
 
 def _mask(vertices) -> int:
@@ -93,6 +95,23 @@ def test_double_cover_matching_equals_cycle_cover_search():
             failing += 1
     # the classes where L21's per-set check fails (test_both_outcomes_occur)
     assert failing == 487
+
+
+def test_cycle_cover_has_n_mod_2_odd_cycles_at_half_alpha(oracle):
+    # an independent set takes at most floor(L/2) vertices of a cycle of
+    # length L, so alpha = floor(n/2) leaves room for n mod 2 odd cycles
+    checked = 0
+    for g, sets, _ in oracle:
+        if len(sets[0]) != g.n // 2 or not has_cycle_cover(g.adj, g.n):
+            continue
+        cycles = _cycle_cover(g.adj)
+        assert sorted(v for c in cycles for v in c) == list(range(g.n)), write_graph6(g)
+        for c in cycles:
+            assert len(c) >= 2 and min(c) == c[0], write_graph6(g)
+            assert all(g.has_edge(u, c[(i + 1) % len(c)]) for i, u in enumerate(c)), write_graph6(g)
+        assert sum(len(c) % 2 for c in cycles) == g.n % 2, write_graph6(g)
+        checked += 1
+    assert checked == 4734
 
 
 def test_hall_yes_no_equals_brute_force_on_every_maximum_set(oracle):

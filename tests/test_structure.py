@@ -104,9 +104,9 @@ def test_odd_cycle_decomposition_degenerate_cases():
 
 
 def test_odd_cycle_decomposition_cone():
+    # the cover is one 7-cycle: from 0 up to the apex 6, down to 1 and round the rim
     d = odd_cycle_matching_decomposition(cone(cycle(6)))
-    assert len(d.cycles[0]) == 3
-    assert len(d.matching) == 2
+    assert d == Decomposition(KIND_ODD_CYCLE_PLUS_MATCHING, cycles=((0, 6, 1, 2, 3, 4, 5),))
     validate_decomposition(cone(cycle(6)), d)
 
 
