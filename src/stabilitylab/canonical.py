@@ -26,6 +26,12 @@ of an equitable partition the individualized vertex always lands at the
 cell's first position; the position test matters for vertices of
 different cells.
 
+:func:`automorphism_generators` skips the search when each non-singleton
+cell of the equitable partition is a twin class, N(u) - v = N(v) - u: every
+automorphism fixes each cell setwise and swapping twins is one, so the group
+is the product of the cells' symmetric groups.  Twinship is an equivalence
+(true twins never chain with false), so consecutive members test a cell.
+
 Functions here work on raw adjacency tuples (``adj[v]`` = neighbor bitmask)
 so the enumeration hot path avoids object overhead; thin wrappers accept
 :class:`~stabilitylab.graphs.Graph` values.
@@ -108,13 +114,13 @@ def _leaf_key(nlists: list[list[int]], pos: list[int]) -> Code:
 
 
 def _target_cell(colors: list[int]) -> list[int] | None:
-    """The first non-singleton cell, in vertex order; None if the partition is discrete."""
-    cell_of: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cell_of.setdefault(c, []).append(v)
-    for c in sorted(cell_of):
-        if len(cell_of[c]) > 1:
-            return cell_of[c]
+    """The first non-singleton cell of compact ranks, in vertex order; None if discrete."""
+    counts = [0] * len(colors)
+    for c in colors:
+        counts[c] += 1
+    for c, k in enumerate(counts):
+        if k > 1:
+            return [v for v, x in enumerate(colors) if x == c]
     return None
 
 
@@ -183,13 +189,6 @@ def canonical_data(adj: Code) -> CanonicalData:
     n = len(adj)
     nlists = neighbor_lists(adj)
     base = refine_colors(nlists, degree_ranks(adj))
-    if len(set(base)) == n:
-        # Discrete equitable partition: the automorphism group is trivial.
-        order = [0] * n
-        for v, p in enumerate(base):
-            order[p] = v
-        return CanonicalData(_leaf_key(nlists, base), tuple(order), tuple(range(n)), ())
-
     gens: list[tuple[int, ...]] = []
     first_key: Code | None = None
     first_pos: list[int] = []
@@ -225,12 +224,16 @@ def canonical_data(adj: Code) -> CanonicalData:
             return
 
         tried: list[int] = []
+        known = -1
         for w in target:
             if tried:
                 # skip w when known generators preserving the node's
-                # (ordered) partition map it onto a vertex already tried
-                here = [g for g in gens if all(colors[g[v]] == colors[v] for v in range(n))]
-                reps = _orbit_reps(n, here)
+                # (ordered) partition map it onto a vertex already tried;
+                # only a leaf below adds one, so rebuild only then
+                if known != len(gens):
+                    known = len(gens)
+                    here = [g for g in gens if all(colors[g[v]] == colors[v] for v in range(n))]
+                    reps = _orbit_reps(n, here)
                 if any(reps[w] == reps[t] for t in tried):
                     continue
             tried.append(w)
@@ -241,6 +244,23 @@ def canonical_data(adj: Code) -> CanonicalData:
     for v, p in enumerate(best_pos):
         order[p] = v
     return CanonicalData(best_key, tuple(order), tuple(_orbit_reps(n, gens)), tuple(gens))
+
+
+def automorphism_generators(adj: Code) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group: none for a discrete equitable
+    partition, the transpositions of consecutive members of each cell when
+    every cell is one twin class, else those of :func:`canonical_data`."""
+    n = len(adj)
+    colors = refine_colors(neighbor_lists(adj), degree_ranks(adj))
+    last = [-1] * n
+    gens = []
+    for v, c in enumerate(colors):
+        u, last[c] = last[c], v
+        if u >= 0:
+            if (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                return canonical_data(adj).generators
+            gens.append(tuple(v if x == u else u if x == v else x for x in range(n)))
+    return tuple(gens)
 
 
 def canonical_key(adj: Code) -> Code:

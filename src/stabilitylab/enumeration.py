@@ -46,8 +46,9 @@ automorphism of the parent, z fixed, maps the child of S onto the child of
 its image, so steps 1-4 decide an orbit's masks alike: a rejected mask is
 dropped before the walk, which closes the survivors' orbits only, and each
 survivor's orbit keeps its least mask as representative.  Masks come
-bucketed by popcount once per parent size, and orbits are closed through
-one image table per automorphism generator.
+bucketed by popcount once per parent size; orbits are closed through one
+image table per generator of the parent's group from ``automorphism_generators``,
+which reads twin cells without the search (see :mod:`~stabilitylab.canonical`).
 
 Levels up to 9 vertices are cached as the tuples of adjacency-row codes
 that ``extend_level`` returns, checked against the known class counts.
@@ -102,6 +103,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import __version__, catalog
 from .canonical import (
+    automorphism_generators,
     canonical_data,
     degree_ranks,
     neighbor_lists,
@@ -179,7 +181,7 @@ def _subset_reps(parent: Code, keep: Callable[[int], int]) -> list[tuple[int, in
     masks = [s for s in exactly[top] if not s & hubs]
     masks += above[top]
     masks.sort()  # two ascending runs: one merge
-    gens = canonical_data(parent).generators
+    gens = automorphism_generators(parent)
     if not gens:
         return [(s, verdict) for s in masks if (verdict := keep(s))]
     tables = [_image_table(g) for g in gens]

@@ -293,6 +293,52 @@ def reference_refine_colors(nlists: list[list[int]], colors: list[int]) -> list[
         colors, ncolors = new, len(rank)
 
 
+def reference_target_cell(colors: list[int]) -> list[int] | None:
+    """``canonical._target_cell`` as it was before it counted per rank: the
+    cells gathered in a dict, the first of size two or more by color."""
+    cell_of: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cell_of.setdefault(c, []).append(v)
+    for c in sorted(cell_of):
+        if len(cell_of[c]) > 1:
+            return cell_of[c]
+    return None
+
+
+def reference_subset_reps(parent: tuple[int, ...], keep) -> list[tuple[int, int]]:
+    """``enumeration._subset_reps`` walking the generators of the parent's
+    ``canonical_data``: ``(S, keep(S))`` for the least mask S of every orbit
+    that gives the new vertex the largest degree and that ``keep`` maps to a
+    nonzero value, ascending.  A mask's image is the image of the mask less
+    its lowest bit plus the image of that bit."""
+    m = len(parent)
+    degs = [row.bit_count() for row in parent]
+    top = max(degs)
+    hubs = sum(1 << v for v in range(m) if degs[v] == top)
+    images = []
+    for g in canonical_data(parent).generators:
+        image = [0]
+        for s in range(1, 1 << m):
+            low = s & -s
+            image.append(image[s ^ low] | 1 << g[low.bit_length() - 1])
+        images.append(image)
+    seen, reps = set(), []
+    for s in range(1 << m):
+        size = s.bit_count()
+        if size < top or size == top and s & hubs or s in seen or not (verdict := keep(s)):
+            continue
+        reps.append((s, verdict))
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                if image[x] not in seen:
+                    seen.add(image[x])
+                    stack.append(image[x])
+    return reps
+
+
 def reference_canonical_children(parent: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """Canonical children of ``parent`` on ``n`` vertices by the ungated path:
     the least attachment subset of every orbit of the parent's automorphism

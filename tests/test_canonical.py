@@ -1,10 +1,24 @@
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given
 
-from helpers import brute_orbits, graphs_st, labeled_codes, random_graph, reference_refine_colors
-from stabilitylab import catalog
+from helpers import (
+    brute_orbits,
+    graphs_st,
+    labeled_codes,
+    random_graph,
+    reference_refine_colors,
+    reference_subset_reps,
+    reference_target_cell,
+)
+from stabilitylab import canonical, catalog
 from stabilitylab.canonical import (
+    _fixed_leaf,
+    _orbit_reps,
+    _target_cell,
+    automorphism_generators,
     canonical_data,
     canonical_form,
     canonical_key,
@@ -14,6 +28,7 @@ from stabilitylab.canonical import (
     refine_colors,
     shares_orbit,
 )
+from stabilitylab.enumeration import _cached_level, _mask_gate, _subset_reps
 from stabilitylab.graphs import Graph, bits, clique, cycle, from_edges, path
 
 
@@ -159,3 +174,91 @@ def test_shares_orbit_proves_only_true_orbits():
     for g in (cycle(9), clique(5), _petersen()):
         nl = neighbor_lists(g.adj)
         assert shares_orbit(nl, refine_colors(nl, degree_ranks(g.adj)), 0, range(1, g.n))
+
+
+def test_target_cell_matches_reference_on_every_reached_coloring(monkeypatch):
+    # every coloring the search and the fixed leaf paths hand to the cell
+    # finder, over every class with n <= 7
+    reached = []
+    monkeypatch.setattr(
+        canonical, "_target_cell", lambda colors: reached.append(list(colors)) or _target_cell(colors)
+    )
+    for n in range(1, 8):
+        for adj in _cached_level(n):
+            nl = neighbor_lists(adj)
+            base = refine_colors(nl, degree_ranks(adj))
+            for v in range(n):
+                _fixed_leaf(nl, base, v)
+            canonical_data(adj)
+    assert len(reached) > 25000
+    for colors in reached:
+        assert _target_cell(colors) == reference_target_cell(colors), colors
+
+
+#: (discrete, twin-cell, search) classes per level: a discrete equitable
+#: partition, every non-singleton cell a twin class, or neither, which
+#: ``automorphism_generators`` hands to ``canonical_data``
+GROUP_SOURCES = {
+    1: (1, 0, 0),
+    2: (0, 2, 0),
+    3: (0, 4, 0),
+    4: (0, 8, 3),
+    5: (0, 24, 10),
+    6: (8, 88, 60),
+    7: (152, 536, 356),
+    8: (3696, 5580, 3070),
+}
+
+
+def _group_sources(codes, monkeypatch):
+    """``(adj, generators, source)`` for each code, the source 2 when
+    ``automorphism_generators`` called ``canonical_data``, else 0 for a
+    discrete equitable partition and 1 for twin cells."""
+    searched = []
+    out = []
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical, "canonical_data", lambda adj: searched.append(adj) or canonical_data(adj))
+        for adj in codes:
+            before = len(searched)
+            gens = automorphism_generators(adj)
+            if len(searched) > before:
+                source = 2
+            else:
+                colors = refine_colors(neighbor_lists(adj), degree_ranks(adj))
+                source = int(len(set(colors)) < len(adj))
+            out.append((adj, gens, source))
+    return out
+
+
+def _split(sources):
+    count = Counter(source for *_, source in sources)
+    return count[0], count[1], count[2]
+
+
+def test_twin_groups_below_nine(monkeypatch):
+    # the group read off twin cells is the group: its generators are
+    # automorphisms with canonical_data's orbits, and the attachment subsets
+    # _subset_reps walks under it are those canonical_data's generators give
+    for n in range(1, 9):
+        sources = _group_sources(_cached_level(n), monkeypatch)
+        assert _split(sources) == GROUP_SOURCES[n]
+        for adj, gens, _ in sources:
+            for sigma in gens:
+                assert sorted(sigma) == list(range(n))
+                assert all(
+                    sum(1 << sigma[u] for u in bits(adj[v])) == adj[sigma[v]] for v in range(n)
+                ), (adj, sigma)
+            assert tuple(_orbit_reps(n, gens)) == canonical_data(adj).orbit, adj
+            for keep in (lambda s: 1, _mask_gate(adj)):
+                assert _subset_reps(adj, keep) == reference_subset_reps(adj, keep), adj
+
+
+@pytest.mark.extended
+def test_twin_groups_at_nine(monkeypatch):
+    # the parents of a level-10 pass: the split, and every twin-cell
+    # class's orbits against canonical_data's
+    sources = _group_sources(_cached_level(9), monkeypatch)
+    assert _split(sources) == (135004, 103024, 36640)
+    for adj, gens, source in sources:
+        if source == 1:
+            assert tuple(_orbit_reps(9, gens)) == canonical_data(adj).orbit, adj
