@@ -40,6 +40,7 @@ so the enumeration hot path avoids object overhead; thin wrappers accept
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvariantViolation
@@ -185,10 +186,17 @@ def _orbit_reps(n: int, gens: Iterable[tuple[int, ...]]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
+@lru_cache(maxsize=1)
+def _equitable(adj: Code) -> tuple[list[list[int]], list[int]]:
+    """Neighbour lists and equitable colouring from degree ranks, read-only: kept
+    for the last graph, so a search after :func:`automorphism_generators` refines once."""
+    nlists = neighbor_lists(adj)
+    return nlists, refine_colors(nlists, degree_ranks(adj))
+
+
 def canonical_data(adj: Code) -> CanonicalData:
     n = len(adj)
-    nlists = neighbor_lists(adj)
-    base = refine_colors(nlists, degree_ranks(adj))
+    nlists, base = _equitable(adj)
     gens: list[tuple[int, ...]] = []
     first_key: Code | None = None
     first_pos: list[int] = []
@@ -251,7 +259,7 @@ def automorphism_generators(adj: Code) -> tuple[tuple[int, ...], ...]:
     partition, the transpositions of consecutive members of each cell when
     every cell is one twin class, else those of :func:`canonical_data`."""
     n = len(adj)
-    colors = refine_colors(neighbor_lists(adj), degree_ranks(adj))
+    colors = _equitable(adj)[1]
     last = [-1] * n
     gens = []
     for v, c in enumerate(colors):

@@ -8,8 +8,8 @@ The canonical deletion vertex always sits in the last cell of the equitable
 partition, and refinement from degree ranks only splits cells in place, so
 that cell lies inside the last cell of every earlier refinement round.  The
 gate runs these tests in order, each exact, and stops at the first that
-decides.  Steps 1-4 read only the parent and the attachment mask S and run
-on each mask before the orbit walk; steps 5-7 run on a built child:
+decides.  Steps 1-5 read only the parent and the attachment mask S and run
+on each mask before the orbit walk; steps 6-8 run on a built child:
 
 1. z must have the largest degree: |S| >= max degree + [S meets one];
 2. z alone of largest degree: accept.  The others of degree |S| are
@@ -19,12 +19,14 @@ on each mask before the orbit walk; steps 5-7 run on a built child:
    larger sorted list of neighbour degrees rejects, a list of z's larger
    than all others accepts, and only ties go on;
 4. every tied vertex v a twin of z, ``(S ^ N(v)) & ~v == 0``: accept;
-5. the equitable partition, refined on neighbour lists extended from the
+5. round three on z and its ties: a tie with a larger sorted list of
+   neighbours' round-two colours rejects, none but twins with z's accepts;
+6. the equitable partition, refined on neighbour lists extended from the
    parent's: z outside its last cell rejects;
-6. the last cell's other vertices that are not twins of z: none, or all
+7. the last cell's other vertices that are not twins of z: none, or all
    proved to be in z's orbit by :func:`~stabilitylab.canonical.shares_orbit`,
    accepts, since the canonical deletion vertex is one of them;
-7. the full canonical labeling decides the rest.
+8. the full canonical labeling decides the rest.
 
 Step 3 sorts no list.  It compares weights: a vertex's weight is the sum of
 ``(n+1) ** (n - deg u)`` over its neighbours u.  Read in base n+1, digit
@@ -40,15 +42,20 @@ degrees, ``out_w[m]`` sums ``(n+1) ** (n - deg u)`` over u in m and
 degree, so z weighs ``in_w[S]`` and v weighs ``in_w[N(v) & S] +
 out_w[N(v) & ~S]``, plus ``(n+1) ** (n - |S|)`` for z when v is in S.
 
-Steps 4 and 6 are exact because swapping z with a twin is an automorphism,
-and the last equitable cell lies inside z and its round-two ties.  An
-automorphism of the parent, z fixed, maps the child of S onto the child of
-its image, so steps 1-4 decide an orbit's masks alike: a rejected mask is
-dropped before the walk, which closes the survivors' orbits only, and each
-survivor's orbit keeps its least mask as representative.  Masks come
-bucketed by popcount once per parent size; orbits are closed through one
-image table per generator of the parent's group from ``automorphism_generators``,
-which reads twin cells without the search (see :mod:`~stabilitylab.canonical`).
+Step 5 reads a vertex's round-two colour as ``deg * (n+1) ** (n+1) -
+weight``, with child degrees: weights stay below ``(n+1) ** (n+1)``, so
+these ints order as the round-two ranks, equal ints being equal colours, and
+sorted lists of them compare as the third round's lists of ranks.  The last
+equitable cell lies inside the last cell of every round, so a reject of
+step 5 is exact, and the accepts of steps 4, 5 and 7 too, since swapping z
+with a twin is an automorphism.  An automorphism of the parent, z fixed,
+maps the child of S onto the child of its image, so steps 1-5 decide an
+orbit's masks alike: a rejected mask is dropped before the walk, which
+closes the survivors' orbits only, and each survivor's orbit keeps its
+least mask as representative.  Masks come bucketed by popcount once per
+parent size; orbits are closed through one image table per generator of
+the parent's group from ``automorphism_generators``, which reads twin cells
+without the search (see :mod:`~stabilitylab.canonical`).
 
 Levels up to 9 vertices are cached as the tuples of adjacency-row codes
 that ``extend_level`` returns, checked against the known class counts.
@@ -215,33 +222,46 @@ _REJECT, _ACCEPT, _TIE = 0, 1, 2
 
 
 def _mask_gate(parent: Code) -> Callable[[int], int]:
-    """Steps 2-4 of the gate on a mask S that passed step 1, from tables built
+    """Steps 2-5 of the gate on a mask S that passed step 1, from tables built
     once for ``parent``: ``_ACCEPT``, ``_REJECT``, or ``_TIE`` when a vertex
-    that is not a twin of z ties with z in round two."""
+    that is not a twin of z ties with z in round three."""
     n = len(parent) + 1
     degs = [row.bit_count() for row in parent]
     weights = _degree_weights(n)
+    span = (n + 1) ** (n + 1)
     out_w = _subset_sums([weights[d] for d in degs])
     in_w = _subset_sums([weights[d + 1] for d in degs])
     cells = [sum(1 << v for v, d in enumerate(degs) if d == c) for c in range(n)]
+    nlists = neighbor_lists(parent)
 
     def verdict(s: int) -> int:
         k = s.bit_count()
         top = s & cells[k - 1] | cells[k] & ~s
         zweight = in_w[s]
-        found = _ACCEPT
+        tied = []
         while top:
             low = top & -top
             top ^= low
-            row = parent[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            row = parent[v]
             weight = in_w[row & s] + out_w[row & ~s]
             if s & low:
                 weight += weights[k]
             if weight < zweight:
                 return _REJECT
             if weight == zweight and (s ^ row) & ~low:
-                found = _TIE
-        return found
+                tied.append(v)
+        if not tied:
+            return _ACCEPT
+        # round three: each round-two colour (degree, -weight) as one int, z's last
+        color = [
+            d * span - in_w[row & s] - out_w[row & ~s] + (s >> v & 1) * (span - weights[k])
+            for v, (d, row) in enumerate(zip(degs, parent))
+        ]
+        color.append(k * span - zweight)
+        zsig = sorted(c for v, c in enumerate(color) if s >> v & 1)
+        sigs = [sorted(color[u] for u in nlists[v] + [n - 1] * (s >> v & 1)) for v in tied]
+        return _REJECT if max(sigs) > zsig else _TIE if zsig in sigs else _ACCEPT
 
     return verdict
 
@@ -255,7 +275,7 @@ def _child_code(parent: Code, subset: int) -> Code:
 
 
 def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int) -> bool:
-    """Steps 5-7 of the gate on a child that :func:`_mask_gate` left tied,
+    """Steps 6-8 of the gate on a child that :func:`_mask_gate` left tied,
     refined on neighbour lists extended from the parent's."""
     z = len(parent_lists)
     nlists = [nb + [z] if subset >> v & 1 else nb for v, nb in enumerate(parent_lists)]

@@ -339,6 +339,31 @@ def reference_subset_reps(parent: tuple[int, ...], keep) -> list[tuple[int, int]
     return reps
 
 
+def reference_round_three(parent: tuple[int, ...], s: int) -> int:
+    """``enumeration._mask_gate``'s verdict on the attachment mask ``s``
+    without weights: 0 (reject), 1 (accept) or 2 (tie).  The child is built
+    and refined one round from its round-two colours, each vertex ranked by
+    its degree and sorted list of neighbour degrees.  z outside the last cell
+    of that round rejects; a last cell of z and its twins only accepts."""
+    n = len(parent) + 1
+    z = n - 1
+    child = [row | 1 << z if s >> v & 1 else row for v, row in enumerate(parent)] + [s]
+    nlists = neighbor_lists(tuple(child))
+    degs = [len(nb) for nb in nlists]
+
+    def ranks(sigs):
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        return [rank[sig] for sig in sigs]
+
+    two = ranks([(degs[v], tuple(sorted(degs[u] for u in nb))) for v, nb in enumerate(nlists)])
+    three = ranks([(two[v], tuple(sorted(two[u] for u in nb))) for v, nb in enumerate(nlists)])
+    if three[z] != max(three):
+        return 0
+    twins = {v for v in range(z) if (child[v] ^ s) & ~(1 << v | 1 << z) == 0}
+    last = {v for v in range(z) if three[v] == three[z]}
+    return 1 if last <= twins else 2
+
+
 def reference_canonical_children(parent: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """Canonical children of ``parent`` on ``n`` vertices by the ungated path:
     the least attachment subset of every orbit of the parent's automorphism

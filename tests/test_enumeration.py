@@ -11,12 +11,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import labeled_codes, random_graph, reference_canonical_children
+from helpers import (
+    labeled_codes,
+    random_graph,
+    reference_canonical_children,
+    reference_round_three,
+)
 from stabilitylab import enumeration, structure
 from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic, neighbor_lists
 from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
     _ACCEPT,
+    _REJECT,
     _TIE,
     THEOREM_IDS,
     FilterSpec,
@@ -145,27 +151,43 @@ def _random_gate_candidates(seed, count):
     return out
 
 
-def _round_two_ties(code, n):
-    """The vertices whose sorted list of neighbour degrees equals that of
-    the new vertex, among those of its degree: the gate's round-two ties,
-    found by sorting."""
+def _gate_candidates():
+    """(parent, degree-gated masks) for every parent on 1-7 vertices, then
+    the seeded larger candidates."""
+    candidates = [
+        (parent, _degree_gated_reps(parent)) for m in range(1, 8) for parent in _cached_level(m)
+    ]
+    return candidates + _random_gate_candidates(6, 2400)
+
+
+def _round_two(code, n):
+    """The gate's second round on a built child, found by sorting:
+    ``(beaten, twins, apart)``, where ``beaten`` says that a vertex of the
+    new vertex z's degree has a larger sorted list of neighbour degrees, and
+    the vertices whose list equals z's are split into twins of z and the
+    rest.  Round three runs when z is not beaten and ``apart`` is not empty."""
     z = n - 1
     degs = [row.bit_count() for row in code]
 
     def sig(v):
         return sorted(degs[u] for u in range(n) if code[v] >> u & 1)
 
-    return [v for v in range(z) if degs[v] == degs[z] and sig(v) == sig(z)]
+    top = [v for v in range(z) if degs[v] == degs[z]]
+    tied = [v for v in top if sig(v) == sig(z)]
+    twins = [v for v in tied if not (code[v] ^ code[z]) & ~(1 << v | 1 << z)]
+    return any(sig(v) > sig(z) for v in top), twins, [v for v in tied if v not in twins]
 
 
 def _gate_branch(code, n, got, seen):
     """The step of the gate that decided ``code``, given the functions of
     the built-child steps it called (``seen``)."""
     if "refine_colors" not in seen:
-        tied = _round_two_ties(code, n)
-        if got and tied:
+        beaten, twins, apart = _round_two(code, n)
+        if not beaten and apart:
+            return "round-3 " + ("accept" if got else "reject")
+        if got and twins:
             # z adjacent to a tied twin, or to none of them
-            near = any(code[n - 1] >> w & 1 for w in tied)
+            near = any(code[n - 1] >> w & 1 for w in twins)
             return "twin accept, adjacent" if near else "twin accept, apart"
         degs = [row.bit_count() for row in code]
         ties = degs.count(degs[n - 1]) > 1
@@ -181,10 +203,7 @@ def test_gate_matches_full_labeling(monkeypatch):
     # every degree-gated candidate on levels 1-7, the masks the mask gate
     # drops before the orbit walk included, and seeded larger ones: the
     # parent-side gate decides exactly as the full labeling
-    candidates = [
-        (parent, _degree_gated_reps(parent)) for m in range(1, 8) for parent in _cached_level(m)
-    ]
-    candidates += _random_gate_candidates(6, 2400)
+    candidates = _gate_candidates()
     seen = {}
 
     def spy(name, fn):
@@ -210,6 +229,8 @@ def test_gate_matches_full_labeling(monkeypatch):
     for branch in (
         "round-2 accept",
         "round-2 reject",
+        "round-3 accept",
+        "round-3 reject",
         "twin accept, adjacent",
         "twin accept, apart",
         "refined reject",
@@ -224,17 +245,43 @@ def test_gate_matches_full_labeling(monkeypatch):
 def test_gate_exhaustive_level_eight():
     # every degree-gated candidate of every level-8 parent, the masks the
     # mask gate drops included: the parent-side gate decides as the full
-    # labeling, and what it accepts is level 9
+    # labeling, and what it accepts is level 9.  The mask gate's verdicts
+    # split by the round that gave them: 51,171 masks reach round three
     candidates = accepted = 0
+    split = Counter()
     for parent in _cached_level(8):
         decide = _parent_gate(parent)
+        verdict = _mask_gate(parent)
         for subset in _degree_gated_reps(parent):
             got = decide(subset)
             code = _child_code(parent, subset)
             assert got == _full_labeling_gate(code, 9), code
             candidates += 1
             accepted += got
+            beaten, _, apart = _round_two(code, 9)
+            split[3 if apart and not beaten else 2, verdict(subset)] += 1
     assert (candidates, accepted) == (435646, 274668)
+    assert split == {
+        (2, _ACCEPT): 245202,
+        (2, _REJECT): 139273,
+        (3, _ACCEPT): 16746,
+        (3, _REJECT): 19088,
+        (3, _TIE): 15337,
+    }
+
+
+def test_mask_gate_matches_reference_round_three():
+    # every degree-gated mask of every parent with n <= 7, and seeded larger
+    # ones: the verdict read off the parent's tables is the one the built
+    # child gives after one more round from its sorted round-two colours
+    verdicts = Counter()
+    for parent, subsets in _gate_candidates():
+        verdict = _mask_gate(parent)
+        for subset in subsets:
+            found = verdict(subset)
+            assert found == reference_round_three(parent, subset), (parent, subset)
+            verdicts[found] += 1
+    assert min(verdicts[v] for v in (_REJECT, _ACCEPT, _TIE)) > 0, verdicts
 
 
 def test_mask_gate_is_constant_on_orbits():
