@@ -57,11 +57,12 @@ parent size; orbits are closed through one image table per generator of
 the parent's group from ``automorphism_generators``, which reads twin cells
 without the search (see :mod:`~stabilitylab.canonical`).
 
-Levels up to 9 vertices are cached as the tuples of adjacency-row codes
-that ``extend_level`` returns, checked against the known class counts.
-Every scan, and ``enumerate_canonical``, reads its codes through one
-generator, ``_codes``: a cached level is read as it is, while level 10 and
-a pruned frontier are read as the canonical children of their items.
+Every frontier a scan reads is built once per process by :func:`_frontier`
+and kept in ``_FRONTIERS``: the levels up to 9 vertices, as the tuples of
+adjacency-row codes that ``extend_level`` returns, checked against the known
+class counts, and the prune's tight (k,0) frontiers T(k, n).  Scans and
+``enumerate_canonical`` read codes through ``_codes``: a cached level as it
+is, level 10 and pruned scans with k > 1 as children of a frontier at n-1.
 
 Beside each cached level lives its packed alpha table: 16-bit entries in a
 shared anonymous ``mmap``, one per class (about 550 KB at level 9).  An
@@ -70,11 +71,11 @@ them, or 0 until the first scan that needs that class's alpha computes it;
 classes a cheaper test rejects never get one.  So each class's alpha is
 computed at most once per process however many filters scan its level.
 Each scan chunk fills its own index range in place; the mapping is shared,
-so a forked pool worker's writes land in this process's table.  Level-10
-children and pruned frontiers compute alpha per child.  The table pays
-only in a process that scans a level more than once, such as a session
-that verifies several theorems; a CLI run scans each level once and only
-fills it, at the cost of one store per class that reaches an alpha test.
+so a forked pool worker's writes land in this process's table.  Children
+of a frontier compute alpha per child.  The table pays only in a process
+that scans a level more than once, such as a session that verifies
+several theorems; a CLI run scans each level once and only fills it, at
+the cost of one store per class that reaches an alpha test.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The ``alpha_critical`` test first checks
@@ -82,10 +83,9 @@ Hajnal's degree bound (max degree at most n - 2*alpha + 1, plus one per
 isolated vertex), which every alpha-critical graph meets, and walks the
 edges with ``alpha_preserving_edge`` only when it holds.  The optional
 hereditary prune for a tight (k,0) filter at size n augments only the
-parents that the pruned scan for tight (k-1,0) finds at size n-1 (the whole
-level when k = 1 or n = 2).  Deleting a vertex of a tight (k,0)-stable graph
-leaves a tight (k-1,0)-stable graph, so the canonical parent of every match
-lies among them.
+classes of T(k-1, n-1), the matches of the pruned tight (k-1,0) scan; its
+base case, k = 1 or n <= 2, is level n whole.  A tight (k,0)-stable graph
+minus any vertex is tight (k-1,0)-stable, so each match's parent is there.
 
 Each match is finished in its scan chunk, in the pool workers when there
 are several: the chunk hands its alpha and witness (from the level's table
@@ -315,32 +315,36 @@ def _alpha_table(size: int) -> memoryview:
     return memoryview(mmap.mmap(-1, 2 * size)).cast("H")
 
 
-#: n -> (level n, its packed alpha table).  Entry i of the table is 0 until
-#: a scan first needs alpha for code i, then ``witness | alpha << n`` as
-#: ``alpha_mask(code, full)`` returns them: below 2**13 for n <= 9, and never
-#: 0, since alpha >= 1.  A table is cached, and replaced, with its level.
-_LEVELS: dict[int, tuple[tuple[Code, ...], memoryview]] = {1: (((0,),), _alpha_table(1))}
+#: (n, 0) -> (level n, its packed alpha table); (n, k) -> (T(k, n), None)
+#: for k >= 1.  Entry i of a table is 0 until a scan first needs alpha for
+#: code i, then ``witness | alpha << n`` as ``alpha_mask(code, full)``
+#: returns them: below 2**13 for n <= 9, and never 0, since alpha >= 1.
+_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), _alpha_table(1))}
 
 
-def _cached_level(n: int) -> tuple[Code, ...]:
-    """Level ``n``, built on the largest cached level and checked against
-    the known class count before it is cached."""
-    if n > _CACHE_MAX_N:
-        raise ValueError(f"levels beyond {_CACHE_MAX_N} vertices are not cached")
-    for m in range(max(k for k in _LEVELS if k <= n) + 1, n + 1):
-        level = tuple(extend_level(_LEVELS[m - 1][0], m))
-        if len(level) != CLASS_COUNTS[m - 1]:
-            raise InvariantViolation(
-                f"level {m} has {len(level)} classes, expected {CLASS_COUNTS[m - 1]}"
-            )
-        _LEVELS[m] = level, _alpha_table(len(level))
-    return _LEVELS[n][0]
+def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
+    """Level ``n`` for k = 0, checked against the known class count, else
+    T(k, n), the matches of the pruned tight (k,0) scan at ``n`` with ``jobs``
+    workers; each is built once per process, and kept only when whole."""
+    if (n, k) not in _FRONTIERS:
+        if k:
+            _FRONTIERS[n, k] = tuple(_filtered_scan(n, FilterSpec(tight=(k, 0)), True, jobs)[1]), None
+        elif not 1 <= n <= _CACHE_MAX_N:
+            raise ValueError(f"levels 1..{_CACHE_MAX_N} are cached, not {n}")
+        else:
+            level = tuple(extend_level(_frontier(n - 1), n))
+            if len(level) != CLASS_COUNTS[n - 1]:
+                raise InvariantViolation(
+                    f"level {n} has {len(level)} classes, expected {CLASS_COUNTS[n - 1]}"
+                )
+            _FRONTIERS[n, 0] = level, _alpha_table(len(level))
+    return _FRONTIERS[n, k][0]
 
 
 def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
     """The codes on ``n`` vertices a scan of ``items`` reads: an item on
     ``n`` vertices (from a cached level) is read itself, an item on n-1
-    (level n-1, or a pruned frontier) is replaced by its canonical children."""
+    (from a frontier at n-1) is replaced by its canonical children."""
     for item in items:
         if len(item) == n:
             yield item
@@ -351,7 +355,7 @@ def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
 def enumerate_canonical(n: int) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of graphs on ``n`` vertices."""
     _check_size(n)
-    for code in _codes(_cached_level(min(n, _CACHE_MAX_N)), n):
+    for code in _codes(_frontier(min(n, _CACHE_MAX_N)), n):
         yield Graph(n, code)
 
 
@@ -514,7 +518,7 @@ def _scan_chunk(
     try:
         tests = _spec_tests(spec)
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
-        table = None if start is None else _LEVELS[n][1]
+        table = None if start is None else _FRONTIERS[n, 0][1]
         scanned = 0
         matches: list[Code] = []
         alphas = bytearray()
@@ -542,26 +546,22 @@ def _filtered_scan(
     n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1, theorem_id: str | None = None
 ) -> tuple[int, list[Code], bytes, list[Code]]:
     """(classes scanned, sorted matches, their alphas, sorted failed
-    matches) of ``spec`` at size ``n``, read from level n when cached, else
-    from the children of level n-1.  The failed matches are those the check
-    of pipeline ``theorem_id`` rejects, run in the chunks (none for
+    matches) of ``spec`` at size ``n``.  The failed matches are those the
+    check of pipeline ``theorem_id`` rejects, run in the chunks (none for
     ``None``); the alphas are one byte per match, in the order of the
-    matches.  With ``prune`` (requires ``spec.tight=(k,0)``) the parents are
-    the matches of the pruned tight (k-1,0) scan at n-1, or level n-1 when
-    k = 1 or n = 2 (level 1 at n = 1).  About four chunks per worker, at
-    most one worker per CPU and per item whatever ``jobs`` asks for; one
-    worker scans every item as one chunk in this process.  The chunks of
-    cached level n fill its shared alpha table wherever they run."""
+    matches.  The items are cached level n when k = 1 and n <= 9, else the
+    children of ``_frontier(n - 1, k - 1)``; k is 1 unless ``prune``
+    (requires ``spec.tight=(k,0)``) and n > 2 take it from the filter.
+    About four chunks per worker, at most one worker per CPU and per item
+    whatever ``jobs`` asks for; one worker scans every item as one chunk in
+    this process.  The chunks of cached level n fill its shared alpha table
+    wherever they run."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
-    cached = False  # whether the items are cached level n
-    if prune and n > 2 and spec.tight[0] > 1:
-        items = _filtered_scan(n - 1, FilterSpec(tight=(spec.tight[0] - 1, 0)), True, jobs)[1]
-    elif n > _CACHE_MAX_N or prune and n > 1:
-        items = _cached_level(n - 1)
-    else:
-        items, cached = _cached_level(n), True
+    k = spec.tight[0] if prune and n > 2 else 1
+    cached = k == 1 and n <= _CACHE_MAX_N  # whether the items are cached level n
+    items = _frontier(n) if cached else _frontier(n - 1, k - 1, jobs)
     workers = min(jobs, os.cpu_count() or 1, len(items))
     step = -(-len(items) // (4 * workers)) if workers > 1 else max(len(items), 1)
     chunks = [

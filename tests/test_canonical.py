@@ -28,7 +28,7 @@ from stabilitylab.canonical import (
     refine_colors,
     shares_orbit,
 )
-from stabilitylab.enumeration import _cached_level, _mask_gate, _subset_reps
+from stabilitylab.enumeration import _frontier, _mask_gate, _subset_reps
 from stabilitylab.graphs import Graph, bits, clique, cycle, from_edges, path
 
 
@@ -184,7 +184,7 @@ def test_target_cell_matches_reference_on_every_reached_coloring(monkeypatch):
         canonical, "_target_cell", lambda colors: reached.append(list(colors)) or _target_cell(colors)
     )
     for n in range(1, 8):
-        for adj in _cached_level(n):
+        for adj in _frontier(n):
             nl = neighbor_lists(adj)
             base = refine_colors(nl, degree_ranks(adj))
             for v in range(n):
@@ -240,7 +240,7 @@ def test_twin_groups_below_nine(monkeypatch):
     # automorphisms with canonical_data's orbits, and the attachment subsets
     # _subset_reps walks under it are those canonical_data's generators give
     for n in range(1, 9):
-        sources = _group_sources(_cached_level(n), monkeypatch)
+        sources = _group_sources(_frontier(n), monkeypatch)
         assert _split(sources) == GROUP_SOURCES[n]
         for adj, gens, _ in sources:
             for sigma in gens:
@@ -257,7 +257,7 @@ def test_twin_groups_below_nine(monkeypatch):
 def test_twin_groups_at_nine(monkeypatch):
     # the parents of a level-10 pass: the split, and every twin-cell
     # class's orbits against canonical_data's
-    sources = _group_sources(_cached_level(9), monkeypatch)
+    sources = _group_sources(_frontier(9), monkeypatch)
     assert _split(sources) == (135004, 103024, 36640)
     for adj, gens, source in sources:
         if source == 1:

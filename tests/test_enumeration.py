@@ -26,11 +26,11 @@ from stabilitylab.enumeration import (
     _TIE,
     THEOREM_IDS,
     FilterSpec,
-    _cached_level,
     _canonical_children,
     _child_code,
     _degree_weights,
     _filtered_scan,
+    _frontier,
     _image_table,
     _mask_gate,
     _scan_chunk,
@@ -71,7 +71,7 @@ def test_gated_children_match_ungated_reference():
     # the degree gate on attachment subsets and the early accept keep the
     # same children in the same order as gating each built child
     for size in range(1, 7):
-        for parent in _cached_level(size):
+        for parent in _frontier(size):
             assert list(_canonical_children(parent)) == reference_canonical_children(
                 parent, size + 1
             )
@@ -155,7 +155,7 @@ def _gate_candidates():
     """(parent, degree-gated masks) for every parent on 1-7 vertices, then
     the seeded larger candidates."""
     candidates = [
-        (parent, _degree_gated_reps(parent)) for m in range(1, 8) for parent in _cached_level(m)
+        (parent, _degree_gated_reps(parent)) for m in range(1, 8) for parent in _frontier(m)
     ]
     return candidates + _random_gate_candidates(6, 2400)
 
@@ -249,7 +249,7 @@ def test_gate_exhaustive_level_eight():
     # split by the round that gave them: 51,171 masks reach round three
     candidates = accepted = 0
     split = Counter()
-    for parent in _cached_level(8):
+    for parent in _frontier(8):
         decide = _parent_gate(parent)
         verdict = _mask_gate(parent)
         for subset in _degree_gated_reps(parent):
@@ -289,7 +289,7 @@ def test_mask_gate_is_constant_on_orbits():
     # least mask of every surviving orbit only if no automorphism changes
     # the verdict
     for m in range(1, 8):
-        for parent in _cached_level(m):
+        for parent in _frontier(m):
             verdict = _mask_gate(parent)
             verdicts = [verdict(s) for s in range(1 << m)]
             for g in canonical_data(parent).generators:
@@ -310,7 +310,7 @@ LEVEL_10_SLICE = (30109, "20b203273f129f1bf3b02d31edaeda4c1ae3ea4ab9d5ece2646b7f
 
 
 def test_level_ten_slice_codes_unchanged():
-    children = extend_level(_cached_level(9)[::400], 10)
+    children = extend_level(_frontier(9)[::400], 10)
     text = "\n".join(" ".join(map(str, code)) for code in children)
     assert (len(children), hashlib.sha256(text.encode()).hexdigest()) == LEVEL_10_SLICE
 
@@ -350,17 +350,20 @@ def test_weight_order_on_every_list_pair_below_seven():
 
 def test_class_count_mismatch_raises(monkeypatch):
     extend = enumeration.extend_level
-    monkeypatch.setattr(enumeration, "_LEVELS", {1: enumeration._LEVELS[1]})
+    monkeypatch.setattr(enumeration, "_FRONTIERS", {(1, 0): enumeration._FRONTIERS[1, 0]})
     monkeypatch.setattr(enumeration, "extend_level", lambda parents, n: extend(parents, n)[1:])
     with pytest.raises(InvariantViolation, match="level 2 has 1 classes, expected 2"):
-        _cached_level(4)
-    assert set(enumeration._LEVELS) == {1}
+        _frontier(4)
+    assert set(enumeration._FRONTIERS) == {(1, 0)}
 
 
 def test_cached_level_is_the_cached_tuple():
-    level = _cached_level(7)
+    level = _frontier(7)
     assert isinstance(level, tuple) and len(level) == KNOWN_COUNTS[7]
-    assert level is _cached_level(7)
+    assert level is _frontier(7)
+    for n in (0, 10):
+        with pytest.raises(ValueError, match=f"levels 1..9 are cached, not {n}"):
+            _frontier(n)
 
 
 def test_enumerate_range_check():
@@ -450,7 +453,7 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
             tests = enumeration._spec_tests(FilterSpec(min_degree=min_degree, **{kind: (k, 0)}))
             assert [needs_alpha for _, _, needs_alpha in tests] == [False, True]
             for n in range(1, 8):
-                for code in _cached_level(n):
+                for code in _frontier(n):
                     degree = min(row.bit_count() for row in code)
                     want = (min_degree is None or degree >= min_degree) and stability(
                         code, n, *real_alpha(code, (1 << n) - 1)
@@ -471,14 +474,14 @@ def _fresh_tables(monkeypatch, full=False):
     with ``full``, every entry packed from ``alpha_mask``; returns the tables."""
     levels = {}
     for n in range(1, 9):
-        level = _cached_level(n)
+        level = _frontier(n)
         table = enumeration._alpha_table(len(level))
         if full:
             for index, code in enumerate(level):
                 table[index] = _packed_alpha(code, n)
-        levels[n] = level, table
-    monkeypatch.setattr(enumeration, "_LEVELS", levels)
-    return {n: table for n, (_, table) in levels.items()}
+        levels[n, 0] = level, table
+    monkeypatch.setattr(enumeration, "_FRONTIERS", levels)
+    return {n: table for (n, _), (_, table) in levels.items()}
 
 
 #: the first theorem of each distinct pipeline filter
@@ -504,7 +507,7 @@ def test_alpha_table_holds_alpha_mask_for_every_worker_count(monkeypatch, theore
         for n in range(1, 9):
             assert _filtered_scan(n, spec, jobs=jobs) == expected[n]
         for n, table in tables.items():
-            for code, entry in zip(_cached_level(n), table):
+            for code, entry in zip(_frontier(n), table):
                 assert entry in (0, _packed_alpha(code, n))
         filled[jobs] = {n: table.tobytes() for n, table in tables.items()}
     assert filled[1] == filled[2]
@@ -516,8 +519,8 @@ def test_second_scan_reads_alpha_from_the_table(monkeypatch):
     # of min degree >= 2 and for no other; a second scan computes none, and a
     # stable (1,0) scan only those of min degree 1; the cached table takes two
     # bytes per class
-    level = _cached_level(8)
-    cached = enumeration._LEVELS[8][1]
+    level = _frontier(8)
+    cached = enumeration._FRONTIERS[8, 0][1]
     assert (cached.itemsize, len(cached)) == (2, len(level))
     table = _fresh_tables(monkeypatch)[8]
     calls = []
@@ -550,7 +553,7 @@ def test_table_entries_decode_to_alpha_mask(monkeypatch):
 
     monkeypatch.setattr(enumeration, "alpha_mask", no_alpha)
     for n, table in tables.items():
-        for index, code in enumerate(_cached_level(n)):
+        for index, code in enumerate(_frontier(n)):
             assert enumeration._passes(code, n, tests, table, index)
             assert seen.pop() == alpha_mask(code, (1 << n) - 1)
 
@@ -571,13 +574,81 @@ def test_pruned_scan_at_one_vertex_scans_level_one():
     assert (rep.graphs_scanned, rep.verdict) == (1, "verified")
 
 
-def test_pruned_scan_is_the_same_for_every_worker_count():
-    # the n=7 step augments all of level 6 and the n=8 step the 170 classes
-    # of T(1,7); with two CPUs, jobs=2 forks for both
+@pytest.fixture
+def drop_chains(monkeypatch):
+    """Give the test a memo holding the cached levels and no tight (k,0)
+    frontier; the returned function drops the frontiers built since, so that
+    the next pruned scan builds its chain again."""
+    frontiers = {key: value for key, value in enumeration._FRONTIERS.items() if not key[1]}
+    monkeypatch.setattr(enumeration, "_FRONTIERS", frontiers)
+
+    def drop():
+        for key in [key for key in frontiers if key[1]]:
+            del frontiers[key]
+
+    return drop
+
+
+#: T(k, n) for n <= 8 and 1 <= k <= 5, the sizes with a class; 0 elsewhere
+_CENSUS = {
+    1: {2: 1, 3: 1, 4: 3, 5: 9, 6: 13, 7: 170, 8: 110},
+    2: {3: 1, 4: 1, 5: 1, 6: 15, 7: 1, 8: 75},
+    3: {4: 1, 5: 1, 7: 9},
+    4: {5: 1, 6: 1, 8: 3},
+    5: {6: 1, 7: 1},
+}
+
+
+def test_frontiers_equal_filtered_levels(drop_chains):
+    # each T(k, n) the chain builds is the tight (k,0) filter of level n,
+    # and is the tuple the memo keeps
+    for k, row in _CENSUS.items():
+        for n in range(1, 9):
+            frontier = _frontier(n, k)
+            assert frontier == tuple(_filtered_scan(n, FilterSpec(tight=(k, 0)))[1])
+            assert len(frontier) == row.get(n, 0) and frontier is _frontier(n, k)
+
+
+def test_second_pruned_scan_expands_only_its_last_step(monkeypatch, drop_chains):
+    # with levels 1-8 cached, the first pruned T(3,9) scan reads level 7 for
+    # T(1,7), expands its 170 classes for T(2,8) and the 75 of T(2,8) for
+    # its last step; a second scan reads the memo and expands only the 75
+    _frontier(8)
+    expanded = []
+    children = enumeration._canonical_children
+
+    def counting_children(parent):
+        expanded.append(parent)
+        return children(parent)
+
+    monkeypatch.setattr(enumeration, "_canonical_children", counting_children)
+    spec = FilterSpec(tight=(3, 0))
+    first = _filtered_scan(9, spec, prune=True)
+    assert len(expanded) == 245 and expanded[170:] == list(_frontier(8, 2))
+    expanded.clear()
+    assert _filtered_scan(9, spec, prune=True) == first
+    assert expanded == list(_frontier(8, 2)) and len(first[1]) == 3
+
+
+def test_failed_frontier_build_keeps_no_entry(monkeypatch, drop_chains):
+    # the chunk that raises is in the T(1,5) step of the T(2,6) build:
+    # neither frontier is kept
+    _frontier(5)
+    monkeypatch.setattr(enumeration, "_passes", _failing_passes)
+    with pytest.raises(InvariantViolation, match="chunk failed"):
+        _frontier(6, 2)
+    assert not any(k for _, k in enumeration._FRONTIERS)
+
+
+def test_pruned_scan_is_the_same_for_every_worker_count(drop_chains):
+    # the n=7 step reads all of level 7 and the n=8 step augments the 170
+    # classes of T(1,7); each worker count builds the chain afresh, and with
+    # two CPUs jobs=2 forks for both steps
     frontier = _filtered_scan(7, FilterSpec(tight=(1, 0)), prune=True)[1]
     assert len(frontier) == 170
     spec = FilterSpec(tight=(2, 0))
     serial = _filtered_scan(8, spec, prune=True, jobs=1)
+    drop_chains()
     assert serial == _filtered_scan(8, spec, prune=True, jobs=2)
     assert serial[1] == _filtered_scan(8, spec)[1] and len(serial[1]) == 75
 
@@ -596,15 +667,21 @@ def test_parallel_determinism():
     assert seq == par and seq == sorted(seq)
 
 
-def test_pooled_scan_agrees_with_filtered_level(monkeypatch):
-    # the augmenting scan (used at n=10 and after the prune) through the worker
-    # pool gives the same classes and matches as filtering the cached level:
-    # the pruned tight (1,0) scan at n=7 reads every child of level 6; two
+def test_pooled_scan_agrees_with_filtered_level(monkeypatch, drop_chains):
+    # the augmenting scan (used at n=10 and by the prune for k > 1) through
+    # the worker pool gives the same matches, alphas and failed matches as
+    # filtering the cached level: the pruned tight (2,0) scan at n=8 reads
+    # the children of the 170 classes of T(1,7), under T1d's check; two
     # CPUs, so that jobs=2 forks on any machine
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    spec = FilterSpec(tight=(1, 0))
+    spec = FilterSpec(tight=(2, 0))
+    level = _filtered_scan(8, spec, theorem_id="T1d")
     for jobs in (1, 2):
-        assert _filtered_scan(7, spec, prune=True, jobs=jobs) == _filtered_scan(7, spec)
+        drop_chains()
+        scanned, *rest = _filtered_scan(8, spec, True, jobs, "T1d")
+        parents = _frontier(7, 1)
+        assert rest == list(level[1:]) and len(rest[0]) == 75
+        assert (len(parents), scanned) == (170, len(extend_level(parents, 8)))
 
 
 class _InProcessContext:
@@ -631,7 +708,7 @@ class _InProcessContext:
         assert self.pools[-1] <= sum(len(items) for items, *_ in tasks)
         for items, n, _, start, _ in tasks:
             if len(items[0]) == n:
-                assert _cached_level(n)[start : start + len(items)] == tuple(items)
+                assert _frontier(n)[start : start + len(items)] == tuple(items)
             else:
                 assert start is None
         assert not any(isinstance(f, (array, memoryview)) for task in tasks for f in task)
@@ -656,21 +733,22 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers
     "n,spec,prune,pools",
     [
         (5, FilterSpec(stable=(1, 0)), False, [(2, 7)]),
-        (6, FilterSpec(tight=(3, 0)), True, [(2, 4), (2, 3)]),
+        (6, FilterSpec(tight=(3, 0)), True, [(2, 6), (2, 3)]),
     ],
     ids=["cached-level-5", "one-parent-frontier"],
 )
-def test_small_scans_pool_when_jobs_ask(monkeypatch, n, spec, prune, pools):
+def test_small_scans_pool_when_jobs_ask(monkeypatch, drop_chains, n, spec, prune, pools):
     # with two workers every scan that has two items pools, however few: the
-    # 34 codes of level 5 in seven chunks of five; the pruned T(3,6) chain
-    # pools its steps over level 3 and over the three classes of T(1,4), and
-    # runs its last step in-process, since its frontier T(2,5) is the one
-    # class C5
+    # 34 codes of level 5 in seven chunks of five; the pruned T(3,6) chain,
+    # built afresh, pools its steps over the 11 classes of cached level 4 in
+    # six chunks and over the three classes of T(1,4), and runs its last
+    # step in-process, since its frontier T(2,5) is the one class C5
     context = _InProcessContext()
     monkeypatch.setattr(enumeration, "get_context", lambda method: context)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     serial = _filtered_scan(n, spec, prune)
     assert context.pools == []
+    drop_chains()
     assert _filtered_scan(n, spec, prune, jobs=2) == serial
     assert context.pools == pools
 
@@ -686,7 +764,7 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
     # starts two workers on any machine
     monkeypatch.setattr(enumeration, "_passes", _failing_passes)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    items = _cached_level(7)
+    items = _frontier(7)
     step = (len(items) + 4 * jobs - 1) // (4 * jobs) if jobs > 1 else len(items)
     bounds = {
         (write_graph6(Graph(7, c[0])), write_graph6(Graph(7, c[-1])))
@@ -758,7 +836,7 @@ def test_records_take_alpha_from_the_scan(monkeypatch):
 def test_level_ten_streams_the_children_of_level_nine():
     # enumerate_canonical(10) and a scan chunk at n=10 read the canonical
     # children of the level-9 parents in order
-    level9 = _cached_level(9)
+    level9 = _frontier(9)
     stream = list(itertools.islice(enumerate_canonical(10), 2000))
     children: list = []
     for parent in level9:

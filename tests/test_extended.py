@@ -7,11 +7,14 @@ hereditary prune; this module repeats it over the full unpruned stream of
 size beyond its default range, with one matching search on the bipartite
 double cover for each of the 84,571 (1,0)-stable classes of level 9, and
 builds and validates the odd cycle plus matching of each of the 8,345 tight
-(1,0)-stable classes of level 9 and of three relabelings of each.  The
-worker count comes from STABILITYLAB_JOBS (default 1); with 2 workers on a
-2-vCPU x86-64 VM the unpruned scan took 3.1 to 5.5 minutes and T1d about
-23 seconds; with 1 worker L21 at n = 9 took 17 to 19 seconds, building
-level 9 included (Python 3.11.7).
+(1,0)-stable classes of level 9 and of three relabelings of each, and
+checks each memoized tight (k,0) frontier T(k, 9), k <= 4, against the
+tight filter of all of level 9.  The worker count comes from
+STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU x86-64 VM the
+unpruned scan took 3.1 to 5.5 minutes, T1d about 23 seconds and the
+frontiers at n = 9 4.7 seconds after L21 had filled level 9's alpha table;
+with 1 worker L21 at n = 9 took 17 to 19 seconds, building level 9
+included (Python 3.11.7).
 """
 
 import os
@@ -20,7 +23,13 @@ import time
 
 import pytest
 
-from stabilitylab.enumeration import FilterSpec, filtered_records, verify_theorem
+from stabilitylab.enumeration import (
+    FilterSpec,
+    _filtered_scan,
+    _frontier,
+    filtered_records,
+    verify_theorem,
+)
 from stabilitylab.graph6 import parse_graph6
 from stabilitylab.graphs import from_edges
 from stabilitylab.structure import KIND_ODD_CYCLE_PLUS_MATCHING, spanning_certificate, validate_decomposition
@@ -82,3 +91,17 @@ def test_tight_10_certificates_at_nine():
             built += 1
     assert len(records) == 8345
     assert built == 4 * 8345
+
+
+@pytest.mark.extended
+def test_frontiers_at_nine():
+    # each T(k, 9) the pruned chain builds is the tight (k,0) filter of all
+    # of level 9, whose alpha table an earlier level-9 scan in the same
+    # process has filled
+    jobs = int(os.environ.get("STABILITYLAB_JOBS", "1"))
+    counts = {}
+    for k in range(1, 5):
+        frontier = _frontier(9, k, jobs)
+        assert frontier == tuple(_filtered_scan(9, FilterSpec(tight=(k, 0)), jobs=jobs)[1])
+        counts[k] = len(frontier)
+    assert counts == {1: 8345, 2: 1, 3: 3, 4: 0}

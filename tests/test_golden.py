@@ -25,7 +25,7 @@ import pytest
 from stabilitylab.canonical import canonical_data
 from stabilitylab.catalog import named_graph
 from stabilitylab.cli import main
-from stabilitylab.enumeration import FilterSpec, _cached_level, filtered_records
+from stabilitylab.enumeration import FilterSpec, _frontier, filtered_records
 from stabilitylab.graph6 import parse_graph6
 from stabilitylab.graphs import Graph, clique, cycle, disjoint_union, from_edges
 from stabilitylab.structure import spanning_certificate
@@ -191,7 +191,7 @@ LEVEL_9 = (274668, "fa22f5e92f967b73ae654bfaf294c9fd6a158dde193ccfc3c7daea30f9c3
 
 
 def test_level_nine_codes_unchanged():
-    level = _cached_level(9)
+    level = _frontier(9)
     text = "\n".join(" ".join(map(str, code)) for code in level)
     assert (len(level), _sha(text.encode())) == LEVEL_9
 
@@ -326,7 +326,7 @@ CANONICAL_DATA = (
 def test_canonical_data_unchanged():
     rng = random.Random(10)
     h, count = hashlib.sha256(), 0
-    classes = [Graph(n, code) for n in range(1, 7) for code in _cached_level(n)]
+    classes = [Graph(n, code) for n in range(1, 7) for code in _frontier(n)]
     for graphs, copies in ((classes, 1), (SYMMETRIC, 2)):
         for g in graphs:
             for v in _relabelings(g, rng, copies):

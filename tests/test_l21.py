@@ -27,7 +27,7 @@ from helpers import (
     reference_l21_check,
 )
 from stabilitylab import enumeration
-from stabilitylab.enumeration import _cached_level, _l21_check, enumerate_canonical, verify_theorem
+from stabilitylab.enumeration import _frontier, _l21_check, enumerate_canonical, verify_theorem
 from stabilitylab.graph6 import write_graph6
 from stabilitylab.graphs import bits, from_edges, path
 from stabilitylab.independence import alpha_mask, independent_masks
@@ -66,7 +66,7 @@ def test_per_set_reference_equals_brute_force(oracle):
 def test_l21_check_equals_per_set_reference_at_nine():
     # every class of level 9, (1,0)-stable or not, by both checks
     failing = 0
-    for code in _cached_level(9):
+    for code in _frontier(9):
         found = alpha_mask(code, (1 << 9) - 1)
         ok = _l21_check(code, 9, *found)
         assert ok == reference_l21_check(code, 9, found[0]), code
