@@ -60,22 +60,27 @@ without the search (see :mod:`~stabilitylab.canonical`).
 Every frontier a scan reads is built once per process by :func:`_frontier`
 and kept in ``_FRONTIERS``: the levels up to 9 vertices, as the tuples of
 adjacency-row codes that ``extend_level`` returns, checked against the known
-class counts, and the prune's tight (k,0) frontiers T(k, n).  Scans and
+class counts, with the index of each class's canonical parent in the level
+below, and the prune's tight (k,0) frontiers T(k, n).  Scans and
 ``enumerate_canonical`` read codes through ``_codes``: a cached level as it
 is, level 10 and pruned scans with k > 1 as children of a frontier at n-1.
 
-Beside each cached level lives its packed alpha table: 16-bit entries in a
-shared anonymous ``mmap``, one per class (about 550 KB at level 9).  An
-entry holds ``witness | alpha << n`` exactly as ``alpha_mask`` returns
-them, or 0 until the first scan that needs that class's alpha computes it;
-classes a cheaper test rejects never get one.  So each class's alpha is
-computed at most once per process however many filters scan its level.
-Each scan chunk fills its own index range in place; the mapping is shared,
-so a forked pool worker's writes land in this process's table.  Children
-of a frontier compute alpha per child.  The table pays only in a process
-that scans a level more than once, such as a session that verifies
-several theorems; a CLI run scans each level once and only fills it, at
-the cost of one store per class that reaches an alpha test.
+Beside each cached level live, in one shared anonymous ``mmap``, its packed
+alpha table and one drop table per k < n.  An alpha entry, 16 bits per
+class (about 550 KB at level 9), holds ``witness | alpha << n`` exactly as
+``alpha_mask`` returns them, or 0 until the first scan that needs that
+class's alpha computes it; classes a cheaper test rejects never get one.
+A drop entry, one byte, bounds drop_k, the largest fall of alpha over the
+removals of k vertices; a graph is (k,l)-stable when drop_k <= l.  A stable
+or tight test on a cached class reads the entry and, when it leaves the
+verdict open, tries the canonical parent (:func:`_within`); only what stays
+open is scanned by ``stable_fast``, and every verdict narrows the entry.
+So each class's alpha and each of its verdicts are computed at most once
+per process.  Each chunk fills its entries, and its parents', in place; the
+mapping is shared, so a forked pool worker's writes land in this process's
+tables (two writers may lose a narrowing, never soundness).  Children of a
+frontier compute alpha and scan per child.  The alpha table pays only when a
+process scans a level twice; the parents save scans already in the first.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 independence-number work.  The ``alpha_critical`` test first checks
@@ -103,6 +108,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from multiprocessing import get_context
@@ -128,7 +134,7 @@ from .errors import InvariantViolation
 from .graph6 import encode_rows, parse_graph6
 from .graphs import Graph, reachable
 from .independence import alpha_mask
-from .stability import stable_fast, tight_fast
+from .stability import stability_bound, stable_fast, tight_fast
 from .structure import augment_matching, spanning_certificate
 
 Code = tuple[int, ...]
@@ -221,18 +227,20 @@ def _degree_weights(n: int) -> tuple[int, ...]:
 _REJECT, _ACCEPT, _TIE = 0, 1, 2
 
 
-def _mask_gate(parent: Code) -> Callable[[int], int]:
+def _mask_gate(parent: Code, nlists: list[list[int]]) -> Callable[[int], int]:
     """Steps 2-5 of the gate on a mask S that passed step 1, from tables built
-    once for ``parent``: ``_ACCEPT``, ``_REJECT``, or ``_TIE`` when a vertex
-    that is not a twin of z ties with z in round three."""
+    once for ``parent`` and its neighbour lists: ``_ACCEPT``, ``_REJECT``, or
+    ``_TIE`` when a vertex that is not a twin of z ties with z in round three.
+    Parent degrees are at most n-2, so n+1 divides ``out_w`` into ``in_w``."""
     n = len(parent) + 1
     degs = [row.bit_count() for row in parent]
     weights = _degree_weights(n)
     span = (n + 1) ** (n + 1)
     out_w = _subset_sums([weights[d] for d in degs])
-    in_w = _subset_sums([weights[d + 1] for d in degs])
-    cells = [sum(1 << v for v, d in enumerate(degs) if d == c) for c in range(n)]
-    nlists = neighbor_lists(parent)
+    in_w = [w // (n + 1) for w in out_w]
+    cells = [0] * n
+    for v, d in enumerate(degs):
+        cells[d] |= 1 << v
 
     def verdict(s: int) -> int:
         k = s.bit_count()
@@ -295,7 +303,7 @@ def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int) -> boo
 def _canonical_children(parent: Code) -> Iterator[Code]:
     """Children of ``parent`` on one more vertex whose deletion parent it is."""
     parent_lists = neighbor_lists(parent)
-    for subset, verdict in _subset_reps(parent, _mask_gate(parent)):
+    for subset, verdict in _subset_reps(parent, _mask_gate(parent, parent_lists)):
         child = _child_code(parent, subset)
         if verdict == _ACCEPT or _tie_accepts(child, parent_lists, subset):
             yield child
@@ -310,34 +318,45 @@ def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
     return [child for parent in parents for child in _canonical_children(parent)]
 
 
-def _alpha_table(size: int) -> memoryview:
-    """``size`` unset alpha entries, shared with forked pool workers."""
-    return memoryview(mmap.mmap(-1, 2 * size)).cast("H")
+def _tables(n: int, size: int) -> tuple[memoryview, list[memoryview]]:
+    """Unset tables of a cached level of ``size`` classes on ``n`` vertices in
+    one anonymous ``mmap`` shared with forked pool workers: the alpha table,
+    2 bytes per class, and ``drops[k - 1]``, 1 byte per class, for k < n."""
+    shared = memoryview(mmap.mmap(-1, (n + 1) * size))
+    return shared[: 2 * size].cast("H"), [shared[(k + 1) * size : (k + 2) * size] for k in range(1, n)]
 
 
-#: (n, 0) -> (level n, its packed alpha table); (n, k) -> (T(k, n), None)
-#: for k >= 1.  Entry i of a table is 0 until a scan first needs alpha for
-#: code i, then ``witness | alpha << n`` as ``alpha_mask(code, full)``
-#: returns them: below 2**13 for n <= 9, and never 0, since alpha >= 1.
-_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), _alpha_table(1))}
+#: (n, 0) -> (level n, each class's parent index in level n-1, its alpha
+#: table, its drop tables); (n, k) -> (T(k, n), None) for k >= 1.  Alpha
+#: entry i is 0 until a scan first needs alpha for code i, then ``witness |
+#: alpha << n`` as ``alpha_mask(code, full)`` returns them: below 2**13 for
+#: n <= 9, and never 0, since alpha >= 1.  Drop entry i of table k - 1 is
+#: ``lo | (15 - hi) << 4`` for known bounds lo <= drop_k <= hi, 0 if none.
+_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("I"), *_tables(1, 1))}
 
 
 def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
     """Level ``n`` for k = 0, checked against the known class count, else
     T(k, n), the matches of the pruned tight (k,0) scan at ``n`` with ``jobs``
-    workers; each is built once per process, and kept only when whole."""
+    workers; each is built once per process, and kept only when whole.  A
+    level keeps each class's parent index and gets unset tables."""
     if (n, k) not in _FRONTIERS:
         if k:
             _FRONTIERS[n, k] = tuple(_filtered_scan(n, FilterSpec(tight=(k, 0)), True, jobs)[1]), None
         elif not 1 <= n <= _CACHE_MAX_N:
             raise ValueError(f"levels 1..{_CACHE_MAX_N} are cached, not {n}")
         else:
-            level = tuple(extend_level(_frontier(n - 1), n))
+            level: list[Code] = []
+            parents = array("I")
+            for p, parent in enumerate(_frontier(n - 1)):
+                children = extend_level([parent], n)
+                level += children
+                parents += array("I", [p]) * len(children)
             if len(level) != CLASS_COUNTS[n - 1]:
                 raise InvariantViolation(
                     f"level {n} has {len(level)} classes, expected {CLASS_COUNTS[n - 1]}"
                 )
-            _FRONTIERS[n, 0] = level, _alpha_table(len(level))
+            _FRONTIERS[n, 0] = tuple(level), parents, *_tables(n, len(level))
     return _FRONTIERS[n, k][0]
 
 
@@ -451,9 +470,11 @@ def _required_flags(spec: FilterSpec) -> dict:
     return flags
 
 
-def _spec_tests(spec: FilterSpec) -> list[tuple]:
+def _spec_tests(spec: FilterSpec, cached: bool = False) -> list[tuple]:
     """The tests of ``spec`` as (evaluator, required value, needs alpha),
-    graph-only tests first; built once per chunk, not once per graph.
+    graph-only tests first; built once per chunk, not once per graph.  With
+    ``cached`` the (k,l) tests are left out: a chunk over a cached level
+    decides them from its drop tables (:func:`_within`).
 
     A (k,0) stability or tightness filter raises the minimum-degree floor to
     k: a vertex of degree below k has a closed neighborhood of at most k
@@ -468,7 +489,8 @@ def _spec_tests(spec: FilterSpec) -> list[tuple]:
         floor = max(floors)
         tests.append((lambda code, n, a, wit: _min_degree(code) >= floor, True, False))
     for key, want in _required_flags(spec).items():  # "connected" first: no alpha needed
-        tests.append((_flag_evaluator(key), want, key != "connected"))
+        if not cached or key.partition("_")[0] not in ("stable", "tight"):
+            tests.append((_flag_evaluator(key), want, key != "connected"))
     if spec.alpha is not None:
         tests.append((lambda code, n, a, wit: a, spec.alpha, True))
     return tests
@@ -484,6 +506,37 @@ def _alpha(code: Code, n: int, table: memoryview | None, index: int) -> tuple[in
     if table is not None:
         table[index] = wit | a << n
     return a, wit
+
+
+def _within(n: int, i: int, k: int, l: int) -> bool:
+    """Whether drop_k <= l for class ``i`` of cached level ``n > k``, a
+    parent p plus z: read off the class's entry, else from p's verdicts
+    (found alike in level n-1) by delta + drop_{k-1}(p) <= drop_k <= delta +
+    drop_k(p), delta = alpha - alpha(p), else by ``stable_fast``; the verdict
+    narrows the entry.  The lower bound deletes z and a worst (k-1)-set of
+    p; the upper holds as G - X contains p - (X - z).  drop_k <= k needs no
+    entry, and for n-1 <= k p bounds nothing."""
+    if l >= k:
+        return True
+    level, parents, alphas, drops = _FRONTIERS[n, 0]
+    entry = drops[k - 1][i]
+    lo, hi = entry & 15, 15 - (entry >> 4)
+    if hi <= l or lo > l:
+        return hi <= l
+    a, wit = _alpha(level[i], n, alphas, i)
+    verdict = None
+    if n - 1 > k:
+        up, p = _FRONTIERS[n - 1, 0], parents[i]
+        delta = a - _alpha(up[0][p], n - 1, up[2], p)[0]
+        if delta > l or _within(n - 1, p, k, l - delta):
+            verdict = delta <= l
+        elif not _within(n - 1, p, k - 1, l - delta):
+            verdict = False
+    if verdict is None:
+        verdict = stable_fast(level[i], n, k, l, a, wit)
+    lo, hi = (lo, l) if verdict else (l + 1, hi)
+    drops[k - 1][i] = lo | (15 - hi) << 4
+    return verdict
 
 
 def _passes(
@@ -510,15 +563,21 @@ def _scan_chunk(
     the check of pipeline ``theorem_id`` (none for ``None``), and the
     matches it rejects are the failed ones.  The alphas are one byte per
     match (alpha <= n <= 10).  Items of cached level n read and fill entry
-    ``start + i`` of the level's alpha table for ``items[i]``; with
-    ``start=None`` the children of the items are read, each computing its
-    own alpha.  An exception comes back as the same type with n and the
+    ``start + i`` of the level's tables for ``items[i]``, their (k,l) tests
+    decided by :func:`_within`; with ``start=None`` the children of the
+    items are read, each computing its own alpha and verdicts.  An exception comes back as the same type with n and the
     graph6 of the first and last item in front of its message."""
     items, n, spec, start, theorem_id = args
     try:
-        tests = _spec_tests(spec)
+        tests = _spec_tests(spec, start is not None)
+        # (k, l, the alpha a tight test requires or 0) of each test read off the drop tables
+        drops = [
+            (*kl, kind == "tight" and n > kl[0] and stability_bound(n, *kl))
+            for kind in ("stable", "tight")
+            if start is not None and (kl := getattr(spec, kind))
+        ]
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
-        table = None if start is None else _FRONTIERS[n, 0][1]
+        table = None if start is None else _FRONTIERS[n, 0][2]
         scanned = 0
         matches: list[Code] = []
         alphas = bytearray()
@@ -526,7 +585,9 @@ def _scan_chunk(
         for index, code in enumerate(_codes(items, n), start or 0):
             scanned += 1
             found = _passes(code, n, tests, table, index)
-            if found is None:
+            if found is None or not all(
+                n > k and (not want or found[0] == want) and _within(n, index, k, l) for k, l, want in drops
+            ):
                 continue
             matches.append(code)
             alphas.append(found[0])
@@ -554,8 +615,9 @@ def _filtered_scan(
     (requires ``spec.tight=(k,0)``) and n > 2 take it from the filter.
     About four chunks per worker, at most one worker per CPU and per item
     whatever ``jobs`` asks for; one worker scans every item as one chunk in
-    this process.  The chunks of cached level n fill its shared alpha table
-    wherever they run."""
+    this process.  The chunks of cached level n fill its shared alpha and
+    drop tables, and those of the levels below that its parents reach,
+    wherever they run; the children of a frontier are scanned directly."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")

@@ -50,6 +50,7 @@ from stabilitylab.errors import InvariantViolation
 from stabilitylab.graph6 import parse_graph6, write_graph6
 from stabilitylab.graphs import Graph, clique, cycle, from_edges
 from stabilitylab.independence import alpha_mask
+from stabilitylab.stability import stable_fast
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -87,8 +88,8 @@ def _parent_gate(parent):
     """The gate's decision on an attachment mask of ``parent``, as
     ``_canonical_children`` takes it: the mask gate, then the built child
     for a tie."""
-    verdict = _mask_gate(parent)
     lists = neighbor_lists(parent)
+    verdict = _mask_gate(parent, lists)
 
     def decide(s):
         found = verdict(s)
@@ -251,7 +252,7 @@ def test_gate_exhaustive_level_eight():
     split = Counter()
     for parent in _frontier(8):
         decide = _parent_gate(parent)
-        verdict = _mask_gate(parent)
+        verdict = _mask_gate(parent, neighbor_lists(parent))
         for subset in _degree_gated_reps(parent):
             got = decide(subset)
             code = _child_code(parent, subset)
@@ -276,7 +277,7 @@ def test_mask_gate_matches_reference_round_three():
     # child gives after one more round from its sorted round-two colours
     verdicts = Counter()
     for parent, subsets in _gate_candidates():
-        verdict = _mask_gate(parent)
+        verdict = _mask_gate(parent, neighbor_lists(parent))
         for subset in subsets:
             found = verdict(subset)
             assert found == reference_round_three(parent, subset), (parent, subset)
@@ -290,7 +291,7 @@ def test_mask_gate_is_constant_on_orbits():
     # the verdict
     for m in range(1, 8):
         for parent in _frontier(m):
-            verdict = _mask_gate(parent)
+            verdict = _mask_gate(parent, neighbor_lists(parent))
             verdicts = [verdict(s) for s in range(1 << m)]
             for g in canonical_data(parent).generators:
                 image = _image_table(g)
@@ -470,18 +471,19 @@ def _packed_alpha(code, n):
 
 
 def _fresh_tables(monkeypatch, full=False):
-    """Cache levels 1..8 again with new alpha tables, every entry unset or,
-    with ``full``, every entry packed from ``alpha_mask``; returns the tables."""
+    """Cache levels 1..8 again with their parents and new tables, every drop
+    entry unset and every alpha entry unset or, with ``full``, packed from
+    ``alpha_mask``; returns the alpha tables."""
     levels = {}
     for n in range(1, 9):
-        level = _frontier(n)
-        table = enumeration._alpha_table(len(level))
+        level, parents = _frontier(n), enumeration._FRONTIERS[n, 0][1]
+        table, drops = enumeration._tables(n, len(level))
         if full:
             for index, code in enumerate(level):
                 table[index] = _packed_alpha(code, n)
-        levels[n, 0] = level, table
+        levels[n, 0] = level, parents, table, drops
     monkeypatch.setattr(enumeration, "_FRONTIERS", levels)
-    return {n: table for (n, _), (_, table) in levels.items()}
+    return {n: table for (n, _), (_, _, table, _) in levels.items()}
 
 
 #: the first theorem of each distinct pipeline filter
@@ -516,13 +518,16 @@ def test_alpha_table_holds_alpha_mask_for_every_worker_count(monkeypatch, theore
 
 def test_second_scan_reads_alpha_from_the_table(monkeypatch):
     # the first tight (2,0) scan of level 8 computes alpha once for each class
-    # of min degree >= 2 and for no other; a second scan computes none, and a
-    # stable (1,0) scan only those of min degree 1; the cached table takes two
-    # bytes per class
+    # of min degree >= 2 and for no other level-8 class, and, in level 7, for
+    # the parent of each class whose verdict it derives (alpha = 3, the tight
+    # bound); a second scan computes none, and a stable (1,0) scan only the
+    # level-8 classes of min degree 1; no alpha is computed twice, and the
+    # cached table takes two bytes per class
     level = _frontier(8)
-    cached = enumeration._FRONTIERS[8, 0][1]
+    cached = enumeration._FRONTIERS[8, 0][2]
     assert (cached.itemsize, len(cached)) == (2, len(level))
     table = _fresh_tables(monkeypatch)[8]
+    parents = enumeration._FRONTIERS[8, 0][1]
     calls = []
 
     def counting_alpha(adj, mask):
@@ -532,13 +537,88 @@ def test_second_scan_reads_alpha_from_the_table(monkeypatch):
     monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
     degree = [min(row.bit_count() for row in code) for code in level]
     first = _filtered_scan(8, FilterSpec(tight=(2, 0)))
-    assert sorted(calls) == sorted(c for c, d in zip(level, degree) if d >= 2)
+    derived = [i for i, code in enumerate(level) if degree[i] >= 2 and alpha_mask(code, 255)[0] == 3]
+    assert sorted(c for c in calls if len(c) == 8) == sorted(c for c, d in zip(level, degree) if d >= 2)
+    assert sorted(c for c in calls if len(c) == 7) == sorted({_frontier(7)[parents[i]] for i in derived})
     assert [entry != 0 for entry in table] == [d >= 2 for d in degree]
     calls.clear()
     assert _filtered_scan(8, FilterSpec(tight=(2, 0))) == first
     assert calls == []
     _filtered_scan(8, FilterSpec(stable=(1, 0)))
-    assert sorted(calls) == sorted(c for c, d in zip(level, degree) if d == 1)
+    assert sorted(c for c in calls if len(c) == 8) == sorted(c for c, d in zip(level, degree) if d == 1)
+    assert len(set(calls)) == len(calls)
+
+
+def _stable_fast_verdicts() -> dict:
+    """``stable_fast`` of class i of level n, as ``{(n, i, k, l): verdict}``,
+    for every k > l >= 0 with n > k and n <= 8, k at most 4 at n = 8."""
+    verdicts = {}
+    for n in range(2, 9):
+        for i, code in enumerate(_frontier(n)):
+            a, wit = alpha_mask(code, (1 << n) - 1)
+            for k in range(1, min(n, 5)) if n == 8 else range(1, n):
+                for l in range(k):
+                    verdicts[n, i, k, l] = stable_fast(code, n, k, l, a, wit)
+    return verdicts
+
+
+def _assert_entries_bracket_drops(verdicts: dict) -> None:
+    """Every set drop entry of levels 2..8 holds lo <= drop_k <= hi, drop_k
+    being the least l that ``verdicts`` finds stable, else k."""
+    for n in range(2, 9):
+        for k, drops in enumerate(enumeration._FRONTIERS[n, 0][3], 1):
+            for i, entry in enumerate(drops):
+                if entry:
+                    drop = next((l for l in range(k) if verdicts[n, i, k, l]), k)
+                    assert entry & 15 <= drop <= 15 - (entry >> 4), (n, i, k, entry)
+
+
+def test_derived_verdicts_equal_stable_fast(monkeypatch):
+    # from unset drop tables, then from the tables that run filled, the
+    # verdicts read or derived from the canonical parents equal stable_fast
+    _fresh_tables(monkeypatch)
+    verdicts = _stable_fast_verdicts()
+    for _ in range(2):
+        assert {key: enumeration._within(*key) for key in verdicts} == verdicts
+        _assert_entries_bracket_drops(verdicts)
+
+
+def test_second_derived_scan_makes_no_scan(monkeypatch):
+    # the first stable (1,0) scan of level 8 scans fewer classes than it
+    # reads the verdict of; a second one reads every verdict from the table
+    _fresh_tables(monkeypatch)
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return stable_fast(*args)
+
+    monkeypatch.setattr(enumeration, "stable_fast", counting_scan)
+    first = _filtered_scan(8, FilterSpec(stable=(1, 0)))
+    assert 0 < len(calls) < first[0]
+    calls.clear()
+    assert _filtered_scan(8, FilterSpec(stable=(1, 0))) == first
+    assert calls == []
+
+
+def test_derived_scans_are_the_same_for_every_worker_count(monkeypatch):
+    # from unset tables, jobs=1 and jobs=2 (two CPUs, so that it forks) find
+    # the matches of a scan over the children of level n-1, which decides
+    # every verdict directly; the entries either run sets bracket drop_k
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    specs = [FilterSpec(stable=kl) for kl in ((1, 0), (2, 1), (3, 1))]
+    specs += [FilterSpec(tight=kl) for kl in ((2, 0), (2, 1), (3, 1))]
+    verdicts = _stable_fast_verdicts()
+    direct = {
+        (spec, n): sorted(_scan_chunk((_frontier(n - 1), n, spec, None, None))[1])
+        for spec in specs
+        for n in range(2, 9)
+    }
+    for jobs in (1, 2):
+        _fresh_tables(monkeypatch)
+        for (spec, n), matches in direct.items():
+            assert _filtered_scan(n, spec, jobs=jobs)[1] == matches, (spec, n)
+        _assert_entries_bracket_drops(verdicts)
 
 
 def test_table_entries_decode_to_alpha_mask(monkeypatch):

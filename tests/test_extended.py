@@ -20,6 +20,7 @@ included (Python 3.11.7).
 import os
 import random
 import time
+from multiprocessing import get_context
 
 import pytest
 
@@ -27,6 +28,7 @@ from stabilitylab.enumeration import (
     FilterSpec,
     _filtered_scan,
     _frontier,
+    _scan_chunk,
     filtered_records,
     verify_theorem,
 )
@@ -105,3 +107,21 @@ def test_frontiers_at_nine():
         assert frontier == tuple(_filtered_scan(9, FilterSpec(tight=(k, 0)), jobs=jobs)[1])
         counts[k] = len(frontier)
     assert counts == {1: 8345, 2: 1, 3: 3, 4: 0}
+
+
+@pytest.mark.extended
+def test_derived_verdicts_at_nine():
+    # with two pool workers, each stable (k,l) scan of level 9 for k <= 3
+    # and l <= 1 reads or derives its verdicts from the drop tables, and
+    # finds the matches of a scan over the children of level 8, which
+    # decides every verdict with stable_fast
+    level8 = _frontier(8)
+    step = -(-len(level8) // 8)
+    with get_context("fork").Pool(2) as pool:
+        for kl in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1)):
+            spec = FilterSpec(stable=kl)
+            chunks = [(level8[i : i + step], 9, spec, None, None) for i in range(0, len(level8), step)]
+            direct = sorted(code for r in pool.imap(_scan_chunk, chunks) for code in r[1])
+            t0 = time.perf_counter()
+            assert _filtered_scan(9, spec, jobs=2)[1] == direct, kl
+            print(f"stable {kl} at n = 9: {len(direct)} matches, {time.perf_counter() - t0:.1f} s derived")
