@@ -61,29 +61,27 @@ Every frontier a scan reads is built once per process by :func:`_frontier`
 and kept in ``_FRONTIERS``: the levels up to 9 vertices, as the tuples of
 adjacency-row codes that ``extend_level`` returns, checked against the known
 class counts, with the index of each class's canonical parent in the level
-below, and the prune's tight (k,0) frontiers T(k, n).  Scans and
-``enumerate_canonical`` read codes through ``_codes``: a cached level as it
-is, level 10 and pruned scans with k > 1 as children of a frontier at n-1.
+below, and the prune's tight (k,0) frontiers T(k, n).  Scans read
+``(code, alpha entry)`` items through ``_items``: a cached level as it is,
+level 10 and pruned scans with k > 1 as children of a frontier at n-1.
 
-Beside each cached level live, in one shared anonymous ``mmap``, its packed
-alpha table and one drop table per k < n.  An alpha entry, 16 bits per
-class (about 550 KB at level 9), holds ``witness | alpha << n`` exactly as
-``alpha_mask`` returns them, or 0 until the first scan that needs that
-class's alpha computes it; classes a cheaper test rejects never get one.
-A drop entry, one byte, bounds drop_k, the largest fall of alpha over the
-removals of k vertices; a graph is (k,l)-stable when drop_k <= l.  A stable
-or tight test on a cached class reads the entry and, when it leaves the
-verdict open, tries the canonical parent (:func:`_within`); only what stays
-open is scanned by ``stable_fast``, and every verdict narrows the entry.
-So each class's alpha and each of its verdicts are computed at most once
-per process.  Each chunk fills its entries, and its parents', in place; the
-mapping is shared, so a forked pool worker's writes land in this process's
-tables (two writers may lose a narrowing, never soundness).  Children of a
-frontier compute alpha and scan per child.  The alpha table pays only when a
-process scans a level twice; the parents save scans already in the first.
+Every frontier carries an alpha entry per class, ``witness | alpha << n``
+in 16 bits, set once from the canonical parent's by :func:`_child_alpha`
+as the frontier is built (a T(k, n)'s by the scan that finds it); children
+of a frontier get theirs as they are generated, and no scan writes one.
+Beside each cached level, one shared anonymous ``mmap`` holds only its drop
+tables, one per k < n.  A drop entry, one byte, bounds drop_k, the largest
+fall of alpha over the removals of k vertices; a graph is (k,l)-stable when
+drop_k <= l.  A stable or tight test on a cached class reads the entry and,
+when it leaves the verdict open, tries the canonical parent
+(:func:`_within`); only what stays open is scanned by ``stable_fast``, and
+every verdict narrows the entry, so each is found at most once per process.
+Each chunk narrows its entries, and its parents', in place; a forked pool
+worker's writes land in this process's tables (two writers may lose a
+narrowing, never soundness).
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
-independence-number work.  The ``alpha_critical`` test first checks
+edge walk or k-subset scan.  The ``alpha_critical`` test first checks
 Hajnal's degree bound (max degree at most n - 2*alpha + 1, plus one per
 isolated vertex), which every alpha-critical graph meets, and walks the
 edges with ``alpha_preserving_edge`` only when it holds.  The optional
@@ -93,11 +91,11 @@ base case, k = 1 or n <= 2, is level n whole.  A tight (k,0)-stable graph
 minus any vertex is tight (k-1,0)-stable, so each match's parent is there.
 
 Each match is finished in its scan chunk, in the pool workers when there
-are several: the chunk hands its alpha and witness (from the level's table
-or an ``alpha_mask`` call; L21's check reads neither) to the pipeline's
-check ``(code, n, alpha, witness)`` and returns the codes, one alpha byte
-per match and the codes the check rejects.  A chunk names its pipeline by
-theorem id, since a check may be a closure, which cannot be pickled.
+are several: the chunk hands its alpha and witness (L21's check reads
+neither) to the pipeline's check ``(code, n, alpha, witness)`` and returns
+the codes, their alpha entries and the codes the check rejects.  A chunk
+names its pipeline by theorem id, since a check may be a closure, which
+cannot be pickled.
 Reports and atlas records are encoded straight from the adjacency rows;
 only the certificate builders and the AND and SUR recognizers build a
 ``Graph``.
@@ -318,64 +316,88 @@ def extend_level(parents: Sequence[Code], n: int) -> list[Code]:
     return [child for parent in parents for child in _canonical_children(parent)]
 
 
-def _tables(n: int, size: int) -> tuple[memoryview, list[memoryview]]:
-    """Unset tables of a cached level of ``size`` classes on ``n`` vertices in
-    one anonymous ``mmap`` shared with forked pool workers: the alpha table,
-    2 bytes per class, and ``drops[k - 1]``, 1 byte per class, for k < n."""
-    shared = memoryview(mmap.mmap(-1, (n + 1) * size))
-    return shared[: 2 * size].cast("H"), [shared[(k + 1) * size : (k + 2) * size] for k in range(1, n)]
+def _child_alpha(parent: Code, packed: int, s: int) -> int:
+    """``witness | alpha << n`` of the child p + z on n vertices with
+    attachment set ``s``, from p's entry ``packed`` in that form.  A set of
+    the child avoids z, so is one of p, or is z plus one of p - s: alpha
+    grows exactly when alpha(p - s) >= alpha(p) (the vertex recursion of
+    Tarjan & Trojanowski, 1977, at z).  p's witness decides that when it
+    misses ``s``, else one threshold query does."""
+    m = len(parent)
+    full = (1 << m) - 1
+    a, wit = packed >> m, packed & full
+    if wit & s:
+        got, found = alpha_mask(parent, full & ~s, a)
+        if got < a:
+            return wit | a << (m + 1)
+        wit = found
+    return wit | 1 << m | (a + 1) << (m + 1)
 
 
-#: (n, 0) -> (level n, each class's parent index in level n-1, its alpha
-#: table, its drop tables); (n, k) -> (T(k, n), None) for k >= 1.  Alpha
-#: entry i is 0 until a scan first needs alpha for code i, then ``witness |
-#: alpha << n`` as ``alpha_mask(code, full)`` returns them: below 2**13 for
-#: n <= 9, and never 0, since alpha >= 1.  Drop entry i of table k - 1 is
-#: ``lo | (15 - hi) << 4`` for known bounds lo <= drop_k <= hi, 0 if none.
-_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("I"), *_tables(1, 1))}
+def _drop_tables(n: int, size: int) -> list[memoryview]:
+    """Unset drop tables ``drops[k - 1]``, k < n, of ``size`` bytes each for a
+    cached level on ``n >= 2`` vertices, in one ``mmap`` shared with workers."""
+    shared = memoryview(mmap.mmap(-1, (n - 1) * size))
+    return [shared[(k - 1) * size : k * size] for k in range(1, n)]
+
+
+#: (n, 0) -> (level n, its alpha entries, each class's parent index in
+#: level n-1, its drop tables); (n, k) -> (T(k, n), its alpha entries) for
+#: k >= 1.  Drop entry i of table k - 1 is ``lo | (15 - hi) << 4`` for
+#: known bounds lo <= drop_k <= hi, 0 if none.
+_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [])}
 
 
 def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
     """Level ``n`` for k = 0, checked against the known class count, else
     T(k, n), the matches of the pruned tight (k,0) scan at ``n`` with ``jobs``
-    workers; each is built once per process, and kept only when whole.  A
-    level keeps each class's parent index and gets unset tables."""
+    workers; each is built once per process with its alphas, kept only when
+    whole.  A level keeps each class's parent index and unset drop tables."""
     if (n, k) not in _FRONTIERS:
         if k:
-            _FRONTIERS[n, k] = tuple(_filtered_scan(n, FilterSpec(tight=(k, 0)), True, jobs)[1]), None
+            _, matches, alphas, _ = _filtered_scan(n, FilterSpec(tight=(k, 0)), True, jobs)
+            _FRONTIERS[n, k] = tuple(matches), alphas
         elif not 1 <= n <= _CACHE_MAX_N:
             raise ValueError(f"levels 1..{_CACHE_MAX_N} are cached, not {n}")
         else:
+            up, up_alphas = _frontier(n - 1), _FRONTIERS[n - 1, 0][1]
             level: list[Code] = []
-            parents = array("I")
-            for p, parent in enumerate(_frontier(n - 1)):
+            alphas, parents = array("H"), array("I")
+            for p, parent in enumerate(up):
                 children = extend_level([parent], n)
                 level += children
+                alphas += array("H", [_child_alpha(parent, up_alphas[p], c[-1]) for c in children])
                 parents += array("I", [p]) * len(children)
             if len(level) != CLASS_COUNTS[n - 1]:
                 raise InvariantViolation(
                     f"level {n} has {len(level)} classes, expected {CLASS_COUNTS[n - 1]}"
                 )
-            _FRONTIERS[n, 0] = tuple(level), parents, *_tables(n, len(level))
+            _FRONTIERS[n, 0] = tuple(level), alphas, parents, _drop_tables(n, len(level))
     return _FRONTIERS[n, k][0]
 
 
-def _codes(items: Sequence[Code], n: int) -> Iterator[Code]:
-    """The codes on ``n`` vertices a scan of ``items`` reads: an item on
-    ``n`` vertices (from a cached level) is read itself, an item on n-1
-    (from a frontier at n-1) is replaced by its canonical children."""
-    for item in items:
-        if len(item) == n:
-            yield item
-        else:
-            yield from _canonical_children(item)
+def _items(key: tuple[int, int], start: int, stop: int, n: int) -> Iterator[tuple[Code, int]]:
+    """``(code, alpha entry)`` of each class a scan of entries ``start:stop``
+    of frontier ``key`` reads at ``n``: a cached level's classes with their
+    entries, or a frontier's canonical children with :func:`_child_alpha`'s."""
+    codes, alphas = _FRONTIERS[key][:2]
+    pairs = zip(codes[start:stop], alphas[start:stop])
+    if key[0] == n:
+        return pairs
+    return (
+        (child, _child_alpha(parent, packed, child[-1]))
+        for parent, packed in pairs
+        for child in _canonical_children(parent)
+    )
 
 
 def enumerate_canonical(n: int) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of graphs on ``n`` vertices."""
     _check_size(n)
-    for code in _codes(_frontier(min(n, _CACHE_MAX_N)), n):
-        yield Graph(n, code)
+    batches = [_frontier(n)] if n <= _CACHE_MAX_N else map(_canonical_children, _frontier(n - 1))
+    for codes in batches:
+        for code in codes:
+            yield Graph(n, code)
 
 
 # -- filters -----------------------------------------------------------------
@@ -470,131 +492,110 @@ def _required_flags(spec: FilterSpec) -> dict:
     return flags
 
 
-def _spec_tests(spec: FilterSpec, cached: bool = False) -> list[tuple]:
-    """The tests of ``spec`` as (evaluator, required value, needs alpha),
-    graph-only tests first; built once per chunk, not once per graph.  With
-    ``cached`` the (k,l) tests are left out: a chunk over a cached level
-    decides them from its drop tables (:func:`_within`).
+def _spec_tests(spec: FilterSpec) -> list[tuple]:
+    """The tests of ``spec`` but its (k,l) tests, which :func:`_scan_chunk`
+    decides, as (evaluator, required value), graph-only tests first; built
+    once per chunk, not once per graph.
 
     A (k,0) stability or tightness filter raises the minimum-degree floor to
     k: a vertex of degree below k has a closed neighborhood of at most k
     vertices meeting every maximum independent set, so deleting it lowers
     alpha (``min_degree_necessary``).  The floor only rejects graphs the
-    stability test would reject, before any alpha is computed.
+    stability test would reject, before any k-subset scan.
     """
     floors = [spec.min_degree] if spec.min_degree is not None else []
     floors += [kl[0] for kl in (spec.stable, spec.tight) if kl is not None and kl[1] == 0]
     tests = []
     if floors:
         floor = max(floors)
-        tests.append((lambda code, n, a, wit: _min_degree(code) >= floor, True, False))
-    for key, want in _required_flags(spec).items():  # "connected" first: no alpha needed
-        if not cached or key.partition("_")[0] not in ("stable", "tight"):
-            tests.append((_flag_evaluator(key), want, key != "connected"))
+        tests.append((lambda code, n, a, wit: _min_degree(code) >= floor, True))
+    for key, want in _required_flags(spec).items():  # "connected" first: the cheapest
+        if key.partition("_")[0] not in ("stable", "tight"):
+            tests.append((_flag_evaluator(key), want))
     if spec.alpha is not None:
-        tests.append((lambda code, n, a, wit: a, spec.alpha, True))
+        tests.append((lambda code, n, a, wit: a, spec.alpha))
     return tests
-
-
-def _alpha(code: Code, n: int, table: memoryview | None, index: int) -> tuple[int, int]:
-    """``alpha_mask(code, full)``, read from ``table[index]`` when that is
-    set, else computed and stored there; with ``table=None`` computed."""
-    packed = 0 if table is None else table[index]
-    if packed:
-        return packed >> n, packed & ((1 << n) - 1)
-    a, wit = alpha_mask(code, (1 << n) - 1)
-    if table is not None:
-        table[index] = wit | a << n
-    return a, wit
 
 
 def _within(n: int, i: int, k: int, l: int) -> bool:
     """Whether drop_k <= l for class ``i`` of cached level ``n > k``, a
     parent p plus z: read off the class's entry, else from p's verdicts
     (found alike in level n-1) by delta + drop_{k-1}(p) <= drop_k <= delta +
-    drop_k(p), delta = alpha - alpha(p), else by ``stable_fast``; the verdict
-    narrows the entry.  The lower bound deletes z and a worst (k-1)-set of
-    p; the upper holds as G - X contains p - (X - z).  drop_k <= k needs no
-    entry, and for n-1 <= k p bounds nothing."""
+    drop_k(p), delta = alpha - alpha(p) (both set at build), else by
+    ``stable_fast``; the verdict narrows the entry.  The lower bound deletes
+    z and a worst (k-1)-set of p; the upper holds as G - X contains p - (X -
+    z).  drop_k <= k needs no entry, and for n-1 <= k p bounds nothing."""
     if l >= k:
         return True
-    level, parents, alphas, drops = _FRONTIERS[n, 0]
+    level, alphas, parents, drops = _FRONTIERS[n, 0]
     entry = drops[k - 1][i]
     lo, hi = entry & 15, 15 - (entry >> 4)
     if hi <= l or lo > l:
         return hi <= l
-    a, wit = _alpha(level[i], n, alphas, i)
+    a = alphas[i] >> n
     verdict = None
     if n - 1 > k:
-        up, p = _FRONTIERS[n - 1, 0], parents[i]
-        delta = a - _alpha(up[0][p], n - 1, up[2], p)[0]
+        p = parents[i]
+        delta = a - (_FRONTIERS[n - 1, 0][1][p] >> (n - 1))
         if delta > l or _within(n - 1, p, k, l - delta):
             verdict = delta <= l
         elif not _within(n - 1, p, k - 1, l - delta):
             verdict = False
     if verdict is None:
-        verdict = stable_fast(level[i], n, k, l, a, wit)
+        verdict = stable_fast(level[i], n, k, l, a, alphas[i] & ((1 << n) - 1))
     lo, hi = (lo, l) if verdict else (l + 1, hi)
     drops[k - 1][i] = lo | (15 - hi) << 4
     return verdict
 
 
-def _passes(
-    code: Code, n: int, tests: list[tuple], table: memoryview | None, index: int
-) -> tuple[int, int] | None:
-    """``(alpha, witness)`` of ``code`` if it passes ``tests``, else ``None``.
-    Alpha and its witness come from :func:`_alpha` at the first test that
-    needs them, or after the last test if ``code`` passes without one."""
-    a = wit = None
-    for evaluate, want, needs_alpha in tests:
-        if needs_alpha and a is None:
-            a, wit = _alpha(code, n, table, index)
-        if evaluate(code, n, a, wit) != want:
-            return None
-    return _alpha(code, n, table, index) if a is None else (a, wit)
-
-
 def _scan_chunk(
-    args: tuple[Sequence[Code], int, FilterSpec, int | None, str | None],
-) -> tuple[int, list[Code], bytearray, list[Code]]:
-    """(codes read, matches, their alphas, failed matches) of the filter
-    over ``_codes(items, n)`` for ``args = (items, n, spec, start,
-    theorem_id)``.  Each match is finished here: its alpha and witness go to
-    the check of pipeline ``theorem_id`` (none for ``None``), and the
-    matches it rejects are the failed ones.  The alphas are one byte per
-    match (alpha <= n <= 10).  Items of cached level n read and fill entry
-    ``start + i`` of the level's tables for ``items[i]``, their (k,l) tests
-    decided by :func:`_within`; with ``start=None`` the children of the
-    items are read, each computing its own alpha and verdicts.  An exception comes back as the same type with n and the
-    graph6 of the first and last item in front of its message."""
-    items, n, spec, start, theorem_id = args
+    args: tuple[tuple[int, int], int, int, int, FilterSpec, str | None],
+) -> tuple[int, list[Code], list[int], list[Code]]:
+    """(codes read, matches, their alpha entries, failed matches) of the
+    filter over ``_items(key, start, stop, n)`` for ``args = (key, start,
+    stop, n, spec, theorem_id)``.  Every (k,l) test is decided here: by
+    :func:`_within` on a class of cached level n (``key == (n, 0)``), else
+    by ``stable_fast``.  Each match is finished here: its alpha and witness
+    go to the check of pipeline ``theorem_id`` (none for ``None``), and the
+    matches it rejects are the failed ones.  An exception comes back as the
+    same type with n and the graph6 of the first and last item in front of
+    its message."""
+    key, start, stop, n, spec, theorem_id = args
     try:
-        tests = _spec_tests(spec, start is not None)
-        # (k, l, the alpha a tight test requires or 0) of each test read off the drop tables
-        drops = [
+        tests = _spec_tests(spec)
+        # (k, l, the alpha a tight test requires or 0) of each (k,l) test
+        kls = [
             (*kl, kind == "tight" and n > kl[0] and stability_bound(n, *kl))
             for kind in ("stable", "tight")
-            if start is not None and (kl := getattr(spec, kind))
+            if (kl := getattr(spec, kind))
         ]
+        cached = key[0] == n
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
-        table = None if start is None else _FRONTIERS[n, 0][2]
+        full = (1 << n) - 1
         scanned = 0
         matches: list[Code] = []
-        alphas = bytearray()
+        alphas: list[int] = []
         failed: list[Code] = []
-        for index, code in enumerate(_codes(items, n), start or 0):
+        for index, (code, packed) in enumerate(_items(key, start, stop, n), start):
             scanned += 1
-            found = _passes(code, n, tests, table, index)
-            if found is None or not all(
-                n > k and (not want or found[0] == want) and _within(n, index, k, l) for k, l, want in drops
-            ):
-                continue
-            matches.append(code)
-            alphas.append(found[0])
-            if check is not None and not check(code, n, *found):
-                failed.append(code)
+            a, wit = packed >> n, packed & full
+            for test, want in tests:
+                if test(code, n, a, wit) != want:
+                    break
+            else:
+                for k, l, bound in kls:
+                    if n <= k or bound and a != bound or not (
+                        _within(n, index, k, l) if cached else stable_fast(code, n, k, l, a, wit)
+                    ):
+                        break
+                else:
+                    matches.append(code)
+                    alphas.append(packed)
+                    if check is not None and not check(code, n, a, wit):
+                        failed.append(code)
         return scanned, matches, alphas, failed
     except Exception as exc:
+        items = _FRONTIERS[key][0][start:stop]
         first, last = (encode_rows(c, len(c)) for c in (items[0], items[-1]))
         try:
             named = type(exc)(f"n={n}, chunk {first} to {last}: {exc}")
@@ -605,31 +606,27 @@ def _scan_chunk(
 
 def _filtered_scan(
     n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1, theorem_id: str | None = None
-) -> tuple[int, list[Code], bytes, list[Code]]:
-    """(classes scanned, sorted matches, their alphas, sorted failed
+) -> tuple[int, list[Code], list[int], list[Code]]:
+    """(classes scanned, sorted matches, their alpha entries, sorted failed
     matches) of ``spec`` at size ``n``.  The failed matches are those the
     check of pipeline ``theorem_id`` rejects, run in the chunks (none for
-    ``None``); the alphas are one byte per match, in the order of the
-    matches.  The items are cached level n when k = 1 and n <= 9, else the
+    ``None``).  The items are cached level n when k = 1 and n <= 9, else the
     children of ``_frontier(n - 1, k - 1)``; k is 1 unless ``prune``
     (requires ``spec.tight=(k,0)``) and n > 2 take it from the filter.
     About four chunks per worker, at most one worker per CPU and per item
     whatever ``jobs`` asks for; one worker scans every item as one chunk in
-    this process.  The chunks of cached level n fill its shared alpha and
-    drop tables, and those of the levels below that its parents reach,
-    wherever they run; the children of a frontier are scanned directly."""
+    this process.  A chunk names its items by frontier and index, reads
+    the alphas set at build, and writes only the shared drop tables of
+    cached level n and of the levels below that its parents reach."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
     k = spec.tight[0] if prune and n > 2 else 1
-    cached = k == 1 and n <= _CACHE_MAX_N  # whether the items are cached level n
-    items = _frontier(n) if cached else _frontier(n - 1, k - 1, jobs)
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    step = -(-len(items) // (4 * workers)) if workers > 1 else max(len(items), 1)
-    chunks = [
-        (items[i : i + step], n, spec, i if cached else None, theorem_id)
-        for i in range(0, len(items), step)
-    ]
+    key = (n, 0) if k == 1 and n <= _CACHE_MAX_N else (n - 1, k - 1)
+    size = len(_frontier(*key, jobs))
+    workers = min(jobs, os.cpu_count() or 1, size)
+    step = -(-size // (4 * workers)) if workers > 1 else max(size, 1)
+    chunks = [(key, i, min(i + step, size), n, spec, theorem_id) for i in range(0, size, step)]
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = list(pool.imap(_scan_chunk, chunks))
@@ -639,7 +636,7 @@ def _filtered_scan(
     return (
         sum(r[0] for r in results),
         [c for c, _ in pairs],
-        bytes(a for _, a in pairs),
+        [a for _, a in pairs],
         sorted(c for r in results for c in r[3]),
     )
 
@@ -695,7 +692,7 @@ def filtered_records(
         "version": __version__,
         "parameters": {"n": n, "filters": spec.to_dict(), "prune": hereditary_prune},
     }
-    records = [_record(code, n, a, spec, provenance) for code, a in zip(matches, alphas)]
+    records = [_record(code, n, a >> n, spec, provenance) for code, a in zip(matches, alphas)]
     records.sort(key=lambda r: r.g6)
     return scanned, records
 

@@ -60,7 +60,7 @@ _BITS = tuple(1 << v for v in range(MAX_VERTICES))
 
 
 def _check_params(n: int, k: int, l: int) -> None:
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (k, l)):
+    if type(k) is not int or type(l) is not int:  # bools are rejected too
         raise ValueError("k and l must be integers")
     if not k > l >= 0:
         raise ValueError(f"require k > l >= 0, got k={k}, l={l}")

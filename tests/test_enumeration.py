@@ -435,55 +435,74 @@ def test_filter_larger_k_than_n_matches_nothing():
     assert filtered_records(3, FilterSpec(stable=(3, 1))) == (4, [])
 
 
+def _chunk(key, n, spec=FilterSpec(), theorem_id=None, start=0, stop=None):
+    """The scan chunk over entries ``start:stop`` of frontier ``key`` at ``n``."""
+    stop = len(_frontier(*key)) if stop is None else stop
+    return _scan_chunk((key, start, stop, n, spec, theorem_id))
+
+
+def _assert_alpha_entry(code, packed):
+    """``packed``, read as ``witness | alpha << n``, holds alpha_mask's alpha
+    of ``code`` and an independent witness of that size."""
+    n = len(code)
+    a, wit = packed >> n, packed & ((1 << n) - 1)
+    assert a == alpha_mask(code, (1 << n) - 1)[0] == wit.bit_count(), code
+    assert not any(code[v] & wit for v in range(n) if wit >> v & 1), code
+
+
 @pytest.mark.parametrize("kind", ["stable", "tight"])
 def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
     """A (k,0) filter folds min degree >= k into the one graph-only degree
-    test: graphs below it are rejected without an alpha call, and no class up
-    to 7 vertices changes its verdict."""
-    real_alpha = enumeration.alpha_mask
-    calls = []
+    test: graphs below it are rejected before any stability scan, of a
+    frontier child by ``stable_fast`` or of a cached class by ``_within``,
+    and no class up to 7 vertices changes its verdict."""
+    scanned, within = [], []
+    real_within = enumeration._within
 
-    def counting_alpha(adj, mask):
-        calls.append(adj)
-        return real_alpha(adj, mask)
+    def counting_scan(code, *args):
+        scanned.append(code)
+        return stable_fast(code, *args)
 
-    monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
+    def counting_within(n, i, k, l):
+        within.append((n, i))
+        return real_within(n, i, k, l)
+
+    monkeypatch.setattr(enumeration, "stable_fast", counting_scan)
+    monkeypatch.setattr(enumeration, "_within", counting_within)
     for k in (1, 2, 3):
         stability = enumeration._flag_evaluator(f"{kind}_{k}_0")
         for min_degree in (None, k - 1, k + 1):
-            tests = enumeration._spec_tests(FilterSpec(min_degree=min_degree, **{kind: (k, 0)}))
-            assert [needs_alpha for _, _, needs_alpha in tests] == [False, True]
-            for n in range(1, 8):
-                for code in _frontier(n):
-                    degree = min(row.bit_count() for row in code)
-                    want = (min_degree is None or degree >= min_degree) and stability(
-                        code, n, *real_alpha(code, (1 << n) - 1)
-                    )
-                    calls.clear()
-                    assert (enumeration._passes(code, n, tests, None, 0) is not None) == want
-                    if degree < k:
-                        assert calls == []
+            spec = FilterSpec(min_degree=min_degree, **{kind: (k, 0)})
+            assert len(enumeration._spec_tests(spec)) == 1  # the one degree test
+            for n in range(2, 8):
+                children = extend_level(_frontier(n - 1), n)
+                want = [
+                    code
+                    for code in children
+                    if (min_degree is None or min(map(int.bit_count, code)) >= min_degree)
+                    and stability(code, n, *alpha_mask(code, (1 << n) - 1))
+                ]
+                scanned.clear()
+                assert _chunk((n - 1, 0), n, spec)[1] == want
+                assert all(min(map(int.bit_count, code)) >= k for code in scanned)
+                within.clear()
+                assert _filtered_scan(n, spec)[1] == sorted(want)
+                level = _frontier(n)
+                assert all(min(map(int.bit_count, level[i])) >= k for m, i in within if m == n)
 
 
-def _packed_alpha(code, n):
-    a, wit = alpha_mask(code, (1 << n) - 1)
-    return wit | a << n
-
-
-def _fresh_tables(monkeypatch, full=False):
-    """Cache levels 1..8 again with their parents and new tables, every drop
-    entry unset and every alpha entry unset or, with ``full``, packed from
-    ``alpha_mask``; returns the alpha tables."""
-    levels = {}
-    for n in range(1, 9):
-        level, parents = _frontier(n), enumeration._FRONTIERS[n, 0][1]
-        table, drops = enumeration._tables(n, len(level))
-        if full:
-            for index, code in enumerate(level):
-                table[index] = _packed_alpha(code, n)
-        levels[n, 0] = level, parents, table, drops
+def _fresh_drops(monkeypatch):
+    """Cache levels 1..8 again with their codes, alphas and parents and new
+    drop tables, every entry unset."""
+    levels = {(1, 0): enumeration._FRONTIERS[1, 0]}
+    for n in range(2, 9):
+        level, alphas, parents, _ = enumeration._FRONTIERS[n, 0]
+        levels[n, 0] = level, alphas, parents, enumeration._drop_tables(n, len(level))
     monkeypatch.setattr(enumeration, "_FRONTIERS", levels)
-    return {n: table for (n, _), (_, _, table, _) in levels.items()}
+
+
+def _alpha_tables() -> dict:
+    return {n: bytes(enumeration._FRONTIERS[n, 0][1]) for n in range(1, 9)}
 
 
 #: the first theorem of each distinct pipeline filter
@@ -494,59 +513,42 @@ for _tid, _pipeline in enumeration._PIPELINES.items():
 
 @pytest.mark.parametrize("theorem_id", list(_SPEC_OWNERS.values()))
 def test_alpha_table_holds_alpha_mask_for_every_worker_count(monkeypatch, theorem_id):
-    # a scan from unset tables stores in each entry it sets the packed
-    # (alpha, witness) of alpha_mask; jobs=2 (two CPUs, so that it forks)
-    # fills the same entries, and full tables give the same matches
+    # from unset drop tables, scans with jobs=1 and jobs=2 (two CPUs, so
+    # that it forks) find the same matches and leave every alpha table of
+    # levels 1-8, which test_inherited_alpha_equals_alpha_mask checks
+    # against alpha_mask, byte for byte as it was
     spec = enumeration._PIPELINES[theorem_id].spec
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    tables = _fresh_tables(monkeypatch, full=True)
-    full = {n: table.tobytes() for n, table in tables.items()}
-    expected = {n: _filtered_scan(n, spec) for n in range(1, 9)}
-    assert {n: table.tobytes() for n, table in tables.items()} == full
-    filled = {}
+    _frontier(8)
+    before = _alpha_tables()
+    expected = {}
     for jobs in (1, 2):
-        tables = _fresh_tables(monkeypatch)
+        _fresh_drops(monkeypatch)
         for n in range(1, 9):
+            expected.setdefault(n, _filtered_scan(n, spec))
             assert _filtered_scan(n, spec, jobs=jobs) == expected[n]
-        for n, table in tables.items():
-            for code, entry in zip(_frontier(n), table):
-                assert entry in (0, _packed_alpha(code, n))
-        filled[jobs] = {n: table.tobytes() for n, table in tables.items()}
-    assert filled[1] == filled[2]
-    assert tables[8].tolist().count(0) < len(tables[8])
+        assert _alpha_tables() == before
 
 
 def test_second_scan_reads_alpha_from_the_table(monkeypatch):
-    # the first tight (2,0) scan of level 8 computes alpha once for each class
-    # of min degree >= 2 and for no other level-8 class, and, in level 7, for
-    # the parent of each class whose verdict it derives (alpha = 3, the tight
-    # bound); a second scan computes none, and a stable (1,0) scan only the
-    # level-8 classes of min degree 1; no alpha is computed twice, and the
-    # cached table takes two bytes per class
+    # with levels 1-8 built, a cold tight (2,0) and stable (1,0) scan of
+    # level 8, from unset drop tables, calls no alpha_mask; a scan of the
+    # children of level-8 parents makes only threshold queries, one for each
+    # child whose attachment set meets its parent's witness; the cached
+    # table takes two bytes per class
     level = _frontier(8)
-    cached = enumeration._FRONTIERS[8, 0][2]
-    assert (cached.itemsize, len(cached)) == (2, len(level))
-    table = _fresh_tables(monkeypatch)[8]
-    parents = enumeration._FRONTIERS[8, 0][1]
-    calls = []
-
-    def counting_alpha(adj, mask):
-        calls.append(adj)
-        return alpha_mask(adj, mask)
-
-    monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
-    degree = [min(row.bit_count() for row in code) for code in level]
-    first = _filtered_scan(8, FilterSpec(tight=(2, 0)))
-    derived = [i for i, code in enumerate(level) if degree[i] >= 2 and alpha_mask(code, 255)[0] == 3]
-    assert sorted(c for c in calls if len(c) == 8) == sorted(c for c, d in zip(level, degree) if d >= 2)
-    assert sorted(c for c in calls if len(c) == 7) == sorted({_frontier(7)[parents[i]] for i in derived})
-    assert [entry != 0 for entry in table] == [d >= 2 for d in degree]
-    calls.clear()
-    assert _filtered_scan(8, FilterSpec(tight=(2, 0))) == first
+    alphas = enumeration._FRONTIERS[8, 0][1]
+    assert (alphas.itemsize, len(alphas)) == (2, len(level))
+    _fresh_drops(monkeypatch)
+    calls = _count_alpha(monkeypatch)
+    for spec in (FilterSpec(tight=(2, 0)), FilterSpec(stable=(1, 0))):
+        _filtered_scan(8, spec)
     assert calls == []
-    _filtered_scan(8, FilterSpec(stable=(1, 0)))
-    assert sorted(c for c in calls if len(c) == 8) == sorted(c for c, d in zip(level, degree) if d == 1)
-    assert len(set(calls)) == len(calls)
+    scanned = _chunk((8, 0), 9, FilterSpec(stable=(1, 0)), start=6000, stop=6400)[0]
+    children = [(p, c) for p in range(6000, 6400) for c in extend_level([level[p]], 9)]
+    assert scanned == len(children)
+    assert calls == [(level[p], alphas[p] >> 8) for p, c in children if alphas[p] & c[-1] & 255]
+    assert calls and len(calls) < len(children)
 
 
 def _stable_fast_verdicts() -> dict:
@@ -576,7 +578,7 @@ def _assert_entries_bracket_drops(verdicts: dict) -> None:
 def test_derived_verdicts_equal_stable_fast(monkeypatch):
     # from unset drop tables, then from the tables that run filled, the
     # verdicts read or derived from the canonical parents equal stable_fast
-    _fresh_tables(monkeypatch)
+    _fresh_drops(monkeypatch)
     verdicts = _stable_fast_verdicts()
     for _ in range(2):
         assert {key: enumeration._within(*key) for key in verdicts} == verdicts
@@ -586,7 +588,7 @@ def test_derived_verdicts_equal_stable_fast(monkeypatch):
 def test_second_derived_scan_makes_no_scan(monkeypatch):
     # the first stable (1,0) scan of level 8 scans fewer classes than it
     # reads the verdict of; a second one reads every verdict from the table
-    _fresh_tables(monkeypatch)
+    _fresh_drops(monkeypatch)
     calls = []
 
     def counting_scan(*args):
@@ -610,32 +612,52 @@ def test_derived_scans_are_the_same_for_every_worker_count(monkeypatch):
     specs += [FilterSpec(tight=kl) for kl in ((2, 0), (2, 1), (3, 1))]
     verdicts = _stable_fast_verdicts()
     direct = {
-        (spec, n): sorted(_scan_chunk((_frontier(n - 1), n, spec, None, None))[1])
-        for spec in specs
-        for n in range(2, 9)
+        (spec, n): sorted(_chunk((n - 1, 0), n, spec)[1]) for spec in specs for n in range(2, 9)
     }
     for jobs in (1, 2):
-        _fresh_tables(monkeypatch)
+        _fresh_drops(monkeypatch)
         for (spec, n), matches in direct.items():
             assert _filtered_scan(n, spec, jobs=jobs)[1] == matches, (spec, n)
         _assert_entries_bracket_drops(verdicts)
 
 
 def test_table_entries_decode_to_alpha_mask(monkeypatch):
-    # from a full table, the tests of every class n <= 8 see exactly the
-    # (alpha, witness) of alpha_mask, and alpha_mask is not called
-    tables = _fresh_tables(monkeypatch, full=True)
+    # the tests of a chunk over every class n <= 8 see the (alpha, witness)
+    # its table entry holds, alpha_mask's alpha and an independent witness
+    # of that size, and no alpha is computed
+    _frontier(8)
     seen = []
-    tests = [(lambda code, n, a, wit: seen.append((a, wit)), None, True)]
+    monkeypatch.setattr(
+        enumeration, "_spec_tests", lambda spec: [(lambda *found: seen.append(found), None)]
+    )
 
-    def no_alpha(adj, mask):
+    def no_alpha(*args):
         raise AssertionError("alpha computed although the table holds it")
 
     monkeypatch.setattr(enumeration, "alpha_mask", no_alpha)
-    for n, table in tables.items():
-        for index, code in enumerate(_frontier(n)):
-            assert enumeration._passes(code, n, tests, table, index)
-            assert seen.pop() == alpha_mask(code, (1 << n) - 1)
+    for n in range(1, 9):
+        seen.clear()
+        level, alphas = enumeration._FRONTIERS[n, 0][:2]
+        assert _chunk((n, 0), n) == (len(level), list(level), list(alphas), [])
+        assert [(code, a << n | wit) for code, _, a, wit in seen] == list(zip(level, alphas))
+        for code, _, a, wit in seen:
+            _assert_alpha_entry(code, wit | a << n)
+
+
+def test_inherited_alpha_equals_alpha_mask():
+    # every alpha entry of levels 1-8, and of every child of every 400th
+    # level-9 class as a scan reads it, holds alpha_mask's alpha and an
+    # independent witness of that size
+    for n in range(1, 9):
+        for code, packed in zip(_frontier(n), enumeration._FRONTIERS[n, 0][1]):
+            _assert_alpha_entry(code, packed)
+    level9 = _frontier(9)
+    total = 0
+    for p in range(0, len(level9), 400):
+        for code, packed in enumeration._items((9, 0), p, p + 1, 10):
+            _assert_alpha_entry(code, packed)
+            total += 1
+    assert total == LEVEL_10_SLICE[0]
 
 
 def test_prune_soundness_small():
@@ -649,7 +671,7 @@ def test_prune_soundness_small():
 
 def test_pruned_scan_at_one_vertex_scans_level_one():
     spec = FilterSpec(tight=(1, 0))
-    assert _filtered_scan(1, spec, prune=True) == _filtered_scan(1, spec) == (1, [], b"", [])
+    assert _filtered_scan(1, spec, prune=True) == _filtered_scan(1, spec) == (1, [], [], [])
     rep = verify_theorem("COR", n_values=(1,))
     assert (rep.graphs_scanned, rep.verdict) == (1, "verified")
 
@@ -714,7 +736,7 @@ def test_failed_frontier_build_keeps_no_entry(monkeypatch, drop_chains):
     # the chunk that raises is in the T(1,5) step of the T(2,6) build:
     # neither frontier is kept
     _frontier(5)
-    monkeypatch.setattr(enumeration, "_passes", _failing_passes)
+    monkeypatch.setattr(enumeration, "_spec_tests", _failing_tests)
     with pytest.raises(InvariantViolation, match="chunk failed"):
         _frontier(6, 2)
     assert not any(k for _, k in enumeration._FRONTIERS)
@@ -767,9 +789,9 @@ def test_pooled_scan_agrees_with_filtered_level(monkeypatch, drop_chains):
 class _InProcessContext:
     """Stands in for ``get_context("fork")``: records each requested pool
     size with the number of tasks it got, checks that no pool is larger than
-    its item count and that every task names the cached-level index of its
-    first item (``None`` for children) and carries no alpha table, and runs
-    the tasks in this process."""
+    its item count, that the tasks' spans cover their frontier's entries in
+    order and that no task carries codes or a table, and runs the tasks in
+    this process."""
 
     def __init__(self):
         self.pools = []
@@ -785,13 +807,11 @@ class _InProcessContext:
         return False
 
     def imap(self, fn, tasks):
-        assert self.pools[-1] <= sum(len(items) for items, *_ in tasks)
-        for items, n, _, start, _ in tasks:
-            if len(items[0]) == n:
-                assert _frontier(n)[start : start + len(items)] == tuple(items)
-            else:
-                assert start is None
-        assert not any(isinstance(f, (array, memoryview)) for task in tasks for f in task)
+        (key,) = {task[0] for task in tasks}
+        spans = [range(start, stop) for _, start, stop, *_ in tasks]
+        assert [i for span in spans for i in span] == list(range(len(_frontier(*key))))
+        assert self.pools[-1] <= len(_frontier(*key))
+        assert not any(isinstance(f, (array, memoryview, list)) for task in tasks for f in task)
         self.pools[-1] = (self.pools[-1], len(tasks))
         return map(fn, tasks)
 
@@ -833,8 +853,11 @@ def test_small_scans_pool_when_jobs_ask(monkeypatch, drop_chains, n, spec, prune
     assert context.pools == pools
 
 
-def _failing_passes(code, n, tests, table, index):
-    raise InvariantViolation("chunk failed")
+def _failing_tests(spec):
+    def fail(code, n, a, wit):
+        raise InvariantViolation("chunk failed")
+
+    return [(fail, True)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -842,7 +865,7 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
     # a chunk's exception keeps its type and gives n and the graph6 of the
     # first and last item of the chunk that raised; two CPUs, so that jobs=2
     # starts two workers on any machine
-    monkeypatch.setattr(enumeration, "_passes", _failing_passes)
+    monkeypatch.setattr(enumeration, "_spec_tests", _failing_tests)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     items = _frontier(7)
     step = (len(items) + 4 * jobs - 1) // (4 * jobs) if jobs > 1 else len(items)
@@ -859,7 +882,8 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
 @pytest.mark.parametrize("theorem_id,n", [("L21", 7), ("T1b", 7)])
 def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n):
     # the checks run in the scan chunks, in the workers for jobs=2 (two
-    # CPUs, so that it forks), on the alpha and witness of alpha_mask: a
+    # CPUs, so that it forks), on the alpha and witness of the level's
+    # table, alpha_mask's alpha with an independent witness of that size: a
     # check that rejects exactly one match reports that match as the only
     # counterexample, the same for both
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
@@ -868,8 +892,11 @@ def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n)
     pipeline = enumeration._PIPELINES[theorem_id]
     code_of_target = parse_graph6(target).adj
 
+    level, alphas = _frontier(n), enumeration._FRONTIERS[n, 0][1]
+
     def check(code, n, a, wit):
-        assert (a, wit) == alpha_mask(code, (1 << n) - 1)
+        assert wit | a << n == alphas[level.index(code)]
+        _assert_alpha_entry(code, wit | a << n)
         return code != code_of_target and pipeline.check(code, n, a, wit)
 
     monkeypatch.setitem(enumeration._PIPELINES, theorem_id, replace(pipeline, check=check))
@@ -880,24 +907,25 @@ def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n)
 
 
 def _count_alpha(monkeypatch) -> list:
-    """Count the ``alpha_mask`` calls made from ``enumeration``."""
+    """Record ``(adj, at_least)`` of each ``alpha_mask`` call made from ``enumeration``."""
     calls = []
 
-    def counting_alpha(adj, mask):
-        calls.append(adj)
-        return alpha_mask(adj, mask)
+    def counting_alpha(adj, mask, at_least=None):
+        calls.append((adj, at_least))
+        return alpha_mask(adj, mask, at_least)
 
     monkeypatch.setattr(enumeration, "alpha_mask", counting_alpha)
     return calls
 
 
 def test_warm_l21_pass_computes_no_alpha(monkeypatch):
-    # once level 8's alpha table is filled, the L21 scan reads every alpha
-    # from it and the check takes the scan's alpha
-    verify_theorem("L21", n_values=(8,))
+    # once level 8 is built with its alpha table, the first and a warm L21
+    # scan read every alpha from it and the check takes the scan's alpha
+    _frontier(8)
     calls = _count_alpha(monkeypatch)
-    rep = verify_theorem("L21", n_values=(8,))
-    assert (len(rep.matches), rep.verdict) == (3641, "verified")
+    for _ in range(2):
+        rep = verify_theorem("L21", n_values=(8,))
+        assert (len(rep.matches), rep.verdict) == (3641, "verified")
     assert calls == []
 
 
@@ -924,7 +952,7 @@ def test_level_ten_streams_the_children_of_level_nine():
             break
         children += extend_level([parent], 10)
     assert stream == [Graph(10, c) for c in children[:2000]]
-    assert _scan_chunk((level9[:40], 10, FilterSpec(), None, None))[0] == len(extend_level(level9[:40], 10))
+    assert _chunk((9, 0), 10, stop=40)[0] == len(extend_level(level9[:40], 10))
 
 
 def test_atlas_roundtrip(tmp_path):
@@ -1087,7 +1115,7 @@ def test_verify_takes_size_ten_and_rejects_eleven(monkeypatch, theorem_id):
 
     def stub(n, spec, prune=False, jobs=1, theorem_id=None):
         scanned.append(n)
-        return 0, [], b"", []
+        return 0, [], [], []
 
     monkeypatch.setattr(enumeration, "_filtered_scan", stub)
     rep = verify_theorem(theorem_id, n_values=(10,))

@@ -9,10 +9,11 @@ double cover for each of the 84,571 (1,0)-stable classes of level 9, and
 builds and validates the odd cycle plus matching of each of the 8,345 tight
 (1,0)-stable classes of level 9 and of three relabelings of each, and
 checks each memoized tight (k,0) frontier T(k, 9), k <= 4, against the
-tight filter of all of level 9.  The worker count comes from
-STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU x86-64 VM the
-unpruned scan took 3.1 to 5.5 minutes, T1d about 23 seconds and the
-frontiers at n = 9 4.7 seconds after L21 had filled level 9's alpha table;
+tight filter of all of level 9, and the alpha and witness each level-9
+class takes from its canonical parent against ``alpha_mask``.  The worker
+count comes from STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU
+x86-64 VM the unpruned scan took 3.1 to 5.5 minutes, T1d about 23 seconds
+and the frontiers at n = 9 4.7 seconds after L21 at n = 9 had run;
 with 1 worker L21 at n = 9 took 17 to 19 seconds, building level 9
 included (Python 3.11.7).
 """
@@ -24,6 +25,7 @@ from multiprocessing import get_context
 
 import pytest
 
+from stabilitylab import enumeration
 from stabilitylab.enumeration import (
     FilterSpec,
     _filtered_scan,
@@ -34,6 +36,7 @@ from stabilitylab.enumeration import (
 )
 from stabilitylab.graph6 import parse_graph6
 from stabilitylab.graphs import from_edges
+from stabilitylab.independence import alpha_mask
 from stabilitylab.structure import KIND_ODD_CYCLE_PLUS_MATCHING, spanning_certificate, validate_decomposition
 
 
@@ -98,8 +101,7 @@ def test_tight_10_certificates_at_nine():
 @pytest.mark.extended
 def test_frontiers_at_nine():
     # each T(k, 9) the pruned chain builds is the tight (k,0) filter of all
-    # of level 9, whose alpha table an earlier level-9 scan in the same
-    # process has filled
+    # of level 9
     jobs = int(os.environ.get("STABILITYLAB_JOBS", "1"))
     counts = {}
     for k in range(1, 5):
@@ -110,17 +112,32 @@ def test_frontiers_at_nine():
 
 
 @pytest.mark.extended
+def test_inherited_alpha_at_nine():
+    # every alpha entry of level 9, set from the canonical parent as the
+    # level is built, holds alpha_mask's alpha and an independent witness
+    # of that size
+    level = _frontier(9)
+    alphas = enumeration._FRONTIERS[9, 0][1]
+    assert len(alphas) == len(level) == 274668
+    for code, packed in zip(level, alphas):
+        a, wit = packed >> 9, packed & 511
+        assert a == alpha_mask(code, 511)[0] == wit.bit_count(), code
+        assert not any(code[v] & wit for v in range(9) if wit >> v & 1), code
+
+
+@pytest.mark.extended
 def test_derived_verdicts_at_nine():
     # with two pool workers, each stable (k,l) scan of level 9 for k <= 3
     # and l <= 1 reads or derives its verdicts from the drop tables, and
     # finds the matches of a scan over the children of level 8, which
-    # decides every verdict with stable_fast
+    # decides every verdict with stable_fast; both take alpha from the
+    # parent by one rule, which test_inherited_alpha_at_nine checks
     level8 = _frontier(8)
     step = -(-len(level8) // 8)
     with get_context("fork").Pool(2) as pool:
         for kl in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1)):
             spec = FilterSpec(stable=kl)
-            chunks = [(level8[i : i + step], 9, spec, None, None) for i in range(0, len(level8), step)]
+            chunks = [((8, 0), i, i + step, 9, spec, None) for i in range(0, len(level8), step)]
             direct = sorted(code for r in pool.imap(_scan_chunk, chunks) for code in r[1])
             t0 = time.perf_counter()
             assert _filtered_scan(9, spec, jobs=2)[1] == direct, kl
