@@ -69,16 +69,14 @@ Every frontier carries an alpha entry per class, ``witness | alpha << n``
 in 16 bits, set once from the canonical parent's by :func:`_child_alpha`
 as the frontier is built (a T(k, n)'s by the scan that finds it); children
 of a frontier get theirs as they are generated, and no scan writes one.
-Beside each cached level, one shared anonymous ``mmap`` holds only its drop
-tables, one per k < n.  A drop entry, one byte, bounds drop_k, the largest
-fall of alpha over the removals of k vertices; a graph is (k,l)-stable when
-drop_k <= l.  A stable or tight test on a cached class reads the entry and,
-when it leaves the verdict open, tries the canonical parent
-(:func:`_within`); only what stays open is scanned by ``stable_fast``, and
-every verdict narrows the entry, so each is found at most once per process.
-Each chunk narrows its entries, and its parents', in place; a forked pool
-worker's writes land in this process's tables (two writers may lose a
-narrowing, never soundness).
+Beside each cached level, one ``bytearray`` per k < n is its drop table.  A
+drop entry, one byte, bounds drop_k, the largest fall of alpha over the
+removals of k vertices; a graph is (k,l)-stable when drop_k <= l.  A stable
+or tight test on a cached class reads the entry and, when it leaves the
+verdict open, tries the canonical parent (:func:`_within`); only what stays
+open is scanned by ``stable_fast``, and every verdict narrows the entry, so
+each is found at most once per process.  Pool workers share no memory with
+this process: chunks return the entries they narrowed to be merged.
 
 Filtered scans evaluate cheap predicates (degree, connectivity) before any
 edge walk or k-subset scan.  The ``alpha_critical`` test first checks
@@ -104,12 +102,11 @@ only the certificate builders and the AND and SUR recognizers build a
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from multiprocessing import get_context
+from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
 from . import __version__, catalog
@@ -334,18 +331,19 @@ def _child_alpha(parent: Code, packed: int, s: int) -> int:
     return wit | 1 << m | (a + 1) << (m + 1)
 
 
-def _drop_tables(n: int, size: int) -> list[memoryview]:
-    """Unset drop tables ``drops[k - 1]``, k < n, of ``size`` bytes each for a
-    cached level on ``n >= 2`` vertices, in one ``mmap`` shared with workers."""
-    shared = memoryview(mmap.mmap(-1, (n - 1) * size))
-    return [shared[(k - 1) * size : k * size] for k in range(1, n)]
-
-
 #: (n, 0) -> (level n, its alpha entries, each class's parent index in
 #: level n-1, its drop tables); (n, k) -> (T(k, n), its alpha entries) for
 #: k >= 1.  Drop entry i of table k - 1 is ``lo | (15 - hi) << 4`` for
 #: known bounds lo <= drop_k <= hi, 0 if none.
 _FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [])}
+
+#: ``n, k, i, entry``, four items per drop entry narrowed in the current chunk
+_JOURNAL = array("I")
+
+
+def _install(frontiers: dict) -> None:
+    """Start a pool worker with the scanning process's memo."""
+    _FRONTIERS.update(frontiers)
 
 
 def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
@@ -372,7 +370,7 @@ def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
                 raise InvariantViolation(
                     f"level {n} has {len(level)} classes, expected {CLASS_COUNTS[n - 1]}"
                 )
-            _FRONTIERS[n, 0] = tuple(level), alphas, parents, _drop_tables(n, len(level))
+            _FRONTIERS[n, 0] = tuple(level), alphas, parents, [bytearray(len(level)) for _ in range(1, n)]
     return _FRONTIERS[n, k][0]
 
 
@@ -544,23 +542,25 @@ def _within(n: int, i: int, k: int, l: int) -> bool:
     if verdict is None:
         verdict = stable_fast(level[i], n, k, l, a, alphas[i] & ((1 << n) - 1))
     lo, hi = (lo, l) if verdict else (l + 1, hi)
-    drops[k - 1][i] = lo | (15 - hi) << 4
+    drops[k - 1][i] = entry = lo | (15 - hi) << 4
+    _JOURNAL.extend((n, k, i, entry))
     return verdict
 
 
 def _scan_chunk(
     args: tuple[tuple[int, int], int, int, int, FilterSpec, str | None],
-) -> tuple[int, list[Code], list[int], list[Code]]:
-    """(codes read, matches, their alpha entries, failed matches) of the
-    filter over ``_items(key, start, stop, n)`` for ``args = (key, start,
-    stop, n, spec, theorem_id)``.  Every (k,l) test is decided here: by
-    :func:`_within` on a class of cached level n (``key == (n, 0)``), else
-    by ``stable_fast``.  Each match is finished here: its alpha and witness
-    go to the check of pipeline ``theorem_id`` (none for ``None``), and the
-    matches it rejects are the failed ones.  An exception comes back as the
-    same type with n and the graph6 of the first and last item in front of
-    its message."""
+) -> tuple[int, list[Code], list[int], list[Code], array]:
+    """(codes read, matches, their alpha entries, failed matches, narrowed
+    drop entries) of the filter over ``_items(key, start, stop, n)`` for
+    ``args = (key, start, stop, n, spec, theorem_id)``.  Every (k,l) test
+    is decided here: by :func:`_within` on a class of cached level n (``key
+    == (n, 0)``), else by ``stable_fast``.  Each match is finished here: its
+    alpha and witness go to the check of pipeline ``theorem_id`` (none for
+    ``None``), and the matches it rejects are the failed ones.  An exception
+    comes back as the same type with n and the graph6 of the first and last
+    item in front of its message."""
     key, start, stop, n, spec, theorem_id = args
+    del _JOURNAL[:]
     try:
         tests = _spec_tests(spec)
         # (k, l, the alpha a tight test requires or 0) of each (k,l) test
@@ -593,7 +593,7 @@ def _scan_chunk(
                     alphas.append(packed)
                     if check is not None and not check(code, n, a, wit):
                         failed.append(code)
-        return scanned, matches, alphas, failed
+        return scanned, matches, alphas, failed, _JOURNAL[:]
     except Exception as exc:
         items = _FRONTIERS[key][0][start:stop]
         first, last = (encode_rows(c, len(c)) for c in (items[0], items[-1]))
@@ -615,9 +615,9 @@ def _filtered_scan(
     (requires ``spec.tight=(k,0)``) and n > 2 take it from the filter.
     About four chunks per worker, at most one worker per CPU and per item
     whatever ``jobs`` asks for; one worker scans every item as one chunk in
-    this process.  A chunk names its items by frontier and index, reads
-    the alphas set at build, and writes only the shared drop tables of
-    cached level n and of the levels below that its parents reach."""
+    this process.  A chunk names its items by frontier and index in the
+    memo each worker gets as it starts.  Each drop entry a chunk narrowed
+    merges here as the larger ``lo`` and the larger ``15 - hi``."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
@@ -628,17 +628,18 @@ def _filtered_scan(
     step = -(-size // (4 * workers)) if workers > 1 else max(size, 1)
     chunks = [(key, i, min(i + step, size), n, spec, theorem_id) for i in range(0, size, step)]
     if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
+        with Pool(workers, _install, (_FRONTIERS,)) as pool:
             results = list(pool.imap(_scan_chunk, chunks))
     else:
         results = list(map(_scan_chunk, chunks))
+    journal = (e for r in results for e in r[4])  # read four items at a time
+    for m, j, i, entry in zip(journal, journal, journal, journal):
+        table = _FRONTIERS[m, 0][3][j - 1]
+        if table[i] != entry:  # an in-process chunk's entries are in place
+            table[i] = max(table[i] & 15, entry & 15) | max(table[i] & 240, entry & 240)
     pairs = sorted((c, a) for r in results for c, a in zip(r[1], r[2]))
-    return (
-        sum(r[0] for r in results),
-        [c for c, _ in pairs],
-        [a for _, a in pairs],
-        sorted(c for r in results for c in r[3]),
-    )
+    failed = sorted(c for r in results for c in r[3])
+    return sum(r[0] for r in results), [c for c, _ in pairs], [a for _, a in pairs], failed
 
 
 # -- atlas records -----------------------------------------------------------

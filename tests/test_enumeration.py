@@ -1,8 +1,13 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -497,7 +502,7 @@ def _fresh_drops(monkeypatch):
     levels = {(1, 0): enumeration._FRONTIERS[1, 0]}
     for n in range(2, 9):
         level, alphas, parents, _ = enumeration._FRONTIERS[n, 0]
-        levels[n, 0] = level, alphas, parents, enumeration._drop_tables(n, len(level))
+        levels[n, 0] = level, alphas, parents, [bytearray(len(level)) for _ in range(1, n)]
     monkeypatch.setattr(enumeration, "_FRONTIERS", levels)
 
 
@@ -514,7 +519,7 @@ for _tid, _pipeline in enumeration._PIPELINES.items():
 @pytest.mark.parametrize("theorem_id", list(_SPEC_OWNERS.values()))
 def test_alpha_table_holds_alpha_mask_for_every_worker_count(monkeypatch, theorem_id):
     # from unset drop tables, scans with jobs=1 and jobs=2 (two CPUs, so
-    # that it forks) find the same matches and leave every alpha table of
+    # that it pools) find the same matches and leave every alpha table of
     # levels 1-8, which test_inherited_alpha_equals_alpha_mask checks
     # against alpha_mask, byte for byte as it was
     spec = enumeration._PIPELINES[theorem_id].spec
@@ -603,8 +608,30 @@ def test_second_derived_scan_makes_no_scan(monkeypatch):
     assert calls == []
 
 
+def test_second_scan_after_a_pooled_scan_makes_no_scan(monkeypatch):
+    # the first stable (1,0) scan of level 8 runs in two forked workers,
+    # which return every drop entry they narrow: merged here, they let a
+    # second scan, in this process, read every verdict from the table; the
+    # entries merged from pooled scans bracket drop_k (see
+    # test_derived_scans_are_the_same_for_every_worker_count)
+    monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    _fresh_drops(monkeypatch)
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return stable_fast(*args)
+
+    monkeypatch.setattr(enumeration, "stable_fast", counting_scan)
+    first = _filtered_scan(8, FilterSpec(stable=(1, 0)), jobs=2)
+    assert calls == []  # the workers scanned
+    assert _filtered_scan(8, FilterSpec(stable=(1, 0))) == first
+    assert calls == []
+
+
 def test_derived_scans_are_the_same_for_every_worker_count(monkeypatch):
-    # from unset tables, jobs=1 and jobs=2 (two CPUs, so that it forks) find
+    # from unset tables, jobs=1 and jobs=2 (two CPUs, so that it pools) find
     # the matches of a scan over the children of level n-1, which decides
     # every verdict directly; the entries either run sets bracket drop_k
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
@@ -638,7 +665,7 @@ def test_table_entries_decode_to_alpha_mask(monkeypatch):
     for n in range(1, 9):
         seen.clear()
         level, alphas = enumeration._FRONTIERS[n, 0][:2]
-        assert _chunk((n, 0), n) == (len(level), list(level), list(alphas), [])
+        assert _chunk((n, 0), n) == (len(level), list(level), list(alphas), [], array("I"))
         assert [(code, a << n | wit) for code, _, a, wit in seen] == list(zip(level, alphas))
         for code, _, a, wit in seen:
             _assert_alpha_entry(code, wit | a << n)
@@ -745,7 +772,7 @@ def test_failed_frontier_build_keeps_no_entry(monkeypatch, drop_chains):
 def test_pruned_scan_is_the_same_for_every_worker_count(drop_chains):
     # the n=7 step reads all of level 7 and the n=8 step augments the 170
     # classes of T(1,7); each worker count builds the chain afresh, and with
-    # two CPUs jobs=2 forks for both steps
+    # two CPUs jobs=2 pools both steps
     frontier = _filtered_scan(7, FilterSpec(tight=(1, 0)), prune=True)[1]
     assert len(frontier) == 170
     spec = FilterSpec(tight=(2, 0))
@@ -774,7 +801,7 @@ def test_pooled_scan_agrees_with_filtered_level(monkeypatch, drop_chains):
     # the worker pool gives the same matches, alphas and failed matches as
     # filtering the cached level: the pruned tight (2,0) scan at n=8 reads
     # the children of the 170 classes of T(1,7), under T1d's check; two
-    # CPUs, so that jobs=2 forks on any machine
+    # CPUs, so that jobs=2 pools on any machine
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     spec = FilterSpec(tight=(2, 0))
     level = _filtered_scan(8, spec, theorem_id="T1d")
@@ -786,17 +813,20 @@ def test_pooled_scan_agrees_with_filtered_level(monkeypatch, drop_chains):
         assert (len(parents), scanned) == (170, len(extend_level(parents, 8)))
 
 
-class _InProcessContext:
-    """Stands in for ``get_context("fork")``: records each requested pool
-    size with the number of tasks it got, checks that no pool is larger than
-    its item count, that the tasks' spans cover their frontier's entries in
-    order and that no task carries codes or a table, and runs the tasks in
-    this process."""
+class _InProcessPool:
+    """Stands in for ``enumeration.Pool``: records each requested pool size
+    with the number of tasks it got, checks that each worker would start
+    with the memo, that no pool is larger than its item count, that the
+    tasks' spans cover their frontier's entries in order and that no task
+    carries codes or a table, and runs the tasks in this process."""
 
     def __init__(self):
         self.pools = []
 
-    def Pool(self, size):
+    def __call__(self, size, initializer, initargs):
+        assert initializer is enumeration._install
+        assert len(initargs) == 1 and initargs[0] is enumeration._FRONTIERS
+        initializer(*initargs)
         self.pools.append(size)
         return self
 
@@ -821,12 +851,12 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers
     # the pool size is capped by the CPU count (1 when unknown, which runs
     # in-process), there are four chunks per started worker, and the report
     # is the jobs=1 report
-    context = _InProcessContext()
-    monkeypatch.setattr(enumeration, "get_context", lambda method: context)
+    pool = _InProcessPool()
+    monkeypatch.setattr(enumeration, "Pool", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     serial = verify_theorem("L21", n_values=(7,))
     assert verify_theorem("L21", n_values=(7,), jobs=jobs) == serial
-    assert context.pools == ([(workers, 4 * workers)] if workers else [])
+    assert pool.pools == ([(workers, 4 * workers)] if workers else [])
 
 
 @pytest.mark.parametrize(
@@ -843,14 +873,36 @@ def test_small_scans_pool_when_jobs_ask(monkeypatch, drop_chains, n, spec, prune
     # built afresh, pools its steps over the 11 classes of cached level 4 in
     # six chunks and over the three classes of T(1,4), and runs its last
     # step in-process, since its frontier T(2,5) is the one class C5
-    context = _InProcessContext()
-    monkeypatch.setattr(enumeration, "get_context", lambda method: context)
+    pool = _InProcessPool()
+    monkeypatch.setattr(enumeration, "Pool", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     serial = _filtered_scan(n, spec, prune)
-    assert context.pools == []
+    assert pool.pools == []
     drop_chains()
     assert _filtered_scan(n, spec, prune, jobs=2) == serial
-    assert context.pools == pools
+    assert pool.pools == pools
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_pooled_scans_are_the_same_under_every_start_method(method):
+    # one fresh interpreter per start method runs pool_start_methods.py:
+    # from unset drop tables, four pooled workloads equal the in-process
+    # ones and leave the same drop tables of levels 2-8, so a chunk reads
+    # only the memo its worker starts with and returns every entry it
+    # narrows, its parents' included
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    here = pathlib.Path(__file__).parent
+    paths = [str(pathlib.Path(enumeration.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, str(here / "pool_start_methods.py"), method],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"{method}: 4 workloads"), done.stdout
 
 
 def _failing_tests(spec):
@@ -864,7 +916,8 @@ def _failing_tests(spec):
 def test_worker_failure_names_its_chunk(monkeypatch, jobs):
     # a chunk's exception keeps its type and gives n and the graph6 of the
     # first and last item of the chunk that raised; two CPUs, so that jobs=2
-    # starts two workers on any machine
+    # starts two workers on any machine, forked, so that they see the stub
+    monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
     monkeypatch.setattr(enumeration, "_spec_tests", _failing_tests)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     items = _frontier(7)
@@ -882,10 +935,11 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
 @pytest.mark.parametrize("theorem_id,n", [("L21", 7), ("T1b", 7)])
 def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n):
     # the checks run in the scan chunks, in the workers for jobs=2 (two
-    # CPUs, so that it forks), on the alpha and witness of the level's
-    # table, alpha_mask's alpha with an independent witness of that size: a
-    # check that rejects exactly one match reports that match as the only
-    # counterexample, the same for both
+    # CPUs, forked, so that they see the stubbed check), on the alpha and
+    # witness of the level's table, alpha_mask's alpha with an independent
+    # witness of that size: a check that rejects exactly one match reports
+    # that match as the only counterexample, the same for both
+    monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     real = verify_theorem(theorem_id, n_values=(n,))
     target = real.matches[len(real.matches) // 2]

@@ -12,16 +12,15 @@ checks each memoized tight (k,0) frontier T(k, 9), k <= 4, against the
 tight filter of all of level 9, and the alpha and witness each level-9
 class takes from its canonical parent against ``alpha_mask``.  The worker
 count comes from STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU
-x86-64 VM the unpruned scan took 3.1 to 5.5 minutes, T1d about 23 seconds
-and the frontiers at n = 9 4.7 seconds after L21 at n = 9 had run;
-with 1 worker L21 at n = 9 took 17 to 19 seconds, building level 9
-included (Python 3.11.7).
+x86-64 VM the unpruned scan took 90 to 111 seconds, T1d 15 seconds and
+the frontiers at n = 9 2.5 seconds after L21 at n = 9 had run; with 1
+worker L21 at n = 9 took 8.2 to 8.4 seconds, building level 9 included
+(Python 3.11.7).
 """
 
 import os
 import random
 import time
-from multiprocessing import get_context
 
 import pytest
 
@@ -134,7 +133,7 @@ def test_derived_verdicts_at_nine():
     # parent by one rule, which test_inherited_alpha_at_nine checks
     level8 = _frontier(8)
     step = -(-len(level8) // 8)
-    with get_context("fork").Pool(2) as pool:
+    with enumeration.Pool(2, enumeration._install, (enumeration._FRONTIERS,)) as pool:
         for kl in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1)):
             spec = FilterSpec(stable=kl)
             chunks = [((8, 0), i, i + step, 9, spec, None) for i in range(0, len(level8), step)]
