@@ -61,9 +61,10 @@ Every frontier a scan reads is built once per process by :func:`_frontier`
 and kept in ``_FRONTIERS``: the levels up to 9 vertices, as the tuples of
 adjacency-row codes that ``extend_level`` returns, checked against the known
 class counts, with the index of each class's canonical parent in the level
-below, and the prune's tight (k,0) frontiers T(k, n).  Scans read
-``(code, alpha entry)`` items through ``_items``: a cached level as it is,
-level 10 and pruned scans with k > 1 as children of a frontier at n-1.
+below, and the prune's tight (k,0) frontiers T(k, n).  Scans and level
+builds read ``(entry read, code, alpha entry)`` items through ``_items``: a
+cached level as it is, the next level, level 10 and pruned scans with k > 1
+as children of a frontier at n-1.
 
 Every frontier carries an alpha entry per class, ``witness | alpha << n``
 in 16 bits, set once from the canonical parent's by :func:`_child_alpha`
@@ -76,24 +77,26 @@ or tight test on a cached class reads the entry and, when it leaves the
 verdict open, tries the canonical parent (:func:`_within`); only what stays
 open is scanned by ``stable_fast``, and every verdict narrows the entry, so
 each is found at most once per process.  Pool workers share no memory with
-this process: chunks return the entries they narrowed to be merged.
+this process: a pool gets only the frontiers its scan reads, and pooled
+chunks return the entries they narrowed to be merged.
 
-Filtered scans evaluate cheap predicates (degree, connectivity) before any
-edge walk or k-subset scan.  The ``alpha_critical`` test first checks
-Hajnal's degree bound (max degree at most n - 2*alpha + 1, plus one per
-isolated vertex), which every alpha-critical graph meets, and walks the
-edges with ``alpha_preserving_edge`` only when it holds.  The optional
+Filtered scans run each class's tests in the order of what they read: the
+alpha entry (a tight filter's alpha, the required alpha and defect), then
+the degrees, then the edge walks (connectivity, alpha-criticality), and the
+(k,l) verdicts last.  The ``alpha_critical`` test first checks Hajnal's
+degree bound (max degree at most n - 2*alpha + 1, plus one per isolated
+vertex), which every alpha-critical graph meets, and walks the edges with
+``alpha_preserving_edge`` only when it holds.  The optional
 hereditary prune for a tight (k,0) filter at size n augments only the
 classes of T(k-1, n-1), the matches of the pruned tight (k-1,0) scan; its
 base case, k = 1 or n <= 2, is level n whole.  A tight (k,0)-stable graph
 minus any vertex is tight (k-1,0)-stable, so each match's parent is there.
 
 Each match is finished in its scan chunk, in the pool workers when there
-are several: the chunk hands its alpha and witness (L21's check reads
-neither) to the pipeline's check ``(code, n, alpha, witness)`` and returns
-the codes, their alpha entries and the codes the check rejects.  A chunk
-names its pipeline by theorem id, since a check may be a closure, which
-cannot be pickled.
+are several: the pipeline's check ``(code, n)`` runs on it, and the chunk
+returns the codes, their alpha entries and the codes the check rejects.  A
+chunk names its pipeline by theorem id, since a check may be a closure,
+which cannot be pickled.
 Reports and atlas records are encoded straight from the adjacency rows;
 only the certificate builders and the AND and SUR recognizers build a
 ``Graph``.
@@ -342,7 +345,7 @@ _JOURNAL = array("I")
 
 
 def _install(frontiers: dict) -> None:
-    """Start a pool worker with the scanning process's memo."""
+    """Start a pool worker with the frontiers its scan reads."""
     _FRONTIERS.update(frontiers)
 
 
@@ -358,14 +361,11 @@ def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
         elif not 1 <= n <= _CACHE_MAX_N:
             raise ValueError(f"levels 1..{_CACHE_MAX_N} are cached, not {n}")
         else:
-            up, up_alphas = _frontier(n - 1), _FRONTIERS[n - 1, 0][1]
-            level: list[Code] = []
-            alphas, parents = array("H"), array("I")
-            for p, parent in enumerate(up):
-                children = extend_level([parent], n)
-                level += children
-                alphas += array("H", [_child_alpha(parent, up_alphas[p], c[-1]) for c in children])
-                parents += array("I", [p]) * len(children)
+            level, alphas, parents = [], array("H"), array("I")
+            for p, code, packed in _items((n - 1, 0), 0, len(_frontier(n - 1)), n):
+                parents.append(p)
+                level.append(code)
+                alphas.append(packed)
             if len(level) != CLASS_COUNTS[n - 1]:
                 raise InvariantViolation(
                     f"level {n} has {len(level)} classes, expected {CLASS_COUNTS[n - 1]}"
@@ -374,17 +374,18 @@ def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
     return _FRONTIERS[n, k][0]
 
 
-def _items(key: tuple[int, int], start: int, stop: int, n: int) -> Iterator[tuple[Code, int]]:
-    """``(code, alpha entry)`` of each class a scan of entries ``start:stop``
-    of frontier ``key`` reads at ``n``: a cached level's classes with their
-    entries, or a frontier's canonical children with :func:`_child_alpha`'s."""
+def _items(key: tuple[int, int], start: int, stop: int, n: int) -> Iterator[tuple[int, Code, int]]:
+    """``(i, code, alpha entry)`` of each class a read of entries ``start:stop``
+    of frontier ``key`` at ``n`` yields, i the entry read: a cached level's
+    classes with their entries, or each entry's canonical children with
+    :func:`_child_alpha`'s, the one place children get their alphas."""
     codes, alphas = _FRONTIERS[key][:2]
-    pairs = zip(codes[start:stop], alphas[start:stop])
+    items = zip(range(start, stop), codes[start:stop], alphas[start:stop])
     if key[0] == n:
-        return pairs
+        return items
     return (
-        (child, _child_alpha(parent, packed, child[-1]))
-        for parent, packed in pairs
+        (i, child, _child_alpha(parent, packed, child[-1]))
+        for i, parent, packed in items
         for child in _canonical_children(parent)
     )
 
@@ -490,10 +491,13 @@ def _required_flags(spec: FilterSpec) -> dict:
     return flags
 
 
-def _spec_tests(spec: FilterSpec) -> list[tuple]:
-    """The tests of ``spec`` but its (k,l) tests, which :func:`_scan_chunk`
-    decides, as (evaluator, required value), graph-only tests first; built
-    once per chunk, not once per graph.
+def _spec_tests(spec: FilterSpec, n: int) -> list[tuple]:
+    """The tests a chunk runs on each class of size ``n`` before the (k,l)
+    verdicts of ``spec``, as (evaluator of ``(code, n, alpha, witness)``,
+    required value), ordered by what they read: the alpha entry alone (a
+    tight filter's alpha against ``stability_bound``, then ``alpha``, then
+    ``defect``), the degrees, then the edge walks (``connected``, then
+    ``alpha_critical``); built once per chunk, not once per graph.
 
     A (k,0) stability or tightness filter raises the minimum-degree floor to
     k: a vertex of degree below k has a closed neighborhood of at most k
@@ -501,18 +505,16 @@ def _spec_tests(spec: FilterSpec) -> list[tuple]:
     alpha (``min_degree_necessary``).  The floor only rejects graphs the
     stability test would reject, before any k-subset scan.
     """
+    bound = spec.tight and n > spec.tight[0] and stability_bound(n, *spec.tight)
+    tests = [(lambda code, n, a, wit: a, want) for want in (bound, spec.alpha) if want]  # both >= 1
+    tests += [(_flag_evaluator("defect"), spec.defect)] if spec.defect is not None else []
     floors = [spec.min_degree] if spec.min_degree is not None else []
     floors += [kl[0] for kl in (spec.stable, spec.tight) if kl is not None and kl[1] == 0]
-    tests = []
     if floors:
         floor = max(floors)
         tests.append((lambda code, n, a, wit: _min_degree(code) >= floor, True))
-    for key, want in _required_flags(spec).items():  # "connected" first: the cheapest
-        if key.partition("_")[0] not in ("stable", "tight"):
-            tests.append((_flag_evaluator(key), want))
-    if spec.alpha is not None:
-        tests.append((lambda code, n, a, wit: a, spec.alpha))
-    return tests
+    walks = [(key, getattr(spec, key)) for key in ("connected", "alpha_critical")]
+    return tests + [(_flag_evaluator(key), want) for key, want in walks if want is not None]
 
 
 def _within(n: int, i: int, k: int, l: int) -> bool:
@@ -552,23 +554,19 @@ def _scan_chunk(
 ) -> tuple[int, list[Code], list[int], list[Code], array]:
     """(codes read, matches, their alpha entries, failed matches, narrowed
     drop entries) of the filter over ``_items(key, start, stop, n)`` for
-    ``args = (key, start, stop, n, spec, theorem_id)``.  Every (k,l) test
-    is decided here: by :func:`_within` on a class of cached level n (``key
-    == (n, 0)``), else by ``stable_fast``.  Each match is finished here: its
-    alpha and witness go to the check of pipeline ``theorem_id`` (none for
-    ``None``), and the matches it rejects are the failed ones.  An exception
-    comes back as the same type with n and the graph6 of the first and last
-    item in front of its message."""
+    ``args = (key, start, stop, n, spec, theorem_id)``.  The tests of
+    :func:`_spec_tests` run first, then the (k,l) verdicts: by
+    :func:`_within` on a class of cached level n (``key == (n, 0)``), else by
+    ``stable_fast``.  Each match is finished here: the check of pipeline
+    ``theorem_id`` (none for ``None``) takes its code and n, and the matches
+    it rejects are the failed ones.  An exception comes back as the same type
+    with n and the graph6 of the first and last item in front of its
+    message."""
     key, start, stop, n, spec, theorem_id = args
     del _JOURNAL[:]
     try:
-        tests = _spec_tests(spec)
-        # (k, l, the alpha a tight test requires or 0) of each (k,l) test
-        kls = [
-            (*kl, kind == "tight" and n > kl[0] and stability_bound(n, *kl))
-            for kind in ("stable", "tight")
-            if (kl := getattr(spec, kind))
-        ]
+        tests = _spec_tests(spec, n)
+        kls = [kl for kl in (spec.stable, spec.tight) if kl]
         cached = key[0] == n
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
         full = (1 << n) - 1
@@ -576,22 +574,22 @@ def _scan_chunk(
         matches: list[Code] = []
         alphas: list[int] = []
         failed: list[Code] = []
-        for index, (code, packed) in enumerate(_items(key, start, stop, n), start):
+        for index, code, packed in _items(key, start, stop, n):
             scanned += 1
             a, wit = packed >> n, packed & full
             for test, want in tests:
                 if test(code, n, a, wit) != want:
                     break
             else:
-                for k, l, bound in kls:
-                    if n <= k or bound and a != bound or not (
+                for k, l in kls:
+                    if n <= k or not (
                         _within(n, index, k, l) if cached else stable_fast(code, n, k, l, a, wit)
                     ):
                         break
                 else:
                     matches.append(code)
                     alphas.append(packed)
-                    if check is not None and not check(code, n, a, wit):
+                    if check is not None and not check(code, n):
                         failed.append(code)
         return scanned, matches, alphas, failed, _JOURNAL[:]
     except Exception as exc:
@@ -616,8 +614,10 @@ def _filtered_scan(
     About four chunks per worker, at most one worker per CPU and per item
     whatever ``jobs`` asks for; one worker scans every item as one chunk in
     this process.  A chunk names its items by frontier and index in the
-    memo each worker gets as it starts.  Each drop entry a chunk narrowed
-    merges here as the larger ``lo`` and the larger ``15 - hi``."""
+    memo each worker gets as it starts: the frontier the scan reads and, for
+    a cached level, every level below, which :func:`_within` reads.  Each
+    drop entry a pooled chunk narrowed merges here as the larger ``lo`` and
+    the larger ``15 - hi``."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
@@ -628,15 +628,15 @@ def _filtered_scan(
     step = -(-size // (4 * workers)) if workers > 1 else max(size, 1)
     chunks = [(key, i, min(i + step, size), n, spec, theorem_id) for i in range(0, size, step)]
     if workers > 1:
-        with Pool(workers, _install, (_FRONTIERS,)) as pool:
+        reads = [(m, 0) for m in range(1, n + 1)] if key[0] == n else [key]
+        with Pool(workers, _install, ({r: _FRONTIERS[r] for r in reads},)) as pool:
             results = list(pool.imap(_scan_chunk, chunks))
+        journal = (e for r in results for e in r[4])  # read four items at a time
+        for m, j, i, entry in zip(journal, journal, journal, journal):
+            table = _FRONTIERS[m, 0][3][j - 1]
+            table[i] = max(table[i] & 15, entry & 15) | max(table[i] & 240, entry & 240)
     else:
         results = list(map(_scan_chunk, chunks))
-    journal = (e for r in results for e in r[4])  # read four items at a time
-    for m, j, i, entry in zip(journal, journal, journal, journal):
-        table = _FRONTIERS[m, 0][3][j - 1]
-        if table[i] != entry:  # an in-process chunk's entries are in place
-            table[i] = max(table[i] & 15, entry & 15) | max(table[i] & 240, entry & 240)
     pairs = sorted((c, a) for r in results for c, a in zip(r[1], r[2]))
     failed = sorted(c for r in results for c in r[3])
     return sum(r[0] for r in results), [c for c, _ in pairs], [a for _, a in pairs], failed
@@ -761,14 +761,14 @@ class VerificationReport:
         return asdict(self)
 
 
-Check = Callable[[Code, int, int, int], bool]
+Check = Callable[[Code, int], bool]
 
 
 def _certificate_check(k: int) -> Check:
     """Match test: the spanning certificate of tight (k,0)-stability builds;
     a failed construction makes the match a counterexample."""
 
-    def check(code: Code, n: int, a: int, witness: int) -> bool:
+    def check(code: Code, n: int) -> bool:
         try:
             spanning_certificate(Graph(n, code), k)
             return True
@@ -778,7 +778,7 @@ def _certificate_check(k: int) -> Check:
     return check
 
 
-def _l21_check(code: Code, n: int, a: int, witness: int) -> bool:
+def _l21_check(code: Code, n: int) -> bool:
     """Match test of L21: every maximum independent set S saturates into
     V - S, that is, |N(X)| >= |X| for every vertex set X, which one
     ``augment_matching`` search on the bipartite double cover decides.  If
@@ -788,7 +788,7 @@ def _l21_check(code: Code, n: int, a: int, witness: int) -> bool:
     return not augment_matching(code, (1 << n) - 1)[1]
 
 
-def _refuted(code: Code, n: int, a: int, witness: int) -> bool:
+def _refuted(code: Code, n: int) -> bool:
     """Match test that no match passes: every match is a counterexample."""
     return False
 
@@ -796,12 +796,12 @@ def _refuted(code: Code, n: int, a: int, witness: int) -> bool:
 @dataclass(frozen=True)
 class _Pipeline:
     """What one theorem scans: the filter, the test each match must pass
-    (``check(code, n, alpha, witness)``, run in the scan chunks on the
-    scan's alpha), the default sizes, the parity every size must have
-    (``None``: any), whether the hereditary prune is on by default, the one
-    ``k`` the theorem accepts (``None``: none) and the catalog graphs each
-    size must find (a name not found at its order is a counterexample).
-    Every pipeline takes the sizes 1..10 that its parity allows."""
+    (``check(code, n)``, run in the scan chunks), the default sizes, the
+    parity every size must have (``None``: any), whether the hereditary
+    prune is on by default, the one ``k`` the theorem accepts (``None``:
+    none) and the catalog graphs each size must find (a name not found at
+    its order is a counterexample).  Every pipeline takes the sizes 1..10
+    that its parity allows."""
 
     spec: FilterSpec
     check: Check
@@ -823,12 +823,12 @@ _PIPELINES: dict[str, _Pipeline] = {
     "L21": _Pipeline(FilterSpec(stable=(1, 0)), _l21_check, (2, 3, 4, 5, 6, 7, 8)),
     "AND": _Pipeline(
         FilterSpec(connected=True, defect=2, alpha_critical=True),
-        lambda code, n, a, wit: is_even_subdivision_k4(Graph(n, code)) is not None,
+        lambda code, n: is_even_subdivision_k4(Graph(n, code)) is not None,
         (4, 6, 8),
     ),
     "SUR": _Pipeline(
         FilterSpec(min_degree=3, connected=True, defect=3, alpha_critical=True),
-        lambda code, n, a, wit: named_class(Graph(n, code)) is not None,
+        lambda code, n: named_class(Graph(n, code)) is not None,
         (5, 7, 9),
         required=CLASS_NAMED,
     ),

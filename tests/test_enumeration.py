@@ -55,7 +55,7 @@ from stabilitylab.errors import InvariantViolation
 from stabilitylab.graph6 import parse_graph6, write_graph6
 from stabilitylab.graphs import Graph, clique, cycle, from_edges
 from stabilitylab.independence import alpha_mask
-from stabilitylab.stability import stable_fast
+from stabilitylab.stability import stability_bound, stable_fast
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -355,9 +355,9 @@ def test_weight_order_on_every_list_pair_below_seven():
 
 
 def test_class_count_mismatch_raises(monkeypatch):
-    extend = enumeration.extend_level
+    children = enumeration._canonical_children
     monkeypatch.setattr(enumeration, "_FRONTIERS", {(1, 0): enumeration._FRONTIERS[1, 0]})
-    monkeypatch.setattr(enumeration, "extend_level", lambda parents, n: extend(parents, n)[1:])
+    monkeypatch.setattr(enumeration, "_canonical_children", lambda parent: list(children(parent))[1:])
     with pytest.raises(InvariantViolation, match="level 2 has 1 classes, expected 2"):
         _frontier(4)
     assert set(enumeration._FRONTIERS) == {(1, 0)}
@@ -457,10 +457,11 @@ def _assert_alpha_entry(code, packed):
 
 @pytest.mark.parametrize("kind", ["stable", "tight"])
 def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
-    """A (k,0) filter folds min degree >= k into the one graph-only degree
-    test: graphs below it are rejected before any stability scan, of a
-    frontier child by ``stable_fast`` or of a cached class by ``_within``,
-    and no class up to 7 vertices changes its verdict."""
+    """A (k,0) filter folds min degree >= k into the one degree test, after
+    only a tight filter's alpha test: graphs below it are rejected before
+    any stability scan, of a frontier child by ``stable_fast`` or of a
+    cached class by ``_within``, and no class up to 7 vertices changes its
+    verdict."""
     scanned, within = [], []
     real_within = enumeration._within
 
@@ -478,8 +479,9 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
         stability = enumeration._flag_evaluator(f"{kind}_{k}_0")
         for min_degree in (None, k - 1, k + 1):
             spec = FilterSpec(min_degree=min_degree, **{kind: (k, 0)})
-            assert len(enumeration._spec_tests(spec)) == 1  # the one degree test
             for n in range(2, 8):
+                # the one degree test, after the tight bound when n > k
+                assert len(enumeration._spec_tests(spec, n)) == 1 + (kind == "tight" and n > k)
                 children = extend_level(_frontier(n - 1), n)
                 want = [
                     code
@@ -504,6 +506,34 @@ def _fresh_drops(monkeypatch):
         level, alphas, parents, _ = enumeration._FRONTIERS[n, 0]
         levels[n, 0] = level, alphas, parents, [bytearray(len(level)) for _ in range(1, n)]
     monkeypatch.setattr(enumeration, "_FRONTIERS", levels)
+
+
+@pytest.mark.parametrize("theorem_id", ["T1a", "T1d", "T2", "AND", "SUR"])
+def test_alpha_entry_tests_run_before_degree_and_edge_tests(monkeypatch, theorem_id):
+    # from unset drop tables, a scan of n = 6..8 under the pipeline's filter
+    # reads no class's degrees and walks no class's edges unless its alpha
+    # meets the tight bound and the required defect: the tests that read the
+    # alpha entry alone run first
+    spec = enumeration._PIPELINES[theorem_id].spec
+    _frontier(8)
+    _fresh_drops(monkeypatch)
+    read = []
+
+    def spy(real):
+        return lambda code, *rest: read.append(code) or real(code, *rest)
+
+    for name in ("_min_degree", "_code_connected"):
+        monkeypatch.setattr(enumeration, name, spy(getattr(enumeration, name)))
+    total = 0
+    for n in range(6, 9):
+        read.clear()
+        _filtered_scan(n, spec)
+        for code in read:
+            a = alpha_mask(code, (1 << n) - 1)[0]
+            assert spec.tight is None or a == stability_bound(n, *spec.tight), code
+            assert spec.defect is None or n - 2 * a == spec.defect, code
+        total += len(read)
+    assert total  # the spies see the classes that pass
 
 
 def _alpha_tables() -> dict:
@@ -655,7 +685,7 @@ def test_table_entries_decode_to_alpha_mask(monkeypatch):
     _frontier(8)
     seen = []
     monkeypatch.setattr(
-        enumeration, "_spec_tests", lambda spec: [(lambda *found: seen.append(found), None)]
+        enumeration, "_spec_tests", lambda spec, n: [(lambda *found: seen.append(found), None)]
     )
 
     def no_alpha(*args):
@@ -681,7 +711,7 @@ def test_inherited_alpha_equals_alpha_mask():
     level9 = _frontier(9)
     total = 0
     for p in range(0, len(level9), 400):
-        for code, packed in enumeration._items((9, 0), p, p + 1, 10):
+        for _, code, packed in enumeration._items((9, 0), p, p + 1, 10):
             _assert_alpha_entry(code, packed)
             total += 1
     assert total == LEVEL_10_SLICE[0]
@@ -816,16 +846,18 @@ def test_pooled_scan_agrees_with_filtered_level(monkeypatch, drop_chains):
 class _InProcessPool:
     """Stands in for ``enumeration.Pool``: records each requested pool size
     with the number of tasks it got, checks that each worker would start
-    with the memo, that no pool is larger than its item count, that the
-    tasks' spans cover their frontier's entries in order and that no task
-    carries codes or a table, and runs the tasks in this process."""
+    with exactly the frontiers its scan reads (the scan's own and, for a
+    cached level, every level below), that no pool is larger than its item
+    count, that the tasks' spans cover their frontier's entries in order and
+    that no task carries codes or a table, and runs the tasks in this
+    process."""
 
     def __init__(self):
         self.pools = []
 
     def __call__(self, size, initializer, initargs):
-        assert initializer is enumeration._install
-        assert len(initargs) == 1 and initargs[0] is enumeration._FRONTIERS
+        assert initializer is enumeration._install and len(initargs) == 1
+        self.memo = initargs[0]
         initializer(*initargs)
         self.pools.append(size)
         return self
@@ -837,7 +869,10 @@ class _InProcessPool:
         return False
 
     def imap(self, fn, tasks):
-        (key,) = {task[0] for task in tasks}
+        ((key, n),) = {(task[0], task[3]) for task in tasks}
+        reads = [(m, 0) for m in range(1, n + 1)] if key[0] == n else [key]
+        assert sorted(self.memo) == sorted(reads)
+        assert all(self.memo[r] is enumeration._FRONTIERS[r] for r in reads)
         spans = [range(start, stop) for _, start, stop, *_ in tasks]
         assert [i for span in spans for i in span] == list(range(len(_frontier(*key))))
         assert self.pools[-1] <= len(_frontier(*key))
@@ -905,7 +940,7 @@ def test_pooled_scans_are_the_same_under_every_start_method(method):
     assert done.stdout.startswith(f"{method}: 4 workloads"), done.stdout
 
 
-def _failing_tests(spec):
+def _failing_tests(spec, n):
     def fail(code, n, a, wit):
         raise InvariantViolation("chunk failed")
 
@@ -935,10 +970,9 @@ def test_worker_failure_names_its_chunk(monkeypatch, jobs):
 @pytest.mark.parametrize("theorem_id,n", [("L21", 7), ("T1b", 7)])
 def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n):
     # the checks run in the scan chunks, in the workers for jobs=2 (two
-    # CPUs, forked, so that they see the stubbed check), on the alpha and
-    # witness of the level's table, alpha_mask's alpha with an independent
-    # witness of that size: a check that rejects exactly one match reports
-    # that match as the only counterexample, the same for both
+    # CPUs, forked, so that they see the stubbed check), on each match's
+    # code and n: a check that rejects exactly one match reports that match
+    # as the only counterexample, the same for both
     monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     real = verify_theorem(theorem_id, n_values=(n,))
@@ -946,12 +980,8 @@ def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n)
     pipeline = enumeration._PIPELINES[theorem_id]
     code_of_target = parse_graph6(target).adj
 
-    level, alphas = _frontier(n), enumeration._FRONTIERS[n, 0][1]
-
-    def check(code, n, a, wit):
-        assert wit | a << n == alphas[level.index(code)]
-        _assert_alpha_entry(code, wit | a << n)
-        return code != code_of_target and pipeline.check(code, n, a, wit)
+    def check(code, n):
+        return code != code_of_target and pipeline.check(code, n)
 
     monkeypatch.setitem(enumeration._PIPELINES, theorem_id, replace(pipeline, check=check))
     serial, pooled = (verify_theorem(theorem_id, n_values=(n,), jobs=jobs) for jobs in (1, 2))

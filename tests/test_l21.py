@@ -51,10 +51,9 @@ def oracle():
 
 
 def test_l21_check_equals_brute_force(oracle):
-    # the check takes the alpha and witness a scan hands it
+    # the check takes only the code and n
     for g, _, hall in oracle:
-        found = alpha_mask(g.adj, (1 << g.n) - 1)
-        assert _l21_check(g.adj, g.n, *found) == all(hall), write_graph6(g)
+        assert _l21_check(g.adj, g.n) == all(hall), write_graph6(g)
 
 
 def test_per_set_reference_equals_brute_force(oracle):
@@ -67,9 +66,8 @@ def test_l21_check_equals_per_set_reference_at_nine():
     # every class of level 9, (1,0)-stable or not, by both checks
     failing = 0
     for code in _frontier(9):
-        found = alpha_mask(code, (1 << 9) - 1)
-        ok = _l21_check(code, 9, *found)
-        assert ok == reference_l21_check(code, 9, found[0]), code
+        ok = _l21_check(code, 9)
+        assert ok == reference_l21_check(code, 9, alpha_mask(code, (1 << 9) - 1)[0]), code
         failing += not ok
     assert failing == 36842
 
@@ -166,9 +164,9 @@ def test_refuting_matches_are_reported(monkeypatch):
     # match, run in the scan, reports each match as a counterexample
     star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
     for g in (path(3), star):
-        assert not _l21_check(g.adj, g.n, *alpha_mask(g.adj, (1 << g.n) - 1))
+        assert not _l21_check(g.adj, g.n)
     real = verify_theorem("L21", n_values=(3, 4))
-    refute = replace(enumeration._PIPELINES["L21"], check=lambda code, n, a, wit: False)
+    refute = replace(enumeration._PIPELINES["L21"], check=lambda code, n: False)
     monkeypatch.setitem(enumeration._PIPELINES, "L21", refute)
     rep = verify_theorem("L21", n_values=(3, 4))
     assert (real.verdict, real.counterexamples) == ("verified", [])
