@@ -23,9 +23,9 @@ on each mask before the orbit walk; steps 6-8 run on a built child:
    neighbours' round-two colours rejects, none but twins with z's accepts;
 6. the equitable partition, refined on neighbour lists extended from the
    parent's: z outside its last cell rejects;
-7. the last cell's other vertices that are not twins of z: none, or all
-   proved to be in z's orbit by :func:`~stabilitylab.canonical.shares_orbit`,
-   accepts, since the canonical deletion vertex is one of them;
+7. the last cell's other vertices: none, or all proved to be in z's orbit
+   by :func:`~stabilitylab.canonical.shares_orbit`, accepts, since the
+   canonical deletion vertex is one of them;
 8. the full canonical labeling decides the rest.
 
 Step 3 sorts no list.  It compares weights: a vertex's weight is the sum of
@@ -47,7 +47,7 @@ weight``, with child degrees: weights stay below ``(n+1) ** (n+1)``, so
 these ints order as the round-two ranks, equal ints being equal colours, and
 sorted lists of them compare as the third round's lists of ranks.  The last
 equitable cell lies inside the last cell of every round, so a reject of
-step 5 is exact, and the accepts of steps 4, 5 and 7 too, since swapping z
+step 5 is exact, and the accepts of steps 4 and 5 too, since swapping z
 with a twin is an automorphism.  An automorphism of the parent, z fixed,
 maps the child of S onto the child of its image, so steps 1-5 decide an
 orbit's masks alike: a rejected mask is dropped before the walk, which
@@ -82,15 +82,16 @@ chunks return the entries they narrowed to be merged.
 
 Filtered scans run each class's tests in the order of what they read: the
 alpha entry (a tight filter's alpha, the required alpha and defect), then
-the degrees, then the edge walks (connectivity, alpha-criticality), and the
-(k,l) verdicts last.  The ``alpha_critical`` test first checks Hajnal's
-degree bound (max degree at most n - 2*alpha + 1, plus one per isolated
-vertex), which every alpha-critical graph meets, and walks the edges with
-``alpha_preserving_edge`` only when it holds.  The optional
-hereditary prune for a tight (k,0) filter at size n augments only the
-classes of T(k-1, n-1), the matches of the pruned tight (k-1,0) scan; its
-base case, k = 1 or n <= 2, is level n whole.  A tight (k,0)-stable graph
-minus any vertex is tight (k-1,0)-stable, so each match's parent is there.
+the required minimum degree, then the edge walks (connectivity,
+alpha-criticality), and the (k,l) verdicts last.  The ``alpha_critical``
+test first checks Hajnal's degree bound (max degree at most n - 2*alpha +
+1, plus one per isolated vertex), which every alpha-critical graph meets,
+and walks the edges with ``alpha_preserving_edge`` only when it holds.
+The optional hereditary prune for a tight (k,0) filter at size n augments
+only the classes of T(k-1, n-1), the matches of the pruned tight (k-1,0)
+scan; its base case, k = 1 or n <= 2, is level n whole.  A tight
+(k,0)-stable graph minus any vertex is tight (k-1,0)-stable, so each
+match's parent is there.
 
 Each match is finished in its scan chunk, in the pool workers when there
 are several: the pipeline's check ``(code, n)`` runs on it, and the chunk
@@ -192,10 +193,7 @@ def _subset_reps(parent: Code, keep: Callable[[int], int]) -> list[tuple[int, in
     masks = [s for s in exactly[top] if not s & hubs]
     masks += above[top]
     masks.sort()  # two ascending runs: one merge
-    gens = automorphism_generators(parent)
-    if not gens:
-        return [(s, verdict) for s in masks if (verdict := keep(s))]
-    tables = [_image_table(g) for g in gens]
+    tables = [_image_table(g) for g in automorphism_generators(parent)]
     seen = bytearray(1 << m)
     reps = []
     for s in masks:
@@ -289,9 +287,7 @@ def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int) -> boo
     colors = refine_colors(nlists, degree_ranks(child))
     if colors[z] != max(colors):
         return False
-    # twins of z share its orbit: swapping one with z is an automorphism
     cell = [v for v in range(z) if colors[v] == colors[z]]
-    cell = [v for v in cell if (subset ^ child[v]) & ~(1 << z | 1 << v)]
     if not cell or shares_orbit(nlists, colors, z, cell):
         return True
     data = canonical_data(child)
@@ -340,13 +336,17 @@ def _child_alpha(parent: Code, packed: int, s: int) -> int:
 #: known bounds lo <= drop_k <= hi, 0 if none.
 _FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [])}
 
-#: ``n, k, i, entry``, four items per drop entry narrowed in the current chunk
+#: ``n, k, i, entry``, four items per drop entry narrowed in the current
+#: chunk, kept only in pool workers: the scanning process's tables hold its own
 _JOURNAL = array("I")
+_journaling = False
 
 
 def _install(frontiers: dict) -> None:
     """Start a pool worker with the frontiers its scan reads."""
+    global _journaling
     _FRONTIERS.update(frontiers)
+    _journaling = True
 
 
 def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
@@ -496,23 +496,13 @@ def _spec_tests(spec: FilterSpec, n: int) -> list[tuple]:
     verdicts of ``spec``, as (evaluator of ``(code, n, alpha, witness)``,
     required value), ordered by what they read: the alpha entry alone (a
     tight filter's alpha against ``stability_bound``, then ``alpha``, then
-    ``defect``), the degrees, then the edge walks (``connected``, then
-    ``alpha_critical``); built once per chunk, not once per graph.
-
-    A (k,0) stability or tightness filter raises the minimum-degree floor to
-    k: a vertex of degree below k has a closed neighborhood of at most k
-    vertices meeting every maximum independent set, so deleting it lowers
-    alpha (``min_degree_necessary``).  The floor only rejects graphs the
-    stability test would reject, before any k-subset scan.
-    """
+    ``defect``), ``min_degree``, then the edge walks (``connected``, then
+    ``alpha_critical``); built once per chunk, not once per graph."""
     bound = spec.tight and n > spec.tight[0] and stability_bound(n, *spec.tight)
     tests = [(lambda code, n, a, wit: a, want) for want in (bound, spec.alpha) if want]  # both >= 1
     tests += [(_flag_evaluator("defect"), spec.defect)] if spec.defect is not None else []
-    floors = [spec.min_degree] if spec.min_degree is not None else []
-    floors += [kl[0] for kl in (spec.stable, spec.tight) if kl is not None and kl[1] == 0]
-    if floors:
-        floor = max(floors)
-        tests.append((lambda code, n, a, wit: _min_degree(code) >= floor, True))
+    if spec.min_degree is not None:
+        tests.append((lambda code, n, a, wit: _min_degree(code) >= spec.min_degree, True))
     walks = [(key, getattr(spec, key)) for key in ("connected", "alpha_critical")]
     return tests + [(_flag_evaluator(key), want) for key, want in walks if want is not None]
 
@@ -545,16 +535,18 @@ def _within(n: int, i: int, k: int, l: int) -> bool:
         verdict = stable_fast(level[i], n, k, l, a, alphas[i] & ((1 << n) - 1))
     lo, hi = (lo, l) if verdict else (l + 1, hi)
     drops[k - 1][i] = entry = lo | (15 - hi) << 4
-    _JOURNAL.extend((n, k, i, entry))
+    if _journaling:
+        _JOURNAL.extend((n, k, i, entry))
     return verdict
 
 
 def _scan_chunk(
     args: tuple[tuple[int, int], int, int, int, FilterSpec, str | None],
 ) -> tuple[int, list[Code], list[int], list[Code], array]:
-    """(codes read, matches, their alpha entries, failed matches, narrowed
-    drop entries) of the filter over ``_items(key, start, stop, n)`` for
-    ``args = (key, start, stop, n, spec, theorem_id)``.  The tests of
+    """(codes read, matches, their alpha entries, failed matches, drop
+    entries narrowed in a pool worker) of the filter over ``_items(key,
+    start, stop, n)`` for ``args = (key, start, stop, n, spec,
+    theorem_id)``.  The tests of
     :func:`_spec_tests` run first, then the (k,l) verdicts: by
     :func:`_within` on a class of cached level n (``key == (n, 0)``), else by
     ``stable_fast``.  Each match is finished here: the check of pipeline

@@ -175,8 +175,12 @@ def min_degree_necessary(g: Graph, k: int) -> tuple[bool, int | None]:
 
 def stable_fast(adj: Code, n: int, k: int, l: int, a: int, witness_mask: int) -> bool:
     """``is_stable(...).stable`` from a precomputed alpha and its witness
-    mask; k > l >= 0 is not checked, and n <= k gives ``False``."""
-    return n > k and _first_violator(adj, n, k, a - l, [witness_mask]) is None
+    mask; k > l >= 0 is not checked, and n <= k gives ``False``.  For l = 0
+    a minimum degree below k gives ``False`` before the k-subset scan, by
+    :func:`min_degree_necessary`."""
+    if n <= k or not l and min(map(int.bit_count, adj)) < k:
+        return False
+    return _first_violator(adj, n, k, a - l, [witness_mask]) is None
 
 
 def tight_fast(adj: Code, n: int, k: int, l: int, a: int, witness_mask: int) -> bool:

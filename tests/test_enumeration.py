@@ -22,7 +22,7 @@ from helpers import (
     reference_canonical_children,
     reference_round_three,
 )
-from stabilitylab import enumeration, structure
+from stabilitylab import enumeration, stability, structure
 from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic, neighbor_lists
 from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
@@ -55,7 +55,7 @@ from stabilitylab.errors import InvariantViolation
 from stabilitylab.graph6 import parse_graph6, write_graph6
 from stabilitylab.graphs import Graph, clique, cycle, from_edges
 from stabilitylab.independence import alpha_mask
-from stabilitylab.stability import stability_bound, stable_fast
+from stabilitylab.stability import is_stable, stability_bound, stable_fast
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -457,45 +457,49 @@ def _assert_alpha_entry(code, packed):
 
 @pytest.mark.parametrize("kind", ["stable", "tight"])
 def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
-    """A (k,0) filter folds min degree >= k into the one degree test, after
-    only a tight filter's alpha test: graphs below it are rejected before
-    any stability scan, of a frontier child by ``stable_fast`` or of a
-    cached class by ``_within``, and no class up to 7 vertices changes its
-    verdict."""
-    scanned, within = [], []
-    real_within = enumeration._within
+    """No (k,0) verdict calls ``alpha_mask`` in ``stability`` for a graph of
+    minimum degree below k, whether ``stable_fast`` decides a frontier child
+    or ``_within`` a class of a cached level from unset drop tables, and no
+    class up to 7 vertices changes its verdict against ``is_stable``'s plain
+    scan."""
+    _frontier(8)
+    children = {n: extend_level(_frontier(n - 1), n) for n in range(2, 8)}
+    verdicts = {
+        (k, code): getattr(is_stable(Graph(n, code), k, 0), kind)
+        for k in (1, 2, 3)
+        for n in range(k + 1, 8)
+        for code in children[n]
+    }
+    _fresh_drops(monkeypatch)
+    probed, reached = [], []
 
-    def counting_scan(code, *args):
-        scanned.append(code)
-        return stable_fast(code, *args)
+    def counting_alpha(adj, *args):
+        probed.append(adj)
+        return alpha_mask(adj, *args)
 
-    def counting_within(n, i, k, l):
-        within.append((n, i))
-        return real_within(n, i, k, l)
+    def counting_scan(code, n, k, *args):
+        reached.append((code, k))
+        return stable_fast(code, n, k, *args)
 
+    monkeypatch.setattr(stability, "alpha_mask", counting_alpha)
     monkeypatch.setattr(enumeration, "stable_fast", counting_scan)
-    monkeypatch.setattr(enumeration, "_within", counting_within)
     for k in (1, 2, 3):
-        stability = enumeration._flag_evaluator(f"{kind}_{k}_0")
         for min_degree in (None, k - 1, k + 1):
             spec = FilterSpec(min_degree=min_degree, **{kind: (k, 0)})
             for n in range(2, 8):
-                # the one degree test, after the tight bound when n > k
-                assert len(enumeration._spec_tests(spec, n)) == 1 + (kind == "tight" and n > k)
-                children = extend_level(_frontier(n - 1), n)
                 want = [
                     code
-                    for code in children
-                    if (min_degree is None or min(map(int.bit_count, code)) >= min_degree)
-                    and stability(code, n, *alpha_mask(code, (1 << n) - 1))
+                    for code in children[n]
+                    if n > k
+                    and verdicts[k, code]
+                    and (min_degree is None or min(map(int.bit_count, code)) >= min_degree)
                 ]
-                scanned.clear()
+                probed.clear()
                 assert _chunk((n - 1, 0), n, spec)[1] == want
-                assert all(min(map(int.bit_count, code)) >= k for code in scanned)
-                within.clear()
                 assert _filtered_scan(n, spec)[1] == sorted(want)
-                level = _frontier(n)
-                assert all(min(map(int.bit_count, level[i])) >= k for m, i in within if m == n)
+                assert all(min(map(int.bit_count, adj)) >= k for adj in probed)
+    # graphs below the floor do reach the verdict, which rejects them itself
+    assert any(min(map(int.bit_count, code)) < floor for code, floor in reached)
 
 
 def _fresh_drops(monkeypatch):
@@ -511,9 +515,9 @@ def _fresh_drops(monkeypatch):
 @pytest.mark.parametrize("theorem_id", ["T1a", "T1d", "T2", "AND", "SUR"])
 def test_alpha_entry_tests_run_before_degree_and_edge_tests(monkeypatch, theorem_id):
     # from unset drop tables, a scan of n = 6..8 under the pipeline's filter
-    # reads no class's degrees and walks no class's edges unless its alpha
-    # meets the tight bound and the required defect: the tests that read the
-    # alpha entry alone run first
+    # reads no class's degrees, walks no class's edges and asks no class's
+    # (k,l) verdict unless its alpha meets the tight bound and the required
+    # defect: the tests that read the alpha entry alone run first
     spec = enumeration._PIPELINES[theorem_id].spec
     _frontier(8)
     _fresh_drops(monkeypatch)
@@ -524,16 +528,40 @@ def test_alpha_entry_tests_run_before_degree_and_edge_tests(monkeypatch, theorem
 
     for name in ("_min_degree", "_code_connected"):
         monkeypatch.setattr(enumeration, name, spy(getattr(enumeration, name)))
+    real_within = enumeration._within
+
+    def spy_within(m, i, k, l):
+        read.append(_frontier(m)[i])
+        return real_within(m, i, k, l)
+
+    monkeypatch.setattr(enumeration, "_within", spy_within)
     total = 0
     for n in range(6, 9):
         read.clear()
         _filtered_scan(n, spec)
         for code in read:
+            if len(code) < n:  # a parent's verdict, which _within recurses into
+                continue
             a = alpha_mask(code, (1 << n) - 1)[0]
             assert spec.tight is None or a == stability_bound(n, *spec.tight), code
             assert spec.defect is None or n - 2 * a == spec.defect, code
-        total += len(read)
+            total += 1
     assert total  # the spies see the classes that pass
+
+
+def test_warm_tight_scan_reads_no_degree(monkeypatch):
+    # once a tight (2,0) scan of level 8 has filled the drop tables, a
+    # second one reads every verdict of a class on the bound from its entry
+    # and no class's degrees: no degree floor runs in front of a table read
+    spec = FilterSpec(tight=(2, 0))
+    _frontier(8)
+    _fresh_drops(monkeypatch)
+    first = _filtered_scan(8, spec)
+    calls = []
+    real = enumeration._min_degree
+    monkeypatch.setattr(enumeration, "_min_degree", lambda code: calls.append(code) or real(code))
+    assert _filtered_scan(8, spec) == first
+    assert calls == []
 
 
 def _alpha_tables() -> dict:
@@ -852,8 +880,10 @@ class _InProcessPool:
     that no task carries codes or a table, and runs the tasks in this
     process."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.pools = []
+        # the initializer turns journaling on in this process; undone at teardown
+        monkeypatch.setattr(enumeration, "_journaling", False)
 
     def __call__(self, size, initializer, initargs):
         assert initializer is enumeration._install and len(initargs) == 1
@@ -886,7 +916,7 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers
     # the pool size is capped by the CPU count (1 when unknown, which runs
     # in-process), there are four chunks per started worker, and the report
     # is the jobs=1 report
-    pool = _InProcessPool()
+    pool = _InProcessPool(monkeypatch)
     monkeypatch.setattr(enumeration, "Pool", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     serial = verify_theorem("L21", n_values=(7,))
@@ -908,7 +938,7 @@ def test_small_scans_pool_when_jobs_ask(monkeypatch, drop_chains, n, spec, prune
     # built afresh, pools its steps over the 11 classes of cached level 4 in
     # six chunks and over the three classes of T(1,4), and runs its last
     # step in-process, since its frontier T(2,5) is the one class C5
-    pool = _InProcessPool()
+    pool = _InProcessPool(monkeypatch)
     monkeypatch.setattr(enumeration, "Pool", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     serial = _filtered_scan(n, spec, prune)
