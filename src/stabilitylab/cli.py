@@ -17,7 +17,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
 from .critical import critical_reduce
@@ -251,15 +251,11 @@ def _cmd_construct(args) -> int:
 
 
 def _spec_from_args(args) -> FilterSpec:
-    return FilterSpec(
-        min_degree=args.min_degree,
-        connected=True if args.connected else None,
-        alpha=args.alpha,
-        defect=args.defect,
-        alpha_critical=True if args.alpha_critical else None,
-        stable=_ints("--stable", args.stable) if args.stable else None,
-        tight=_ints("--tight", args.tight) if args.tight else None,
-    )
+    """The filter of ``enumerate``, one flag per ``FilterSpec`` field."""
+    values = {field.name: getattr(args, field.name) for field in fields(FilterSpec)}
+    for kind in ("stable", "tight"):
+        values[kind] = _ints(_option(kind), values[kind]) if values[kind] else None
+    return FilterSpec(**values)
 
 
 def _cmd_enumerate(args) -> int:
@@ -366,10 +362,10 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_enumerate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-degree", type=int)
-    p.add_argument("--connected", action="store_true")
+    p.add_argument("--connected", action="store_const", const=True)
     p.add_argument("--alpha", type=int)
     p.add_argument("--defect", type=int)
-    p.add_argument("--alpha-critical", action="store_true")
+    p.add_argument("--alpha-critical", action="store_const", const=True)
     p.add_argument("--stable", help="K,L")
     p.add_argument("--tight", help="K,L")
     p.add_argument("--prune", action="store_true", help="hereditary tight-(k,0) prune")

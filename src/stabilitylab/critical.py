@@ -2,12 +2,14 @@
 critical families, and defect classification.
 
 A graph is alpha-critical when deleting any single edge raises the
-independence number.  One greedy walk over the edges reduces every graph to a
-spanning alpha-critical kernel with the same independence number; connected
-kernels with defect ``n - 2*alpha`` equal to 1, 2 or 3 are odd cycles
-(:func:`is_odd_cycle`, walked by :func:`trace_cycle`), even subdivisions of
-the 4-clique (:func:`is_even_subdivision_k4`) and the named graphs, which the
-one matcher :func:`catalog_match` recognises by degree sequence and
+independence number.  One walk yields each edge whose deletion keeps alpha:
+:func:`alpha_preserving_edge` is its first, and :func:`critical_reduce`
+deletes each, reducing every graph to a spanning alpha-critical kernel with
+the same independence number; connected kernels with defect ``n - 2*alpha``
+equal to 1, 2 or 3 are odd cycles (:func:`is_odd_cycle`, walked by
+:func:`trace_cycle`), even subdivisions of the 4-clique
+(:func:`is_even_subdivision_k4`) and the named graphs, which the one matcher
+:func:`catalog_match` recognises by degree sequence and
 :func:`spanning_embedding`.  :func:`classify_defect` dispatches to them.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from . import catalog
 from .graphs import Graph, bits, degrees, is_connected, min_degree
@@ -31,21 +34,23 @@ def _alpha(g: Graph) -> int:
     return alpha_mask(g.adj, (1 << g.n) - 1)[0]
 
 
-def alpha_preserving_edge(adj: tuple[int, ...], n: int, a: int) -> tuple[int, int] | None:
-    """First edge (u < v, in ``Graph.edges()`` order) whose removal keeps the
-    independence number at ``a``, or ``None`` when the graph is alpha-critical.
-
-    ``a`` must be the independence number of the graph.  An independent set
-    of size a + 1 after deleting uv must hold both u and v, so uv keeps alpha
-    exactly when the vertices outside N[u] and N[v] hold no independent set
-    of size a - 1: one threshold query per edge on the graph itself."""
+def _preserving_edges(rows, n: int, a: int) -> Iterator[tuple[int, int]]:
+    """Each edge u < v, in ``Graph.edges()`` order, whose removal keeps alpha
+    of ``rows`` at ``a``, each row read as the walk reaches it, so a caller may
+    delete a yielded edge before the walk goes on.  A set of size a + 1 after
+    deleting uv holds u and v, so uv keeps alpha exactly when the vertices
+    outside N[u] and N[v] hold no independent set of size a - 1."""
     full = (1 << n) - 1
     for u in range(n):
-        for v in bits(adj[u] >> (u + 1) << (u + 1)):
-            rest = full & ~(adj[u] | adj[v] | 1 << u | 1 << v)
-            if alpha_mask(adj, rest, a - 1)[0] < a - 1:
-                return u, v
-    return None
+        for v in bits(rows[u] >> (u + 1) << (u + 1)):
+            if alpha_mask(rows, full & ~(rows[u] | rows[v] | 1 << u | 1 << v), a - 1)[0] < a - 1:
+                yield u, v
+
+
+def alpha_preserving_edge(adj: tuple[int, ...], n: int, a: int) -> tuple[int, int] | None:
+    """First edge (u < v, in ``Graph.edges()`` order) whose removal keeps the
+    independence number ``a`` of the graph, or ``None`` when it is alpha-critical."""
+    return next(_preserving_edges(adj, n, a), None)
 
 
 def is_alpha_critical(g: Graph) -> tuple[bool, tuple[int, int] | None]:
@@ -68,15 +73,12 @@ def critical_reduce(g: Graph) -> CriticalKernel:
     does so after any alpha-preserving deletion.  Kernels depend on this fixed
     order and are reproducible but not canonical.
     """
-    a = _alpha(g)
     rows = list(g.adj)
-    full = (1 << g.n) - 1
-    removed: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        if alpha_mask(rows, full & ~(rows[u] | rows[v] | 1 << u | 1 << v), a - 1)[0] < a - 1:
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            removed.append((u, v))
+    removed = []
+    for u, v in _preserving_edges(rows, g.n, _alpha(g)):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        removed.append((u, v))
     return CriticalKernel(Graph(g.n, tuple(rows)), tuple(removed))
 
 

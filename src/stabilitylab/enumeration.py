@@ -77,8 +77,9 @@ or tight test on a cached class reads the entry and, when it leaves the
 verdict open, tries the canonical parent (:func:`_within`); only what stays
 open is scanned by ``stable_fast``, and every verdict narrows the entry, so
 each is found at most once per process.  Pool workers share no memory with
-this process: a pool gets only the frontiers its scan reads, and pooled
-chunks return the entries they narrowed to be merged.
+this process: a pool gets only the frontiers its scan reads, and each pooled
+chunk returns a journal of the entries it narrowed to be merged; a chunk run
+in this process narrows the tables themselves.
 
 Filtered scans run each class's tests in the order of what they read: the
 alpha entry (a tight filter's alpha, the required alpha and defect), then
@@ -336,17 +337,10 @@ def _child_alpha(parent: Code, packed: int, s: int) -> int:
 #: known bounds lo <= drop_k <= hi, 0 if none.
 _FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [])}
 
-#: ``n, k, i, entry``, four items per drop entry narrowed in the current
-#: chunk, kept only in pool workers: the scanning process's tables hold its own
-_JOURNAL = array("I")
-_journaling = False
-
 
 def _install(frontiers: dict) -> None:
     """Start a pool worker with the frontiers its scan reads."""
-    global _journaling
     _FRONTIERS.update(frontiers)
-    _journaling = True
 
 
 def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
@@ -507,14 +501,15 @@ def _spec_tests(spec: FilterSpec, n: int) -> list[tuple]:
     return tests + [(_flag_evaluator(key), want) for key, want in walks if want is not None]
 
 
-def _within(n: int, i: int, k: int, l: int) -> bool:
+def _within(n: int, i: int, k: int, l: int, journal: array | None = None) -> bool:
     """Whether drop_k <= l for class ``i`` of cached level ``n > k``, a
     parent p plus z: read off the class's entry, else from p's verdicts
     (found alike in level n-1) by delta + drop_{k-1}(p) <= drop_k <= delta +
     drop_k(p), delta = alpha - alpha(p) (both set at build), else by
-    ``stable_fast``; the verdict narrows the entry.  The lower bound deletes
-    z and a worst (k-1)-set of p; the upper holds as G - X contains p - (X -
-    z).  drop_k <= k needs no entry, and for n-1 <= k p bounds nothing."""
+    ``stable_fast``; the verdict narrows the entry, noted in ``journal``.  The
+    lower bound deletes z and a worst (k-1)-set of p; the upper holds as G -
+    X contains p - (X - z).  drop_k <= k needs no entry, and for n-1 <= k p
+    bounds nothing."""
     if l >= k:
         return True
     level, alphas, parents, drops = _FRONTIERS[n, 0]
@@ -527,26 +522,26 @@ def _within(n: int, i: int, k: int, l: int) -> bool:
     if n - 1 > k:
         p = parents[i]
         delta = a - (_FRONTIERS[n - 1, 0][1][p] >> (n - 1))
-        if delta > l or _within(n - 1, p, k, l - delta):
+        if delta > l or _within(n - 1, p, k, l - delta, journal):
             verdict = delta <= l
-        elif not _within(n - 1, p, k - 1, l - delta):
+        elif not _within(n - 1, p, k - 1, l - delta, journal):
             verdict = False
     if verdict is None:
         verdict = stable_fast(level[i], n, k, l, a, alphas[i] & ((1 << n) - 1))
     lo, hi = (lo, l) if verdict else (l + 1, hi)
     drops[k - 1][i] = entry = lo | (15 - hi) << 4
-    if _journaling:
-        _JOURNAL.extend((n, k, i, entry))
+    if journal is not None:
+        journal.extend((n, k, i, entry))
     return verdict
 
 
 def _scan_chunk(
-    args: tuple[tuple[int, int], int, int, int, FilterSpec, str | None],
-) -> tuple[int, list[Code], list[int], list[Code], array]:
-    """(codes read, matches, their alpha entries, failed matches, drop
-    entries narrowed in a pool worker) of the filter over ``_items(key,
-    start, stop, n)`` for ``args = (key, start, stop, n, spec,
-    theorem_id)``.  The tests of
+    args: tuple[tuple[int, int], int, int, int, FilterSpec, str | None], journal: array | None = None
+) -> tuple[int, list[Code], list[int], list[Code], array | None]:
+    """(codes read, matches, their alpha entries, failed matches,
+    ``journal``) of the filter over ``_items(key, start, stop, n)`` for
+    ``args = (key, start, stop, n, spec, theorem_id)``; :func:`_within`
+    records in ``journal`` each drop entry it narrows.  The tests of
     :func:`_spec_tests` run first, then the (k,l) verdicts: by
     :func:`_within` on a class of cached level n (``key == (n, 0)``), else by
     ``stable_fast``.  Each match is finished here: the check of pipeline
@@ -555,7 +550,6 @@ def _scan_chunk(
     with n and the graph6 of the first and last item in front of its
     message."""
     key, start, stop, n, spec, theorem_id = args
-    del _JOURNAL[:]
     try:
         tests = _spec_tests(spec, n)
         kls = [kl for kl in (spec.stable, spec.tight) if kl]
@@ -575,7 +569,7 @@ def _scan_chunk(
             else:
                 for k, l in kls:
                     if n <= k or not (
-                        _within(n, index, k, l) if cached else stable_fast(code, n, k, l, a, wit)
+                        _within(n, index, k, l, journal) if cached else stable_fast(code, n, k, l, a, wit)
                     ):
                         break
                 else:
@@ -583,7 +577,7 @@ def _scan_chunk(
                     alphas.append(packed)
                     if check is not None and not check(code, n):
                         failed.append(code)
-        return scanned, matches, alphas, failed, _JOURNAL[:]
+        return scanned, matches, alphas, failed, journal
     except Exception as exc:
         items = _FRONTIERS[key][0][start:stop]
         first, last = (encode_rows(c, len(c)) for c in (items[0], items[-1]))
@@ -592,6 +586,11 @@ def _scan_chunk(
         except Exception:
             raise exc from None  # a type that takes other arguments keeps its message
         raise named from exc
+
+
+def _pooled_chunk(args: tuple) -> tuple[int, list[Code], list[int], list[Code], array]:
+    """:func:`_scan_chunk` in a pool worker, journaling the drop entries it narrows."""
+    return _scan_chunk(args, array("I"))
 
 
 def _filtered_scan(
@@ -622,7 +621,7 @@ def _filtered_scan(
     if workers > 1:
         reads = [(m, 0) for m in range(1, n + 1)] if key[0] == n else [key]
         with Pool(workers, _install, ({r: _FRONTIERS[r] for r in reads},)) as pool:
-            results = list(pool.imap(_scan_chunk, chunks))
+            results = list(pool.imap(_pooled_chunk, chunks))
         journal = (e for r in results for e in r[4])  # read four items at a time
         for m, j, i, entry in zip(journal, journal, journal, journal):
             table = _FRONTIERS[m, 0][3][j - 1]

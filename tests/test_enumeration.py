@@ -530,9 +530,9 @@ def test_alpha_entry_tests_run_before_degree_and_edge_tests(monkeypatch, theorem
         monkeypatch.setattr(enumeration, name, spy(getattr(enumeration, name)))
     real_within = enumeration._within
 
-    def spy_within(m, i, k, l):
+    def spy_within(m, i, k, l, journal=None):
         read.append(_frontier(m)[i])
-        return real_within(m, i, k, l)
+        return real_within(m, i, k, l, journal)
 
     monkeypatch.setattr(enumeration, "_within", spy_within)
     total = 0
@@ -723,10 +723,28 @@ def test_table_entries_decode_to_alpha_mask(monkeypatch):
     for n in range(1, 9):
         seen.clear()
         level, alphas = enumeration._FRONTIERS[n, 0][:2]
-        assert _chunk((n, 0), n) == (len(level), list(level), list(alphas), [], array("I"))
+        assert _chunk((n, 0), n) == (len(level), list(level), list(alphas), [], None)
         assert [(code, a << n | wit) for code, _, a, wit in seen] == list(zip(level, alphas))
         for code, _, a, wit in seen:
             _assert_alpha_entry(code, wit | a << n)
+
+
+def test_in_process_chunk_keeps_no_journal(monkeypatch):
+    # installing frontiers, as each pool worker does when it starts, leaves
+    # a chunk run in this process without a journal: from unset drop tables
+    # it returns None in the journal's place, and the scan results and drop
+    # tables of a run that installed nothing
+    spec = FilterSpec(stable=(2, 1))
+    _frontier(8)
+    runs = []
+    for install in (False, True):
+        _fresh_drops(monkeypatch)
+        if install:
+            enumeration._install({})
+        chunk = _chunk((7, 0), 7, spec)
+        assert chunk[4] is None
+        runs.append((chunk, [bytes(t) for t in enumeration._FRONTIERS[7, 0][3]]))
+    assert runs[0] == runs[1] and runs[0][0][1]
 
 
 def test_inherited_alpha_equals_alpha_mask():
@@ -880,10 +898,8 @@ class _InProcessPool:
     that no task carries codes or a table, and runs the tasks in this
     process."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self):
         self.pools = []
-        # the initializer turns journaling on in this process; undone at teardown
-        monkeypatch.setattr(enumeration, "_journaling", False)
 
     def __call__(self, size, initializer, initargs):
         assert initializer is enumeration._install and len(initargs) == 1
@@ -916,7 +932,7 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, jobs, cpus, workers
     # the pool size is capped by the CPU count (1 when unknown, which runs
     # in-process), there are four chunks per started worker, and the report
     # is the jobs=1 report
-    pool = _InProcessPool(monkeypatch)
+    pool = _InProcessPool()
     monkeypatch.setattr(enumeration, "Pool", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     serial = verify_theorem("L21", n_values=(7,))
@@ -938,7 +954,7 @@ def test_small_scans_pool_when_jobs_ask(monkeypatch, drop_chains, n, spec, prune
     # built afresh, pools its steps over the 11 classes of cached level 4 in
     # six chunks and over the three classes of T(1,4), and runs its last
     # step in-process, since its frontier T(2,5) is the one class C5
-    pool = _InProcessPool(monkeypatch)
+    pool = _InProcessPool()
     monkeypatch.setattr(enumeration, "Pool", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     serial = _filtered_scan(n, spec, prune)

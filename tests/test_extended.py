@@ -14,8 +14,8 @@ class takes from its canonical parent against ``alpha_mask``.  The worker
 count comes from STABILITYLAB_JOBS (default 1); with 2 workers on a 2-vCPU
 x86-64 VM the unpruned scan took 90 to 111 seconds, T1d 15 seconds and
 the frontiers at n = 9 2.5 seconds after L21 at n = 9 had run; with 1
-worker L21 at n = 9 took 8.2 to 8.4 seconds, building level 9 included
-(Python 3.11.7).
+worker L21 at n = 9 took 7.5 to 9.0 seconds over five runs, building level
+9 included (Python 3.11.7).
 """
 
 import os
