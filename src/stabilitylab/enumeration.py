@@ -81,13 +81,21 @@ this process: a pool gets only the frontiers its scan reads, and each pooled
 chunk returns a journal of the entries it narrowed to be merged; a chunk run
 in this process narrows the tables themselves.
 
-Filtered scans run each class's tests in the order of what they read: the
-alpha entry (a tight filter's alpha, the required alpha and defect), then
-the required minimum degree, then the edge walks (connectivity,
-alpha-criticality), and the (k,l) verdicts last.  The ``alpha_critical``
-test first checks Hajnal's degree bound (max degree at most n - 2*alpha +
-1, plus one per isolated vertex), which every alpha-critical graph meets,
-and walks the edges with ``alpha_preserving_edge`` only when it holds.
+A filtered scan of a cached level selects its classes before any
+per-class test, by passes over the level's own arrays: one ``translate``
+of the drop table of the filter's first (k,l) drops the classes whose entry
+already proves drop_k > l, then one comprehension keeps those whose alpha
+entry holds the one alpha the filter allows (:func:`_alpha_window`: a tight
+filter's bound, the required alpha, half of n - defect).  A frontier child
+is tested against that alpha once it has its own.  The classes left run
+their tests ordered by cost: the required minimum degree, Hajnal's degree
+bound when alpha-critical graphs are asked for (max degree at most
+n - 2*alpha + 1, plus one per isolated vertex, which every alpha-critical
+graph meets), connectivity, the edge walk of ``alpha_preserving_edge``, and
+the (k,l) verdicts last, by :func:`_within`, which decides, narrows and
+journals every entry the selection left.  Only the first (k,l) selects: a
+class dropped by the second's entry would skip the ``_within`` call that
+narrows its first.
 The optional hereditary prune for a tight (k,0) filter at size n augments
 only the classes of T(k-1, n-1), the matches of the pruned tight (k-1,0)
 scan; its base case, k = 1 or n <= 2, is level n whole.  A tight
@@ -111,6 +119,7 @@ import os
 from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import compress
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
@@ -368,20 +377,35 @@ def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
     return _FRONTIERS[n, k][0]
 
 
-def _items(key: tuple[int, int], start: int, stop: int, n: int) -> Iterator[tuple[int, Code, int]]:
+#: ``_LO_AT_MOST[l]`` maps a drop entry to 1 unless its lower bound proves drop_k > l
+_LO_AT_MOST = tuple(bytes(entry & 15 <= l for entry in range(256)) for l in range(16))
+
+
+def _items(
+    key: tuple[int, int], start: int, stop: int, n: int, window: int | None = None, kl: tuple = ()
+) -> Iterator[tuple[int, Code, int]]:
     """``(i, code, alpha entry)`` of each class a read of entries ``start:stop``
-    of frontier ``key`` at ``n`` yields, i the entry read: a cached level's
-    classes with their entries, or each entry's canonical children with
-    :func:`_child_alpha`'s, the one place children get their alphas."""
+    of frontier ``key`` at ``n`` yields, i the entry read: each entry's
+    canonical children with :func:`_child_alpha`'s, the one place children
+    get their alphas, or the classes of a cached level that passes over its
+    arrays select before any per-class test: those whose drop entry for
+    ``kl = (k, l)``, if given and k < n, leaves drop_k <= l possible, and
+    whose alpha is ``window`` (any for ``None``)."""
     codes, alphas = _FRONTIERS[key][:2]
-    items = zip(range(start, stop), codes[start:stop], alphas[start:stop])
-    if key[0] == n:
-        return items
-    return (
-        (i, child, _child_alpha(parent, packed, child[-1]))
-        for i, parent, packed in items
-        for child in _canonical_children(parent)
-    )
+    if key[0] != n:
+        return (
+            (i, child, _child_alpha(parent, packed, child[-1]))
+            for i, parent, packed in zip(range(start, stop), codes[start:stop], alphas[start:stop])
+            for child in _canonical_children(parent)
+        )
+    index = range(start, stop)
+    if kl and kl[0] < n:
+        k, l = kl
+        index = compress(index, _FRONTIERS[key][3][k - 1][start:stop].translate(_LO_AT_MOST[l]))
+    if window is not None:
+        lo, hi = window << n, window + 1 << n
+        index = [i for i in index if lo <= alphas[i] < hi]
+    return ((i, codes[i], alphas[i]) for i in index)
 
 
 def enumerate_canonical(n: int) -> Iterator[Graph]:
@@ -485,20 +509,41 @@ def _required_flags(spec: FilterSpec) -> dict:
     return flags
 
 
+def _alpha_window(spec: FilterSpec, n: int) -> int | None:
+    """The one alpha a match of ``spec`` on ``n`` vertices can have: a tight
+    filter's ``stability_bound`` when n > k, ``alpha``, or (n - defect) / 2;
+    ``None`` when ``spec`` fixes none, and 0, which no graph has, when these
+    differ or n - defect is odd."""
+    wants = set()
+    if spec.tight and n > spec.tight[0]:
+        wants.add(stability_bound(n, *spec.tight))
+    if spec.alpha is not None:
+        wants.add(spec.alpha)
+    if spec.defect is not None:
+        wants.add(0 if (n - spec.defect) % 2 else (n - spec.defect) // 2)
+    return None if not wants else wants.pop() if len(wants) == 1 else 0
+
+
 def _spec_tests(spec: FilterSpec, n: int) -> list[tuple]:
-    """The tests a chunk runs on each class of size ``n`` before the (k,l)
-    verdicts of ``spec``, as (evaluator of ``(code, n, alpha, witness)``,
-    required value), ordered by what they read: the alpha entry alone (a
-    tight filter's alpha against ``stability_bound``, then ``alpha``, then
-    ``defect``), ``min_degree``, then the edge walks (``connected``, then
-    ``alpha_critical``); built once per chunk, not once per graph."""
-    bound = spec.tight and n > spec.tight[0] and stability_bound(n, *spec.tight)
-    tests = [(lambda code, n, a, wit: a, want) for want in (bound, spec.alpha) if want]  # both >= 1
-    tests += [(_flag_evaluator("defect"), spec.defect)] if spec.defect is not None else []
+    """The per-class tests a chunk runs on each class of size ``n`` that its
+    selection leaves, before the (k,l) verdicts of ``spec``, as (evaluator of
+    ``(code, n, alpha, witness)``, required value), ordered by cost:
+    ``min_degree``, Hajnal's gate when ``alpha_critical`` is True,
+    ``connected``, then the edge walk (with the gate for False); built once
+    per chunk, not once per graph.  Alpha itself is tested by
+    :func:`_alpha_window` before these."""
+    tests = []
     if spec.min_degree is not None:
         tests.append((lambda code, n, a, wit: _min_degree(code) >= spec.min_degree, True))
-    walks = [(key, getattr(spec, key)) for key in ("connected", "alpha_critical")]
-    return tests + [(_flag_evaluator(key), want) for key, want in walks if want is not None]
+    if spec.alpha_critical:
+        tests.append((lambda code, n, a, wit: _within_hajnal_bound(code, n, a), True))
+    if spec.connected is not None:
+        tests.append((_flag_evaluator("connected"), spec.connected))
+    if spec.alpha_critical:
+        tests.append((lambda code, n, a, wit: alpha_preserving_edge(code, n, a) is None, True))
+    elif spec.alpha_critical is not None:
+        tests.append((_flag_evaluator("alpha_critical"), False))
+    return tests
 
 
 def _within(n: int, i: int, k: int, l: int, journal: array | None = None) -> bool:
@@ -539,29 +584,35 @@ def _scan_chunk(
     args: tuple[tuple[int, int], int, int, int, FilterSpec, str | None], journal: array | None = None
 ) -> tuple[int, list[Code], list[int], list[Code], array | None]:
     """(codes read, matches, their alpha entries, failed matches,
-    ``journal``) of the filter over ``_items(key, start, stop, n)`` for
-    ``args = (key, start, stop, n, spec, theorem_id)``; :func:`_within`
-    records in ``journal`` each drop entry it narrows.  The tests of
-    :func:`_spec_tests` run first, then the (k,l) verdicts: by
-    :func:`_within` on a class of cached level n (``key == (n, 0)``), else by
-    ``stable_fast``.  Each match is finished here: the check of pipeline
-    ``theorem_id`` (none for ``None``) takes its code and n, and the matches
-    it rejects are the failed ones.  An exception comes back as the same type
-    with n and the graph6 of the first and last item in front of its
-    message."""
+    ``journal``) of the filter over entries ``start:stop`` of frontier
+    ``key`` at ``n`` for ``args = (key, start, stop, n, spec, theorem_id)``;
+    :func:`_within` records in ``journal`` each drop entry it narrows.  A
+    read of cached level n (``key == (n, 0)``) selects its classes by
+    :func:`_alpha_window` and the first (k,l)'s drop table in ``_items``
+    and counts every entry read; a frontier child is counted, then tested
+    against the window.  The tests of :func:`_spec_tests` run on what is
+    left, then the (k,l) verdicts: by :func:`_within` on a class of a cached
+    level, else by ``stable_fast``.  Each match is finished here: the check
+    of pipeline ``theorem_id`` (none for ``None``) takes its code and n, and
+    the matches it rejects are the failed ones.  An exception comes back as
+    the same type with n and the graph6 of the first and last item in front
+    of its message."""
     key, start, stop, n, spec, theorem_id = args
     try:
-        tests = _spec_tests(spec, n)
         kls = [kl for kl in (spec.stable, spec.tight) if kl]
+        window = _alpha_window(spec, n)
+        tests = _spec_tests(spec, n)
         cached = key[0] == n
+        if not cached and window is not None:
+            tests.insert(0, (lambda code, n, a, wit: a, window))
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
         full = (1 << n) - 1
         scanned = 0
         matches: list[Code] = []
         alphas: list[int] = []
         failed: list[Code] = []
-        for index, code, packed in _items(key, start, stop, n):
-            scanned += 1
+        items = _items(key, start, stop, n, window, kls[0] if kls else ())
+        for scanned, (index, code, packed) in enumerate(items, 1):
             a, wit = packed >> n, packed & full
             for test, want in tests:
                 if test(code, n, a, wit) != want:
@@ -577,7 +628,7 @@ def _scan_chunk(
                     alphas.append(packed)
                     if check is not None and not check(code, n):
                         failed.append(code)
-        return scanned, matches, alphas, failed, journal
+        return stop - start if cached else scanned, matches, alphas, failed, journal
     except Exception as exc:
         items = _FRONTIERS[key][0][start:stop]
         first, last = (encode_rows(c, len(c)) for c in (items[0], items[-1]))

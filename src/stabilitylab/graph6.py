@@ -2,7 +2,10 @@
 
 Layout: one header byte ``n + 63`` (so ``n <= 62``), then the upper triangle
 of the adjacency matrix read column by column, packed six bits per character
-with each 6-bit group offset by 63.  Trailing pad bits must be zero.
+with each 6-bit group offset by 63.  Trailing pad bits must be zero.  Both
+directions go through one integer bit field holding that stream lowest bit
+first: pair i < j at bit j(j-1)/2 + i, so column j is row j's bits below j,
+and each character is one six-bit group of the field through a table.
 """
 
 from __future__ import annotations
@@ -12,24 +15,24 @@ from .graphs import Graph
 _MAX_G6 = 62
 
 
+#: ``_CHARS[g]`` is the character of the six bits ``g`` holds lowest first,
+#: the first of them its highest bit
+_CHARS = tuple(chr(63 + int(f"{g:06b}"[::-1], 2)) for g in range(64))
+_GROUPS = {ch: g for g, ch in enumerate(_CHARS)}
+
+
 def encode_rows(adj: tuple[int, ...], n: int) -> str:
     """The graph6 string of the adjacency rows ``adj`` on ``n`` vertices,
-    with no ``Graph`` built: the one encoder, which ``write_graph6`` calls."""
+    with no ``Graph`` built: the one encoder, which ``write_graph6`` calls.
+    The bit field, read lowest bit first, is column j's bits i < j of row j
+    at offset j(j-1)/2, one six-bit group per character."""
     if n > _MAX_G6:
         raise ValueError(f"graph6 short form cannot encode {n} > {_MAX_G6} vertices")
-    out = [chr(n + 63)]
-    acc = 0
-    nbits = 0
+    field = offset = 0
     for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | (adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+        field |= (adj[j] & ((1 << j) - 1)) << offset
+        offset += j
+    return chr(n + 63) + "".join([_CHARS[field >> s & 63] for s in range(0, offset, 6)])
 
 
 def write_graph6(g: Graph) -> str:
@@ -54,20 +57,22 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 bit field has {len(body)} characters, expected {need}")
-    adj = [0] * n
-    stream = []
-    for ch in body:
-        c = ord(ch)
-        if not 63 <= c <= 126:
+    field = 0
+    for shift, ch in zip(range(0, 6 * need, 6), body):
+        group = _GROUPS.get(ch)
+        if group is None:
             raise ValueError(f"graph6 character {ch!r} out of range")
-        stream.extend((c - 63 >> k & 1) for k in range(5, -1, -1))
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if stream[idx]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    if any(stream[idx:]):
+        field |= group << shift
+    if field >> n * (n - 1) // 2:
         raise ValueError("nonzero padding bits in graph6 string")
+    adj = [0] * n
+    offset = 0
+    for j in range(1, n):
+        column = field >> offset & ((1 << j) - 1)
+        offset += j
+        adj[j] |= column
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= 1 << j
+            column ^= low
     return Graph(n, tuple(adj))

@@ -10,9 +10,11 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
+from stabilitylab import enumeration
 from stabilitylab.canonical import canonical_data, neighbor_lists, refine_colors
 from stabilitylab.graphs import Graph, bits, delete_vertices, from_edges, normalize_edge
 from stabilitylab.independence import alpha_mask, independent_masks
+from stabilitylab.stability import stability_bound, stable_fast
 from stabilitylab.structure import HallCertificate, augment_matching
 
 
@@ -400,6 +402,118 @@ def reference_canonical_children(parent: tuple[int, ...], n: int) -> list[tuple[
         if data.orbit[data.order[n - 1]] == data.orbit[n - 1]:
             children.append(child)
     return children
+
+
+def reference_encode_rows(adj: tuple[int, ...], n: int) -> str:
+    """``graph6.encode_rows`` as it was written bit by bit: the upper
+    triangle read column by column into an accumulator, flushed as a
+    character every six bits and padded with zeros at the end."""
+    if n > 62:
+        raise ValueError(f"graph6 short form cannot encode {n} > 62 vertices")
+    out = [chr(n + 63)]
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = acc << 1 | (adj[i] >> j & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc, nbits = 0, 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """``graph6.parse_graph6`` as it was written bit by bit: every character
+    unpacked into a list of bits, read back pair by pair, the rest checked
+    to be zero padding.  Its error messages are the reference."""
+    if not isinstance(text, str):
+        raise ValueError(f"graph6 input must be a string, not {type(text).__name__}")
+    s = text.strip()
+    if not s:
+        raise ValueError("empty graph6 string")
+    head = ord(s[0])
+    if head == 126:
+        raise ValueError("long-form graph6 (n > 62) is not supported")
+    if not 63 <= head <= 125:
+        raise ValueError(f"malformed graph6 header byte {head}")
+    n = head - 63
+    if n == 0:
+        raise ValueError("graph6 string encodes an empty vertex set")
+    body = s[1:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"graph6 bit field has {len(body)} characters, expected {need}")
+    adj = [0] * n
+    stream = []
+    for ch in body:
+        c = ord(ch)
+        if not 63 <= c <= 126:
+            raise ValueError(f"graph6 character {ch!r} out of range")
+        stream.extend((c - 63 >> k & 1) for k in range(5, -1, -1))
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if stream[idx]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            idx += 1
+    if any(stream[idx:]):
+        raise ValueError("nonzero padding bits in graph6 string")
+    return Graph(n, tuple(adj))
+
+
+def reference_scan_chunk(args, journal=None):
+    """``enumeration._scan_chunk`` as it was before cached reads selected
+    their classes: every class of the chunk is read, and its tests run in
+    order (a tight filter's alpha against ``stability_bound``, ``alpha``,
+    ``defect``, ``min_degree``, ``connected``, then ``alpha_critical`` as
+    Hajnal's gate and the edge walk in one), then the (k,l) verdicts by
+    ``_within`` on a cached level, else by ``stable_fast``.  The reference
+    for the selection's results and for the drop entries it narrows."""
+    key, start, stop, n, spec, theorem_id = args
+    bound = spec.tight and n > spec.tight[0] and stability_bound(n, *spec.tight)
+    tests = [(lambda code, n, a, wit: a, want) for want in (bound, spec.alpha) if want]
+    if spec.defect is not None:
+        tests.append((enumeration._flag_evaluator("defect"), spec.defect))
+    if spec.min_degree is not None:
+        tests.append((lambda code, n, a, wit: enumeration._min_degree(code) >= spec.min_degree, True))
+    for name in ("connected", "alpha_critical"):
+        if getattr(spec, name) is not None:
+            tests.append((enumeration._flag_evaluator(name), getattr(spec, name)))
+    kls = [kl for kl in (spec.stable, spec.tight) if kl]
+    cached = key[0] == n
+    check = None if theorem_id is None else enumeration._PIPELINES[theorem_id].check
+    full = (1 << n) - 1
+    scanned = 0
+    matches, alphas, failed = [], [], []
+    codes, entries = enumeration._FRONTIERS[key][:2]
+    if cached:
+        items = zip(range(start, stop), codes[start:stop], entries[start:stop])
+    else:
+        items = enumeration._items(key, start, stop, n)
+    for index, code, packed in items:
+        scanned += 1
+        a, wit = packed >> n, packed & full
+        for test, want in tests:
+            if test(code, n, a, wit) != want:
+                break
+        else:
+            for k, l in kls:
+                if n <= k or not (
+                    enumeration._within(n, index, k, l, journal)
+                    if cached
+                    else stable_fast(code, n, k, l, a, wit)
+                ):
+                    break
+            else:
+                matches.append(code)
+                alphas.append(packed)
+                if check is not None and not check(code, n):
+                    failed.append(code)
+    return scanned, matches, alphas, failed, journal
 
 
 def relabeled(g: Graph, rng) -> Graph:

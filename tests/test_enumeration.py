@@ -21,6 +21,7 @@ from helpers import (
     random_graph,
     reference_canonical_children,
     reference_round_three,
+    reference_scan_chunk,
 )
 from stabilitylab import enumeration, stability, structure
 from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic, neighbor_lists
@@ -547,6 +548,51 @@ def test_alpha_entry_tests_run_before_degree_and_edge_tests(monkeypatch, theorem
             assert spec.defect is None or n - 2 * a == spec.defect, code
             total += 1
     assert total  # the spies see the classes that pass
+
+
+#: a grid of filters for the selection: stable and tight (k,l) with k <= 3,
+#: each alpha-entry test (with n - defect odd at half the sizes), the degree
+#: and edge tests and the pipelines' filters.  The specs that set both (k,l)
+#: kinds come after stable (1,0), so that their second (k,l) has set
+#: entries where their first has none yet
+_SELECTION_SPECS = [
+    FilterSpec(stable=(1, 0)),
+    FilterSpec(stable=(2, 1), tight=(1, 0)),
+    FilterSpec(stable=(3, 0), tight=(1, 0), min_degree=1),
+    *(FilterSpec(**{kind: (k, l)}) for kind in ("stable", "tight") for k in (1, 2, 3) for l in range(k)),
+    FilterSpec(alpha=3),
+    FilterSpec(defect=2),
+    FilterSpec(alpha=2, defect=2),
+    FilterSpec(tight=(2, 0), alpha=3),
+    FilterSpec(min_degree=2),
+    FilterSpec(connected=True),
+    FilterSpec(connected=False, min_degree=1),
+    FilterSpec(alpha_critical=True),
+    FilterSpec(alpha_critical=False, defect=1),
+    *{pipeline.spec: None for pipeline in enumeration._PIPELINES.values()},
+]
+
+
+def test_selected_chunks_equal_the_plain_chunk(monkeypatch):
+    # for every cached n <= 8, in two chunks, the chunk that selects its
+    # classes from the alpha and drop arrays returns the plain chunk's
+    # results and journal and leaves the same drop tables, first from unset
+    # tables and then from the tables the first round filled
+    _frontier(8)
+    _fresh_drops(monkeypatch)
+    tables = [table for m in range(2, 9) for table in enumeration._FRONTIERS[m, 0][3]]
+    for _ in range(2):
+        for spec in _SELECTION_SPECS:
+            for n in range(1, 9):
+                size = len(_frontier(n))
+                for start, stop in ((0, size // 3), (size // 3, size)):
+                    args = ((n, 0), start, stop, n, spec, None)
+                    before = [bytes(table) for table in tables]
+                    want = reference_scan_chunk(args, array("I")), [bytes(table) for table in tables]
+                    for table, saved in zip(tables, before):
+                        table[:] = saved
+                    got = _scan_chunk(args, array("I")), [bytes(table) for table in tables]
+                    assert got == want, (spec, n, start)
 
 
 def test_warm_tight_scan_reads_no_degree(monkeypatch):

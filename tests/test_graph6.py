@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given
 
-from helpers import graphs_st
+from helpers import graphs_st, random_graph, reference_encode_rows, reference_parse_graph6
 from stabilitylab.canonical import is_isomorphic
 from stabilitylab.enumeration import enumerate_canonical
 from stabilitylab.graph6 import parse_graph6, write_graph6
@@ -67,3 +69,50 @@ def test_roundtrip_sampled_at_nine():
     stream = list(enumerate_canonical(9))
     for g in stream[::1000]:
         assert parse_graph6(write_graph6(g)).adj == g.adj
+
+
+def test_codec_equals_bitwise_reference():
+    # on 1..62 vertices, from empty to complete, the one-field encoder
+    # writes the bit-by-bit reference's string, and both parsers read it
+    # back to the same rows
+    rng = random.Random(62)
+    for n in range(1, 63):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = random_graph(rng, n, p)
+            text = write_graph6(g)
+            assert text == reference_encode_rows(g.adj, n), (n, p)
+            assert parse_graph6(text).adj == reference_parse_graph6(text).adj == g.adj
+
+
+def _message(parse, text) -> str:
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    return str(info.value)
+
+
+def _malformed(rng) -> list:
+    """Inputs that every check of the parser rejects, in turn: no string,
+    bad headers, bit fields of the wrong length, characters out of range
+    (two in one body, to name the first) and nonzero padding bits."""
+    texts = [None, 5, "", "  ", "~??", "?", chr(62) + "g", chr(127), "\x80", "Bh", "B\x1f", "B\x7f"]
+    for n in range(2, 63):
+        m = n * (n - 1) // 2
+        good = write_graph6(random_graph(rng, n))
+        texts += [good[:-1], good + "?", good + "~"]
+        at = rng.randrange(1, len(good))
+        texts.append(good[:at] + rng.choice(" >\x7f\u00e9") + good[at + 1 :])
+        texts.append(good[:at] + "\x7f" + good[at + 1 :-1] + chr(62))  # two out of range
+        if m % 6:  # set the lowest padding bit of the last character
+            last = ord(good[-1]) - 63 | 1
+            texts.append(good[:-1] + chr(last + 63))
+            texts.append(good[:-1] + "\x7f")  # out of range before padding
+    return texts
+
+
+def test_parse_errors_equal_the_reference():
+    # every malformed input raises the bitwise reference's message, so the
+    # checks run in the reference's order
+    texts = _malformed(random.Random(6))
+    assert any("padding" in _message(reference_parse_graph6, t) for t in texts)
+    for text in texts:
+        assert _message(parse_graph6, text) == _message(reference_parse_graph6, text), repr(text)
