@@ -106,7 +106,9 @@ Each match is finished in its scan chunk, in the pool workers when there
 are several: the pipeline's check ``(code, n)`` runs on it, and the chunk
 returns the codes, their alpha entries and the codes the check rejects.  A
 chunk names its pipeline by theorem id, since a check may be a closure,
-which cannot be pickled.
+which cannot be pickled.  Chunks come back in the order of their items, so
+a scan returns its matches in level order for every worker count; only the
+reports and atlas records sort them, by graph6.
 Reports and atlas records are encoded straight from the adjacency rows;
 only the certificate builders and the AND and SUR recognizers build a
 ``Graph``.
@@ -355,8 +357,9 @@ def _install(frontiers: dict) -> None:
 def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
     """Level ``n`` for k = 0, checked against the known class count, else
     T(k, n), the matches of the pruned tight (k,0) scan at ``n`` with ``jobs``
-    workers; each is built once per process with its alphas, kept only when
-    whole.  A level keeps each class's parent index and unset drop tables."""
+    workers, in level order; each is built once per process with its
+    alphas, kept only when whole.  A level keeps each class's parent index
+    and unset drop tables."""
     if (n, k) not in _FRONTIERS:
         if k:
             _, matches, alphas, _ = _filtered_scan(n, FilterSpec(tight=(k, 0)), True, jobs)
@@ -647,12 +650,18 @@ def _pooled_chunk(args: tuple) -> tuple[int, list[Code], list[int], list[Code], 
 def _filtered_scan(
     n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1, theorem_id: str | None = None
 ) -> tuple[int, list[Code], list[int], list[Code]]:
-    """(classes scanned, sorted matches, their alpha entries, sorted failed
-    matches) of ``spec`` at size ``n``.  The failed matches are those the
-    check of pipeline ``theorem_id`` rejects, run in the chunks (none for
-    ``None``).  The items are cached level n when k = 1 and n <= 9, else the
-    children of ``_frontier(n - 1, k - 1)``; k is 1 unless ``prune``
-    (requires ``spec.tight=(k,0)``) and n > 2 take it from the filter.
+    """(classes scanned, matches, their alpha entries, failed matches) of
+    ``spec`` at size ``n``, each list in level order.  The failed matches are
+    those the check of pipeline ``theorem_id`` rejects, run in the chunks
+    (none for ``None``).  The items are cached level n when k = 1 and n <= 9,
+    else the children of ``_frontier(n - 1, k - 1)``; k is 1 unless
+    ``prune`` (requires ``spec.tight=(k,0)``) and n > 2 take it from the
+    filter.  Level order is index order for a cached level, and for children
+    their parents' order, then :func:`_canonical_children`'s; chunks come
+    back in that order whatever ``jobs`` is.  T(k-1, n-1) keeps the order of
+    level n-1 (by induction from k = 1, a selection of a cached level), so
+    its children keep that of level n, and a pruned tight (k,0) scan returns
+    the unpruned scan's list.
     About four chunks per worker, at most one worker per CPU and per item
     whatever ``jobs`` asks for; one worker scans every item as one chunk in
     this process.  A chunk names its items by frontier and index in the
@@ -673,15 +682,16 @@ def _filtered_scan(
         reads = [(m, 0) for m in range(1, n + 1)] if key[0] == n else [key]
         with Pool(workers, _install, ({r: _FRONTIERS[r] for r in reads},)) as pool:
             results = list(pool.imap(_pooled_chunk, chunks))
+            pool.close()  # let each worker take its end sentinel: the exit would terminate it
+            pool.join()
         journal = (e for r in results for e in r[4])  # read four items at a time
         for m, j, i, entry in zip(journal, journal, journal, journal):
             table = _FRONTIERS[m, 0][3][j - 1]
             table[i] = max(table[i] & 15, entry & 15) | max(table[i] & 240, entry & 240)
     else:
         results = list(map(_scan_chunk, chunks))
-    pairs = sorted((c, a) for r in results for c, a in zip(r[1], r[2]))
-    failed = sorted(c for r in results for c in r[3])
-    return sum(r[0] for r in results), [c for c, _ in pairs], [a for _, a in pairs], failed
+    matches, alphas, failed = ([x for r in results for x in r[j]] for j in (1, 2, 3))
+    return sum(r[0] for r in results), matches, alphas, failed
 
 
 # -- atlas records -----------------------------------------------------------
@@ -728,7 +738,7 @@ def filtered_records(
     hereditary_prune: bool = False,
     jobs: int = 1,
 ) -> tuple[int, list[AtlasRecord]]:
-    """Scan size ``n`` and return (classes scanned, sorted matching records),
+    """Scan size ``n`` and return (classes scanned, matching records sorted by graph6),
     each record's alpha taken from the scan."""
     scanned, matches, alphas, _ = _filtered_scan(n, spec, prune=hereditary_prune, jobs=jobs)
     provenance = {

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import pathlib
 import random
@@ -497,7 +498,7 @@ def test_k0_filters_reject_low_degree_before_alpha(monkeypatch, kind):
                 ]
                 probed.clear()
                 assert _chunk((n - 1, 0), n, spec)[1] == want
-                assert _filtered_scan(n, spec)[1] == sorted(want)
+                assert _filtered_scan(n, spec)[1] == want
                 assert all(min(map(int.bit_count, adj)) >= k for adj in probed)
     # graphs below the floor do reach the verdict, which rejects them itself
     assert any(min(map(int.bit_count, code)) < floor for code, floor in reached)
@@ -734,6 +735,29 @@ def test_second_scan_after_a_pooled_scan_makes_no_scan(monkeypatch):
     assert calls == []
 
 
+class _RecordingPool(multiprocessing.pool.Pool):
+    """A real pool that records its workers as the scan leaves its block."""
+
+    workers: list = []
+
+    def __exit__(self, *exc):
+        _RecordingPool.workers.append(list(self._pool))
+        return super().__exit__(*exc)
+
+
+def test_pooled_workers_exit_on_their_own(monkeypatch):
+    # a scan closes and joins its pool before it leaves the block, so no
+    # worker still waiting for its end sentinel is terminated (exit code
+    # -SIGTERM): every worker of every pooled scan exits with code 0
+    monkeypatch.setattr(enumeration, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    for _ in range(8):
+        _filtered_scan(7, FilterSpec(stable=(2, 1)), jobs=2)
+    codes = [[worker.exitcode for worker in pool] for pool in _RecordingPool.workers]
+    assert codes == [[0, 0]] * 8
+
+
 def test_derived_scans_are_the_same_for_every_worker_count(monkeypatch):
     # from unset tables, jobs=1 and jobs=2 (two CPUs, so that it pools) find
     # the matches of a scan over the children of level n-1, which decides
@@ -743,7 +767,7 @@ def test_derived_scans_are_the_same_for_every_worker_count(monkeypatch):
     specs += [FilterSpec(tight=kl) for kl in ((2, 0), (2, 1), (3, 1))]
     verdicts = _stable_fast_verdicts()
     direct = {
-        (spec, n): sorted(_chunk((n - 1, 0), n, spec)[1]) for spec in specs for n in range(2, 9)
+        (spec, n): _chunk((n - 1, 0), n, spec)[1] for spec in specs for n in range(2, 9)
     }
     for jobs in (1, 2):
         _fresh_drops(monkeypatch)
@@ -959,6 +983,12 @@ class _InProcessPool:
 
     def __exit__(self, *exc):
         return False
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
 
     def imap(self, fn, tasks):
         ((key, n),) = {(task[0], task[3]) for task in tasks}
