@@ -106,7 +106,12 @@ Each match is finished in its scan chunk, in the pool workers when there
 are several: the pipeline's check ``(code, n)`` runs on it, and the chunk
 returns the codes, their alpha entries and the codes the check rejects.  A
 chunk names its pipeline by theorem id, since a check may be a closure,
-which cannot be pickled.  Chunks come back in the order of their items, so
+which cannot be pickled.  On a cached level a check runs once per class per
+process: its verdict, one byte per (check, class) in ``_VERDICTS``, keyed by
+the check itself and n, is read by every later scan; a pooled chunk
+journals the verdicts it finds as ``(n, 0, i, verdict)``, which names no
+drop table, and the scan merges them.  Frontier children run every check.
+Chunks come back in the order of their items, so
 a scan returns its matches in level order for every worker count; only the
 reports and atlas records sort them, by graph6.
 Reports and atlas records are encoded straight from the adjacency rows;
@@ -347,6 +352,19 @@ def _child_alpha(parent: Code, packed: int, s: int) -> int:
 #: k >= 1.  Drop entry i of table k - 1 is ``lo | (15 - hi) << 4`` for
 #: known bounds lo <= drop_k <= hi, 0 if none.
 _FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [])}
+
+
+#: (check, n) -> one byte per class of cached level n: 0 while the check of
+#: a match has not run on it, 1 when it passes, 2 when it fails.  A pool
+#: worker does not get it from ``_install``: a forked one inherits this
+#: process's tables and a spawned one starts empty; each pooled chunk
+#: journals the verdicts it finds, and the scan merges them here.
+_VERDICTS: dict[tuple[Check, int], bytearray] = {}
+
+
+def _verdicts(check: Check, n: int) -> bytearray:
+    """The verdicts of ``check`` on cached level ``n``, all unknown at first."""
+    return _VERDICTS.setdefault((check, n), bytearray(len(_FRONTIERS[n, 0][0])))
 
 
 def _install(frontiers: dict) -> None:
@@ -597,9 +615,12 @@ def _scan_chunk(
     left, then the (k,l) verdicts: by :func:`_within` on a class of a cached
     level, else by ``stable_fast``.  Each match is finished here: the check
     of pipeline ``theorem_id`` (none for ``None``) takes its code and n, and
-    the matches it rejects are the failed ones.  An exception comes back as
-    the same type with n and the graph6 of the first and last item in front
-    of its message."""
+    the matches it rejects are the failed ones.  On a cached level the check
+    runs only on a class whose verdict in :func:`_verdicts` is unknown, once
+    per class per process, and ``journal`` records each verdict it finds as
+    ``(n, 0, i, verdict)``; a frontier child runs it always.  An exception
+    comes back as the same type with n and the graph6 of the first and last
+    item in front of its message."""
     key, start, stop, n, spec, theorem_id = args
     try:
         kls = [kl for kl in (spec.stable, spec.tight) if kl]
@@ -609,6 +630,7 @@ def _scan_chunk(
         if not cached and window is not None:
             tests.insert(0, (lambda code, n, a, wit: a, window))
         check = None if theorem_id is None else _PIPELINES[theorem_id].check
+        verdicts = _verdicts(check, n) if cached and check is not None else None
         full = (1 << n) - 1
         scanned = 0
         matches: list[Code] = []
@@ -629,7 +651,16 @@ def _scan_chunk(
                 else:
                     matches.append(code)
                     alphas.append(packed)
-                    if check is not None and not check(code, n):
+                    if check is None:
+                        continue
+                    verdict = verdicts[index] if cached else 0
+                    if not verdict:
+                        verdict = 1 if check(code, n) else 2
+                        if cached:
+                            verdicts[index] = verdict
+                            if journal is not None:
+                                journal.extend((n, 0, index, verdict))
+                    if verdict == 2:
                         failed.append(code)
         return stop - start if cached else scanned, matches, alphas, failed, journal
     except Exception as exc:
@@ -668,7 +699,8 @@ def _filtered_scan(
     memo each worker gets as it starts: the frontier the scan reads and, for
     a cached level, every level below, which :func:`_within` reads.  Each
     drop entry a pooled chunk narrowed merges here as the larger ``lo`` and
-    the larger ``15 - hi``."""
+    the larger ``15 - hi``, and each check verdict it found into this
+    process's verdicts, so they end the same for every worker count."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
@@ -684,8 +716,13 @@ def _filtered_scan(
             results = list(pool.imap(_pooled_chunk, chunks))
             pool.close()  # let each worker take its end sentinel: the exit would terminate it
             pool.join()
+        if theorem_id is not None and key[0] == n:
+            verdicts = _verdicts(_PIPELINES[theorem_id].check, n)
         journal = (e for r in results for e in r[4])  # read four items at a time
         for m, j, i, entry in zip(journal, journal, journal, journal):
+            if not j:  # k = 0 names no drop table: a check verdict on level n
+                verdicts[i] = entry
+                continue
             table = _FRONTIERS[m, 0][3][j - 1]
             table[i] = max(table[i] & 15, entry & 15) | max(table[i] & 240, entry & 240)
     else:
@@ -906,7 +943,10 @@ def verify_theorem(
     Every pipeline scans the filtered enumeration stream at the requested
     sizes and attempts the corresponding certificate construction on each
     match, in the scan chunks; a failed construction or recognizer is a
-    counterexample.  Every size is checked before the first scan.
+    counterexample.  On a cached level (n <= 9, unpruned) each check runs
+    once per class per process, and later calls read its verdict; pruned
+    scans and n = 10 run it on every match.  Every size is checked before
+    the first scan.
     """
     if theorem_id not in _PIPELINES:
         raise ValueError(f"unknown theorem id {theorem_id!r}")

@@ -148,6 +148,21 @@ MUTANTS = [
         "[x for r in results for x in r[j]][::-1] for j in (1, 2, 3)",
         "killed",
     ),
+    # the check verdicts of cached levels
+    Mutant(
+        "verdicts-keyed-by-size",
+        ENUMERATION,
+        "_VERDICTS.setdefault((check, n), ",
+        "_VERDICTS.setdefault(n, ",
+        "killed",
+    ),
+    Mutant(
+        "merged-failure-passes",
+        ENUMERATION,
+        "                verdicts[i] = entry\n",
+        "                verdicts[i] = 1\n",
+        "killed",
+    ),
     # the twin test of automorphism_generators
     Mutant(
         "twin-test-ignores-vertex-0",

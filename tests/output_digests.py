@@ -8,10 +8,12 @@ workers (at most one per CPU), from a fresh process, it runs in order:
 - the pruned ``filtered_records`` of tight (k,0) for k = 1..5 and n = 1..9,
   each with its ``graphs_scanned``;
 
-and prints one sha256 per line: of the reports, of the records, and of the
-drop tables of levels 2-9 that the sequence leaves.  Compare the lines of
-two checkouts, or of two worker counts; the drop tables depend on which
-verdicts were asked, so they are comparable only for the same sequence.
+and prints one sha256 per line: of the reports, of the records, of the
+drop tables of levels 2-9 that the sequence leaves, and of the check
+verdict tables of levels 2-9 it leaves, per pipeline in ``THEOREM_IDS``
+order.  Compare the lines of two checkouts, or of two worker counts; the
+tables depend on which verdicts and checks were asked, so they are
+comparable only for the same sequence.
 """
 
 import hashlib
@@ -49,9 +51,15 @@ def _digest(lines: list[str]) -> str:
 def main(jobs: int) -> None:
     reports, records = _reports(jobs), _records(jobs)
     drops = b"".join(table for n in range(2, 10) for table in enumeration._FRONTIERS[n, 0][3])
+    checks = b"".join(
+        enumeration._verdicts(enumeration._PIPELINES[theorem_id].check, n)
+        for theorem_id in enumeration.THEOREM_IDS
+        for n in range(2, 10)
+    )
     print(f"jobs={jobs} reports {_digest(reports)}")
     print(f"jobs={jobs} records {_digest(records)}")
     print(f"jobs={jobs} drops {hashlib.sha256(drops).hexdigest()}")
+    print(f"jobs={jobs} checks {hashlib.sha256(checks).hexdigest()}")
 
 
 if __name__ == "__main__":

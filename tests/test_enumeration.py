@@ -1112,6 +1112,81 @@ def test_one_failed_check_is_the_only_counterexample(monkeypatch, theorem_id, n)
     assert serial.matches == real.matches and real.verdict == "verified"
 
 
+def _spy_checks(monkeypatch) -> list:
+    """Swap each pipeline's check for a wrapper that records the code of
+    each call, a new object whose verdicts start unknown."""
+    calls = []
+    for theorem_id, pipeline in enumeration._PIPELINES.items():
+
+        def spy(code, n, check=pipeline.check):
+            calls.append(code)
+            return check(code, n)
+
+        monkeypatch.setitem(enumeration._PIPELINES, theorem_id, replace(pipeline, check=spy))
+    return calls
+
+
+def test_cached_checks_run_once_per_class(monkeypatch):
+    # on a cached level the first call of each pipeline at each default size
+    # up to 8 runs the check once on each match and a second call runs none
+    # and reports the same; COR's pruned scans read frontier children, so
+    # both of its calls run the check on every match
+    calls = _spy_checks(monkeypatch)
+    sizes = {t: [n for n in default_sizes(t) if n <= 8] for t in THEOREM_IDS}
+    sizes["COR"] = [4, 5, 6]
+    for theorem_id, ns in sizes.items():
+        for n in ns:
+            cold = verify_theorem(theorem_id, n_values=(n,))
+            runs = Counter(write_graph6(Graph(n, code)) for code in calls)
+            assert runs == Counter(cold.matches) and set(runs.values()) <= {1}, (theorem_id, n)
+            calls.clear()
+            assert verify_theorem(theorem_id, n_values=(n,)) == cold, (theorem_id, n)
+            assert len(calls) == (len(cold.matches) if theorem_id == "COR" else 0), (theorem_id, n)
+            calls.clear()
+
+
+@pytest.mark.parametrize("theorem_id,n", [("L21", 7), ("T1b", 7), ("SUR", 7)])
+def test_pooled_checks_merge_their_verdicts(monkeypatch, theorem_id, n):
+    # a pooled call (two CPUs, forked) runs the check in the workers, which
+    # return its verdicts; merged here, they leave the table a call in this
+    # process leaves, and a second call, in this process, runs no check
+    monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    calls = _spy_checks(monkeypatch)
+    serial = verify_theorem(theorem_id, n_values=(n,))
+    check = enumeration._PIPELINES[theorem_id].check
+    table = bytes(enumeration._VERDICTS[check, n])
+    assert table.count(0) == len(table) - len(serial.matches) and len(calls) == len(serial.matches)
+    calls = _spy_checks(monkeypatch)  # new checks: their verdicts start unknown
+    assert verify_theorem(theorem_id, n_values=(n,), jobs=2) == serial
+    assert calls == []  # the workers ran every check
+    assert bytes(enumeration._VERDICTS[enumeration._PIPELINES[theorem_id].check, n]) == table
+    assert verify_theorem(theorem_id, n_values=(n,)) == serial
+    assert calls == []
+
+
+@pytest.mark.parametrize("jobs", [(1, 1), (2, 1), (1, 2)], ids=["serial", "pooled-first", "serial-first"])
+def test_remembered_failure_is_the_only_counterexample(monkeypatch, jobs):
+    # a check that rejects exactly one match reports it as the only
+    # counterexample on a first call and on a second, which reads the
+    # verdicts the first left, in this process or merged from the workers
+    monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    real = verify_theorem("L21", n_values=(7,))
+    target = real.matches[len(real.matches) // 3]
+    pipeline = enumeration._PIPELINES["L21"]
+    code_of_target = parse_graph6(target).adj
+
+    def check(code, n):
+        return code != code_of_target and pipeline.check(code, n)
+
+    monkeypatch.setitem(enumeration._PIPELINES, "L21", replace(pipeline, check=check))
+    for j in jobs:
+        rep = verify_theorem("L21", n_values=(7,), jobs=j)
+        assert (rep.verdict, rep.counterexamples, rep.matches) == ("refuted", [target], real.matches)
+    assert enumeration._VERDICTS[check, 7].count(2) == 1
+
+
 def _count_alpha(monkeypatch) -> list:
     """Record ``(adj, at_least)`` of each ``alpha_mask`` call made from ``enumeration``."""
     calls = []
@@ -1402,10 +1477,12 @@ def test_verify_negative_path():
 
 @pytest.mark.parametrize("error", [ValueError, InvariantViolation])
 def test_t1a_certificate_failure_is_a_counterexample(monkeypatch, error):
-    # a perfect matching that cannot be built refutes T1a like T1b, T1d and T2
+    # a perfect matching that cannot be built refutes T1a like T1b, T1d and T2;
+    # the stub changes what T1a's check decides, so no verdict is remembered
     def fail(g):
         raise error("no perfect matching")
 
+    monkeypatch.setattr(enumeration, "_VERDICTS", {})
     monkeypatch.setattr(structure, "perfect_matching_tight10", fail)
     rep = verify_theorem("T1a", n_values=(4,))
     assert rep.verdict == "refuted"
