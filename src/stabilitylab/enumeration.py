@@ -70,9 +70,10 @@ Every frontier carries an alpha entry per class, ``witness | alpha << n``
 in 16 bits, set once from the canonical parent's by :func:`_child_alpha`
 as the frontier is built (a T(k, n)'s by the scan that finds it); children
 of a frontier get theirs as they are generated, and no scan writes one.
-Beside each cached level, one ``bytearray`` per k < n is its drop table.  A
-drop entry, one byte, bounds drop_k, the largest fall of alpha over the
-removals of k vertices; a graph is (k,l)-stable when drop_k <= l.  A stable
+A cached level also keeps each class's alpha alone, one byte per class,
+and beside it one ``bytearray`` per k < n is its drop table.  A drop
+entry, one byte, bounds drop_k, the largest fall of alpha over the removals
+of k vertices; a graph is (k,l)-stable when drop_k <= l.  A stable
 or tight test on a cached class reads the entry and, when it leaves the
 verdict open, tries the canonical parent (:func:`_within`); only what stays
 open is scanned by ``stable_fast``, and every verdict narrows the entry, so
@@ -82,20 +83,22 @@ chunk returns a journal of the entries it narrowed to be merged; a chunk run
 in this process narrows the tables themselves.
 
 A filtered scan of a cached level selects its classes before any
-per-class test, by passes over the level's own arrays: one ``translate``
-of the drop table of the filter's first (k,l) drops the classes whose entry
-already proves drop_k > l, then one comprehension keeps those whose alpha
-entry holds the one alpha the filter allows (:func:`_alpha_window`: a tight
-filter's bound, the required alpha, half of n - defect).  A frontier child
-is tested against that alpha once it has its own.  The classes left run
-their tests ordered by cost: the required minimum degree, Hajnal's degree
-bound when alpha-critical graphs are asked for (max degree at most
-n - 2*alpha + 1, plus one per isolated vertex, which every alpha-critical
-graph meets), connectivity, the edge walk of ``alpha_preserving_edge``, and
-the (k,l) verdicts last, by :func:`_within`, which decides, narrows and
-journals every entry the selection left.  Only the first (k,l) selects: a
-class dropped by the second's entry would skip the ``_within`` call that
-narrows its first.
+per-class test, from three byte tables over the level, each mapped to a
+0/1 mask by one ``translate``: the drop table of the filter's first (k,l)
+drops the classes whose entry already proves drop_k > l, the pipeline's
+verdict table those it knows are no match, and the alpha bytes keep the one
+alpha the filter allows (:func:`_alpha_window`: a tight filter's bound, the
+required alpha, half of n - defect).  The masks are ANDed as ints and
+``compress`` the index range once, so no per-class Python code runs on a
+class the tables drop.  A frontier child is tested against that alpha once
+it has its own.  The classes left run their tests ordered by cost: the
+required minimum degree, Hajnal's degree bound when alpha-critical graphs
+are asked for (max degree at most n - 2*alpha + 1, plus one per isolated
+vertex, which every alpha-critical graph meets), connectivity, the edge
+walk of ``alpha_preserving_edge``, and the (k,l) verdicts last, by
+:func:`_within`, which decides, narrows and journals every entry the
+selection left.  Only the first (k,l) selects: a class dropped by the
+second's entry would skip the ``_within`` call that narrows its first.
 The optional hereditary prune for a tight (k,0) filter at size n augments
 only the classes of T(k-1, n-1), the matches of the pruned tight (k-1,0)
 scan; its base case, k = 1 or n <= 2, is level n whole.  A tight
@@ -106,12 +109,16 @@ Each match is finished in its scan chunk, in the pool workers when there
 are several: the pipeline's check ``(code, n)`` runs on it, and the chunk
 returns the codes, their alpha entries and the codes the check rejects.  A
 chunk names its pipeline by theorem id, since a check may be a closure,
-which cannot be pickled.  On a cached level a check runs once per class per
-process: its verdict, one byte per (check, class) in ``_VERDICTS``, keyed by
-the check itself and n, is read by every later scan; a pooled chunk
-journals the verdicts it finds as ``(n, 0, i, verdict)``, which names no
-drop table, and the scan merges them.  Frontier children run every check.
-Chunks come back in the order of their items, so
+which cannot be pickled.  On a cached level a pipeline decides each class
+once per process: its verdict, one byte per (pipeline, class) in
+``_VERDICTS``, keyed by the pipeline's check and n, says whether the check
+of a match passed or failed or that the class is no match, and every later
+scan reads it: a known match skips the tests, the (k,l) verdicts and the
+check, and the selection drops a known non-match.  A pooled chunk journals
+the verdicts it finds as ``(n, 0, i, verdict)``, which names no drop table,
+and the scan merges them.  Frontier children run every test and check.
+``verify_theorem`` encodes each match of a cached level to graph6 once per
+process, in ``_GRAPH6``.  Chunks come back in the order of their items, so
 a scan returns its matches in level order for every worker count; only the
 reports and atlas records sort them, by graph6.
 Reports and atlas records are encoded straight from the adjacency rows;
@@ -125,9 +132,10 @@ import json
 import os
 from array import array
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
 from multiprocessing import Pool
+from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from . import __version__, catalog
@@ -348,18 +356,27 @@ def _child_alpha(parent: Code, packed: int, s: int) -> int:
 
 
 #: (n, 0) -> (level n, its alpha entries, each class's parent index in
-#: level n-1, its drop tables); (n, k) -> (T(k, n), its alpha entries) for
-#: k >= 1.  Drop entry i of table k - 1 is ``lo | (15 - hi) << 4`` for
-#: known bounds lo <= drop_k <= hi, 0 if none.
-_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [])}
+#: level n-1, its drop tables, one alpha byte per class); (n, k) -> (T(k, n),
+#: its alpha entries) for k >= 1.  Drop entry i of table k - 1 is
+#: ``lo | (15 - hi) << 4`` for known bounds lo <= drop_k <= hi, 0 if none.
+_FRONTIERS: dict[tuple[int, int], tuple] = {(1, 0): (((0,),), array("H", [3]), array("I"), [], b"\x01")}
 
 
-#: (check, n) -> one byte per class of cached level n: 0 while the check of
-#: a match has not run on it, 1 when it passes, 2 when it fails.  A pool
-#: worker does not get it from ``_install``: a forked one inherits this
-#: process's tables and a spawned one starts empty; each pooled chunk
-#: journals the verdicts it finds, and the scan merges them here.
+#: verdict bytes of a pipeline on a class of a cached level; 0 is unknown
+_PASSES, _FAILS, _NO_MATCH = 1, 2, 3
+
+#: (check, n) -> one verdict byte per class of cached level n for the
+#: pipeline whose check it is: 0 while unknown, ``_PASSES`` or ``_FAILS``
+#: for a match by its check, ``_NO_MATCH`` for a class that the pipeline's
+#: filter rejects.  A pool worker does not get it from ``_install``: a
+#: forked one inherits this process's tables and a spawned one starts
+#: empty; each pooled chunk journals the verdicts it finds, and the scan
+#: merges them here.
 _VERDICTS: dict[tuple[Check, int], bytearray] = {}
+
+#: n -> code -> graph6 of each match ``verify_theorem`` reported on cached
+#: level n, encoded once per process
+_GRAPH6: dict[int, dict[Code, str]] = {}
 
 
 def _verdicts(check: Check, n: int) -> bytearray:
@@ -394,24 +411,42 @@ def _frontier(n: int, k: int = 0, jobs: int = 1) -> tuple[Code, ...]:
                 raise InvariantViolation(
                     f"level {n} has {len(level)} classes, expected {CLASS_COUNTS[n - 1]}"
                 )
-            _FRONTIERS[n, 0] = tuple(level), alphas, parents, [bytearray(len(level)) for _ in range(1, n)]
+            drops = [bytearray(len(level)) for _ in range(1, n)]
+            _FRONTIERS[n, 0] = tuple(level), alphas, parents, drops, bytes(a >> n for a in alphas)
     return _FRONTIERS[n, k][0]
 
 
 #: ``_LO_AT_MOST[l]`` maps a drop entry to 1 unless its lower bound proves drop_k > l
 _LO_AT_MOST = tuple(bytes(entry & 15 <= l for entry in range(256)) for l in range(16))
+#: maps a verdict byte to 1 unless it is ``_NO_MATCH``
+_MAY_MATCH = bytes(verdict != _NO_MATCH for verdict in range(256))
+
+
+@lru_cache(maxsize=None)
+def _alpha_is(window: int) -> bytes:
+    """Maps an alpha byte to 1 when it is ``window``."""
+    return bytes(a == window for a in range(256))
 
 
 def _items(
-    key: tuple[int, int], start: int, stop: int, n: int, window: int | None = None, kl: tuple = ()
+    key: tuple[int, int],
+    start: int,
+    stop: int,
+    n: int,
+    window: int | None = None,
+    kl: tuple = (),
+    verdicts: bytearray | None = None,
 ) -> Iterator[tuple[int, Code, int]]:
     """``(i, code, alpha entry)`` of each class a read of entries ``start:stop``
     of frontier ``key`` at ``n`` yields, i the entry read: each entry's
     canonical children with :func:`_child_alpha`'s, the one place children
-    get their alphas, or the classes of a cached level that passes over its
-    arrays select before any per-class test: those whose drop entry for
-    ``kl = (k, l)``, if given and k < n, leaves drop_k <= l possible, and
-    whose alpha is ``window`` (any for ``None``)."""
+    get their alphas, or the classes of a cached level selected before any
+    per-class test.  Each selector is a byte table over the entries, mapped
+    to one 0/1 mask by ``translate``: the drop entry for ``kl = (k, l)``, if
+    given and k < n, must leave drop_k <= l possible, the verdict byte in
+    ``verdicts``, if given, must not be ``_NO_MATCH``, and the alpha byte
+    must be ``window`` (any for ``None``).  The masks, each over the same
+    ``start:stop``, are ANDed as ints and ``compress`` the index range once."""
     codes, alphas = _FRONTIERS[key][:2]
     if key[0] != n:
         return (
@@ -419,13 +454,18 @@ def _items(
             for i, parent, packed in zip(range(start, stop), codes[start:stop], alphas[start:stop])
             for child in _canonical_children(parent)
         )
-    index = range(start, stop)
+    masks = []
     if kl and kl[0] < n:
         k, l = kl
-        index = compress(index, _FRONTIERS[key][3][k - 1][start:stop].translate(_LO_AT_MOST[l]))
+        masks.append(_FRONTIERS[key][3][k - 1][start:stop].translate(_LO_AT_MOST[l]))
+    if verdicts is not None:
+        masks.append(verdicts[start:stop].translate(_MAY_MATCH))
     if window is not None:
-        lo, hi = window << n, window + 1 << n
-        index = [i for i in index if lo <= alphas[i] < hi]
+        masks.append(_FRONTIERS[key][4][start:stop].translate(_alpha_is(window)))
+    index = range(start, stop)
+    if masks:
+        mask = reduce(and_, (int.from_bytes(m, "little") for m in masks))
+        index = compress(index, mask.to_bytes(stop - start, "little"))
     return ((i, codes[i], alphas[i]) for i in index)
 
 
@@ -578,7 +618,7 @@ def _within(n: int, i: int, k: int, l: int, journal: array | None = None) -> boo
     bounds nothing."""
     if l >= k:
         return True
-    level, alphas, parents, drops = _FRONTIERS[n, 0]
+    level, alphas, parents, drops, _ = _FRONTIERS[n, 0]
     entry = drops[k - 1][i]
     lo, hi = entry & 15, 15 - (entry >> 4)
     if hi <= l or lo > l:
@@ -606,21 +646,25 @@ def _scan_chunk(
 ) -> tuple[int, list[Code], list[int], list[Code], array | None]:
     """(codes read, matches, their alpha entries, failed matches,
     ``journal``) of the filter over entries ``start:stop`` of frontier
-    ``key`` at ``n`` for ``args = (key, start, stop, n, spec, theorem_id)``;
+    ``key`` at ``n`` for ``args = (key, start, stop, n, spec, theorem_id)``,
+    ``spec`` being the filter of pipeline ``theorem_id`` when one is named;
     :func:`_within` records in ``journal`` each drop entry it narrows.  A
-    read of cached level n (``key == (n, 0)``) selects its classes by
-    :func:`_alpha_window` and the first (k,l)'s drop table in ``_items``
+    read of cached level n (``key == (n, 0)``) selects its classes in
+    ``_items`` by three byte tables, the first (k,l)'s drop table, the
+    pipeline's verdicts and the alpha bytes against :func:`_alpha_window`,
     and counts every entry read; a frontier child is counted, then tested
-    against the window.  The tests of :func:`_spec_tests` run on what is
-    left, then the (k,l) verdicts: by :func:`_within` on a class of a cached
-    level, else by ``stable_fast``.  Each match is finished here: the check
-    of pipeline ``theorem_id`` (none for ``None``) takes its code and n, and
-    the matches it rejects are the failed ones.  On a cached level the check
-    runs only on a class whose verdict in :func:`_verdicts` is unknown, once
-    per class per process, and ``journal`` records each verdict it finds as
-    ``(n, 0, i, verdict)``; a frontier child runs it always.  An exception
-    comes back as the same type with n and the graph6 of the first and last
-    item in front of its message."""
+    against the window.  A class whose verdict is known is a match at once,
+    failed if its check failed.  On the others the tests of
+    :func:`_spec_tests` run, then the (k,l) verdicts: by :func:`_within` on
+    a class of a cached level, else by ``stable_fast``.  Each match is
+    finished here: the check of pipeline ``theorem_id`` (none for ``None``)
+    takes its code and n, and the matches it rejects are the failed ones.
+    On a cached level each verdict found, ``_NO_MATCH`` included, is kept in
+    :func:`_verdicts`, so the tests and the check run once per class per
+    process, and ``journal`` records it as ``(n, 0, i, verdict)``; a
+    frontier child runs them always.  An exception comes back as the same
+    type with n and the graph6 of the first and last item in front of its
+    message."""
     key, start, stop, n, spec, theorem_id = args
     try:
         kls = [kl for kl in (spec.stable, spec.tight) if kl]
@@ -636,32 +680,33 @@ def _scan_chunk(
         matches: list[Code] = []
         alphas: list[int] = []
         failed: list[Code] = []
-        items = _items(key, start, stop, n, window, kls[0] if kls else ())
+        items = _items(key, start, stop, n, window, kls[0] if kls else (), verdicts)
         for scanned, (index, code, packed) in enumerate(items, 1):
-            a, wit = packed >> n, packed & full
-            for test, want in tests:
-                if test(code, n, a, wit) != want:
-                    break
-            else:
-                for k, l in kls:
-                    if n <= k or not (
-                        _within(n, index, k, l, journal) if cached else stable_fast(code, n, k, l, a, wit)
-                    ):
+            verdict = 0 if verdicts is None else verdicts[index]
+            if not verdict:
+                a, wit = packed >> n, packed & full
+                verdict = _NO_MATCH
+                for test, want in tests:
+                    if test(code, n, a, wit) != want:
                         break
                 else:
-                    matches.append(code)
-                    alphas.append(packed)
-                    if check is None:
-                        continue
-                    verdict = verdicts[index] if cached else 0
-                    if not verdict:
-                        verdict = 1 if check(code, n) else 2
-                        if cached:
-                            verdicts[index] = verdict
-                            if journal is not None:
-                                journal.extend((n, 0, index, verdict))
-                    if verdict == 2:
-                        failed.append(code)
+                    for k, l in kls:
+                        if n <= k or not (
+                            _within(n, index, k, l, journal) if cached else stable_fast(code, n, k, l, a, wit)
+                        ):
+                            break
+                    else:
+                        verdict = _PASSES if check is None or check(code, n) else _FAILS
+                if verdicts is not None:
+                    verdicts[index] = verdict
+                    if journal is not None:
+                        journal.extend((n, 0, index, verdict))
+            if verdict == _NO_MATCH:
+                continue
+            matches.append(code)
+            alphas.append(packed)
+            if verdict == _FAILS:
+                failed.append(code)
         return stop - start if cached else scanned, matches, alphas, failed, journal
     except Exception as exc:
         items = _FRONTIERS[key][0][start:stop]
@@ -678,18 +723,26 @@ def _pooled_chunk(args: tuple) -> tuple[int, list[Code], list[int], list[Code], 
     return _scan_chunk(args, array("I"))
 
 
+def _scan_key(n: int, spec: FilterSpec, prune: bool) -> tuple[int, int]:
+    """The frontier a scan of ``spec`` at ``n`` reads: cached level n, key
+    ``(n, 0)``, when k = 1 and n <= 9, else the children of T(k-1, n-1), key
+    ``(n - 1, k - 1)``; k is 1 unless ``prune`` and n > 2 take it from the
+    tight filter."""
+    k = spec.tight[0] if prune and n > 2 else 1
+    return (n, 0) if k == 1 and n <= _CACHE_MAX_N else (n - 1, k - 1)
+
+
 def _filtered_scan(
     n: int, spec: FilterSpec, prune: bool = False, jobs: int = 1, theorem_id: str | None = None
 ) -> tuple[int, list[Code], list[int], list[Code]]:
     """(classes scanned, matches, their alpha entries, failed matches) of
     ``spec`` at size ``n``, each list in level order.  The failed matches are
     those the check of pipeline ``theorem_id`` rejects, run in the chunks
-    (none for ``None``).  The items are cached level n when k = 1 and n <= 9,
-    else the children of ``_frontier(n - 1, k - 1)``; k is 1 unless
-    ``prune`` (requires ``spec.tight=(k,0)``) and n > 2 take it from the
-    filter.  Level order is index order for a cached level, and for children
-    their parents' order, then :func:`_canonical_children`'s; chunks come
-    back in that order whatever ``jobs`` is.  T(k-1, n-1) keeps the order of
+    (none for ``None``).  The items are those of :func:`_scan_key`; the
+    prune requires ``spec.tight=(k,0)``.  Level order is index order for a
+    cached level, and for children their parents' order, then
+    :func:`_canonical_children`'s; chunks come back in that order whatever
+    ``jobs`` is.  T(k-1, n-1) keeps the order of
     level n-1 (by induction from k = 1, a selection of a cached level), so
     its children keep that of level n, and a pruned tight (k,0) scan returns
     the unpruned scan's list.
@@ -699,13 +752,12 @@ def _filtered_scan(
     memo each worker gets as it starts: the frontier the scan reads and, for
     a cached level, every level below, which :func:`_within` reads.  Each
     drop entry a pooled chunk narrowed merges here as the larger ``lo`` and
-    the larger ``15 - hi``, and each check verdict it found into this
+    the larger ``15 - hi``, and each pipeline verdict it found into this
     process's verdicts, so they end the same for every worker count."""
     _check_size(n)
     if prune and (spec.tight is None or spec.tight[1] != 0):
         raise ValueError("the hereditary prune requires a tight (k,0) filter")
-    k = spec.tight[0] if prune and n > 2 else 1
-    key = (n, 0) if k == 1 and n <= _CACHE_MAX_N else (n - 1, k - 1)
+    key = _scan_key(n, spec, prune)
     size = len(_frontier(*key, jobs))
     workers = min(jobs, os.cpu_count() or 1, size)
     step = -(-size // (4 * workers)) if workers > 1 else max(size, 1)
@@ -720,7 +772,7 @@ def _filtered_scan(
             verdicts = _verdicts(_PIPELINES[theorem_id].check, n)
         journal = (e for r in results for e in r[4])  # read four items at a time
         for m, j, i, entry in zip(journal, journal, journal, journal):
-            if not j:  # k = 0 names no drop table: a check verdict on level n
+            if not j:  # k = 0 names no drop table: a pipeline verdict on level n
                 verdicts[i] = entry
                 continue
             table = _FRONTIERS[m, 0][3][j - 1]
@@ -943,10 +995,12 @@ def verify_theorem(
     Every pipeline scans the filtered enumeration stream at the requested
     sizes and attempts the corresponding certificate construction on each
     match, in the scan chunks; a failed construction or recognizer is a
-    counterexample.  On a cached level (n <= 9, unpruned) each check runs
-    once per class per process, and later calls read its verdict; pruned
-    scans and n = 10 run it on every match.  Every size is checked before
-    the first scan.
+    counterexample.  On a cached level (n <= 9, unpruned) the pipeline's
+    filter tests and check run once per class per process: later calls read
+    its verdict bytes, select only its matches and take their graph6 from
+    ``_GRAPH6``.  Pruned scans and n = 10 run every test and check and
+    encode every match on each call.  Every size is checked before the
+    first scan.
     """
     if theorem_id not in _PIPELINES:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
@@ -975,8 +1029,13 @@ def verify_theorem(
     for n in values:
         scanned, codes, _, failed = _filtered_scan(n, pipeline.spec, use_prune, jobs, theorem_id)
         scanned_total += scanned
-        matches += (encode_rows(code, n) for code in codes)
-        counterexamples += (encode_rows(code, n) for code in failed)
+        cached = _scan_key(n, pipeline.spec, use_prune) == (n, 0)
+        encoded = _GRAPH6.setdefault(n, {}) if cached else {}
+        for code in codes:
+            if code not in encoded:
+                encoded[code] = encode_rows(code, n)
+        matches += map(encoded.__getitem__, codes)
+        counterexamples += map(encoded.__getitem__, failed)
         counterexamples.extend(_missing(pipeline.required, n, codes))
 
     verdict = "verified" if not counterexamples else "refuted"

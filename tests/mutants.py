@@ -107,8 +107,22 @@ MUTANTS = [
     Mutant(
         "selection-reads-second-table",
         ENUMERATION,
-        "_items(key, start, stop, n, window, kls[0] if kls else ())",
-        "_items(key, start, stop, n, window, kls[-1] if kls else ())",
+        "_items(key, start, stop, n, window, kls[0] if kls else (), verdicts)",
+        "_items(key, start, stop, n, window, kls[-1] if kls else (), verdicts)",
+        "killed",
+    ),
+    Mutant(
+        "alpha-table-at-least",
+        ENUMERATION,
+        "bytes(a == window for a in range(256))",
+        "bytes(a >= window for a in range(256))",
+        "killed",
+    ),
+    Mutant(
+        "selectors-combined-with-or",
+        ENUMERATION,
+        "mask = reduce(and_, ",
+        "mask = reduce(int.__or__, ",
         "killed",
     ),
     # alpha from the parent, the sandwich and the gate
@@ -154,6 +168,13 @@ MUTANTS = [
         ENUMERATION,
         "_VERDICTS.setdefault((check, n), ",
         "_VERDICTS.setdefault(n, ",
+        "killed",
+    ),
+    Mutant(
+        "match-written-as-no-match",
+        ENUMERATION,
+        "                    verdicts[index] = verdict\n",
+        "                    verdicts[index] = verdict if verdict == _FAILS else _NO_MATCH\n",
         "killed",
     ),
     Mutant(

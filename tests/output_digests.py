@@ -9,9 +9,11 @@ workers (at most one per CPU), from a fresh process, it runs in order:
   each with its ``graphs_scanned``;
 
 and prints one sha256 per line: of the reports, of the records, of the
-drop tables of levels 2-9 that the sequence leaves, and of the check
+drop tables of levels 2-9 that the sequence leaves, and of the pipeline
 verdict tables of levels 2-9 it leaves, per pipeline in ``THEOREM_IDS``
-order.  Compare the lines of two checkouts, or of two worker counts; the
+order.  A verdict byte says a match's check passed (1) or failed (2), or
+that the class is no match of the pipeline's filter (3); 0 is a class
+the scan's selection dropped before any verdict, or not asked.  Compare the lines of two checkouts, or of two worker counts; the
 tables depend on which verdicts and checks were asked, so they are
 comparable only for the same sequence.
 """

@@ -31,8 +31,8 @@ def _unset_tables() -> None:
     for key in [key for key in memo if key[1]]:
         del memo[key]
     for n in range(2, 9):
-        level, alphas, parents, _ = memo[n, 0]
-        memo[n, 0] = level, alphas, parents, [bytearray(len(level)) for _ in range(1, n)]
+        level, alphas, parents, _, alpha_bytes = memo[n, 0]
+        memo[n, 0] = level, alphas, parents, [bytearray(len(level)) for _ in range(1, n)], alpha_bytes
 
 
 def _run(jobs: int) -> tuple[list, dict]:

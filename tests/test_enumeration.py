@@ -509,8 +509,8 @@ def _fresh_drops(monkeypatch):
     drop tables, every entry unset."""
     levels = {(1, 0): enumeration._FRONTIERS[1, 0]}
     for n in range(2, 9):
-        level, alphas, parents, _ = enumeration._FRONTIERS[n, 0]
-        levels[n, 0] = level, alphas, parents, [bytearray(len(level)) for _ in range(1, n)]
+        level, alphas, parents, _, alpha_bytes = enumeration._FRONTIERS[n, 0]
+        levels[n, 0] = level, alphas, parents, [bytearray(len(level)) for _ in range(1, n)], alpha_bytes
     monkeypatch.setattr(enumeration, "_FRONTIERS", levels)
 
 
@@ -594,6 +594,40 @@ def test_selected_chunks_equal_the_plain_chunk(monkeypatch):
                         table[:] = saved
                     got = _scan_chunk(args, array("I")), [bytes(table) for table in tables]
                     assert got == want, (spec, n, start)
+
+
+def test_selection_keeps_what_the_per_class_tests_keep(monkeypatch):
+    # for every cached level n <= 8, over uneven chunk bounds, every alpha
+    # window and (k,l) with k <= 3, l <= 1, with and without a verdict
+    # table, from random drop and verdict bytes, the byte-table selection
+    # yields exactly the entries that the per-class tests keep: the drop
+    # entry's lower bound at most l (k < n), the verdict not 3 and
+    # ``lo <= alphas[i] < hi`` for the window
+    _frontier(8)
+    _fresh_drops(monkeypatch)
+    rng = random.Random(38)
+    for n in range(1, 9):
+        level, alphas, _, drops, _ = enumeration._FRONTIERS[n, 0]
+        for table in drops:
+            table[:] = bytes(rng.randrange(256) for _ in table)
+        verdicts = bytearray(rng.randrange(4) for _ in level)
+        size = len(level)
+        bounds = {(0, size), (0, size // 3), (size // 3, size), (size // 2, size // 2 + 1)}
+        bounds |= {tuple(sorted(rng.sample(range(size + 1), 2))) for _ in range(3) if size > 1}
+        kls = [(), *((k, l) for k in (1, 2, 3) for l in (0, 1) if l < k)]
+        for start, stop in bounds:
+            for window in (None, *range(n + 2), 300):
+                for kl in kls:
+                    for table in (None, verdicts):
+                        want = [
+                            i
+                            for i in range(start, stop)
+                            if (not kl or kl[0] >= n or drops[kl[0] - 1][i] & 15 <= kl[1])
+                            and (table is None or table[i] != 3)
+                            and (window is None or window << n <= alphas[i] < window + 1 << n)
+                        ]
+                        got = list(enumeration._items((n, 0), start, stop, n, window, kl, table))
+                        assert got == [(i, level[i], alphas[i]) for i in want], (n, start, stop, window, kl)
 
 
 def test_warm_tight_scan_reads_no_degree(monkeypatch):
@@ -1149,20 +1183,52 @@ def test_cached_checks_run_once_per_class(monkeypatch):
 def test_pooled_checks_merge_their_verdicts(monkeypatch, theorem_id, n):
     # a pooled call (two CPUs, forked) runs the check in the workers, which
     # return its verdicts; merged here, they leave the table a call in this
-    # process leaves, and a second call, in this process, runs no check
+    # process leaves, and a second call, in this process, runs no check.
+    # The table holds a pass or a failure for each match and nothing else,
+    # and "no match" only for classes the report leaves out
     monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context("fork").Pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     calls = _spy_checks(monkeypatch)
     serial = verify_theorem(theorem_id, n_values=(n,))
     check = enumeration._PIPELINES[theorem_id].check
     table = bytes(enumeration._VERDICTS[check, n])
-    assert table.count(0) == len(table) - len(serial.matches) and len(calls) == len(serial.matches)
+    assert table.count(1) + table.count(2) == len(serial.matches) == len(calls)
+    graph6 = [write_graph6(Graph(n, code)) for code in _frontier(n)]
+    assert {graph6[i] for i, verdict in enumerate(table) if verdict in (1, 2)} == set(serial.matches)
+    assert not {graph6[i] for i, verdict in enumerate(table) if verdict == 3} & set(serial.matches)
     calls = _spy_checks(monkeypatch)  # new checks: their verdicts start unknown
     assert verify_theorem(theorem_id, n_values=(n,), jobs=2) == serial
     assert calls == []  # the workers ran every check
     assert bytes(enumeration._VERDICTS[enumeration._PIPELINES[theorem_id].check, n]) == table
     assert verify_theorem(theorem_id, n_values=(n,)) == serial
     assert calls == []
+
+
+def test_warm_verify_touches_only_its_matches(monkeypatch):
+    # once a pipeline has scanned a cached level, a second call at each of
+    # its default sizes up to 8 encodes no graph6, runs neither Hajnal's
+    # gate nor the edge walk, and reports the same; the first calls, from no
+    # verdicts and no graph6, make all three kinds of call
+    monkeypatch.setattr(enumeration, "_VERDICTS", {})
+    monkeypatch.setattr(enumeration, "_GRAPH6", {})
+    calls = []
+    names = ("encode_rows", "_within_hajnal_bound", "alpha_preserving_edge")
+    for name in names:
+
+        def spy(*args, name=name, real=getattr(enumeration, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, name, spy)
+    seen = set()
+    for theorem_id in THEOREM_IDS:
+        for n in (n for n in default_sizes(theorem_id) if n <= 8):
+            cold = verify_theorem(theorem_id, n_values=(n,))
+            seen.update(calls)
+            calls.clear()
+            assert verify_theorem(theorem_id, n_values=(n,)) == cold
+            assert calls == [], (theorem_id, n)
+    assert seen == set(names)
 
 
 @pytest.mark.parametrize("jobs", [(1, 1), (2, 1), (1, 2)], ids=["serial", "pooled-first", "serial-first"])
