@@ -187,16 +187,17 @@ def _orbit_reps(n: int, gens: Iterable[tuple[int, ...]]) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _equitable(adj: Code) -> tuple[list[list[int]], list[int]]:
+def equitable(adj: Code) -> tuple[list[list[int]], list[int]]:
     """Neighbour lists and equitable colouring from degree ranks, read-only: kept
-    for the last graph, so a search after :func:`automorphism_generators` refines once."""
+    for the last graph, so a search after :func:`automorphism_generators`, or a
+    caller that asks first, builds them once."""
     nlists = neighbor_lists(adj)
     return nlists, refine_colors(nlists, degree_ranks(adj))
 
 
 def canonical_data(adj: Code) -> CanonicalData:
     n = len(adj)
-    nlists, base = _equitable(adj)
+    nlists, base = equitable(adj)
     gens: list[tuple[int, ...]] = []
     first_key: Code | None = None
     first_pos: list[int] = []
@@ -259,7 +260,7 @@ def automorphism_generators(adj: Code) -> tuple[tuple[int, ...], ...]:
     partition, the transpositions of consecutive members of each cell when
     every cell is one twin class, else those of :func:`canonical_data`."""
     n = len(adj)
-    colors = _equitable(adj)[1]
+    colors = equitable(adj)[1]
     last = [-1] * n
     gens = []
     for v, c in enumerate(colors):

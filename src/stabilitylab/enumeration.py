@@ -21,8 +21,8 @@ on each mask before the orbit walk; steps 6-8 run on a built child:
 4. every tied vertex v a twin of z, ``(S ^ N(v)) & ~v == 0``: accept;
 5. round three on z and its ties: a tie with a larger sorted list of
    neighbours' round-two colours rejects, none but twins with z's accepts;
-6. the equitable partition, refined on neighbour lists extended from the
-   parent's: z outside its last cell rejects;
+6. the equitable partition, refined from step 5's round-two colours on
+   neighbour lists extended from the parent's: z outside its last cell rejects;
 7. the last cell's other vertices: none, or all proved to be in z's orbit
    by :func:`~stabilitylab.canonical.shares_orbit`, accepts, since the
    canonical deletion vertex is one of them;
@@ -36,26 +36,29 @@ length.  At the first place where two such ascending lists differ, the
 smaller list has the smaller entry d; both lists agree on the entries below
 d, and only the smaller one has another d.  So it has the larger digit
 n-d, and every higher digit is equal.  A larger weight is therefore a
-smaller list, and equal weights are equal lists.  Per parent, with parent
-degrees, ``out_w[m]`` sums ``(n+1) ** (n - deg u)`` over u in m and
-``in_w[m]`` sums ``(n+1) ** (n - deg u - 1)``.  A vertex of S gains one
-degree, so z weighs ``in_w[S]`` and v weighs ``in_w[N(v) & S] +
-out_w[N(v) & ~S]``, plus ``(n+1) ** (n - |S|)`` for z when v is in S.
+smaller list, and equal weights are equal lists.  One table per parent,
+``out_w[m]``, sums ``(n+1) ** (n - deg u)`` over u in m, and n+1 divides
+each entry, parent degrees being at most n-2.  Weights are compared times
+n+1: a vertex of S gains one degree, so z weighs ``out_w[S]`` and v weighs
+``out_w[N(v) & S] + (n+1) * out_w[N(v) & ~S]``, plus ``(n+1) ** (n+1-|S|)``
+for z when v is in S.
 
-Step 5 reads a vertex's round-two colour as ``deg * (n+1) ** (n+1) -
-weight``, with child degrees: weights stay below ``(n+1) ** (n+1)``, so
-these ints order as the round-two ranks, equal ints being equal colours, and
-sorted lists of them compare as the third round's lists of ranks.  The last
-equitable cell lies inside the last cell of every round, so a reject of
-step 5 is exact, and the accepts of steps 4 and 5 too, since swapping z
+Step 5 reads a vertex's round-two colour as ``deg * (n+1) ** (n+2) -
+weight``, with child degrees: scaled weights stay below ``(n+1) ** (n+2)``,
+so these ints order as the round-two ranks, equal ints being equal colours,
+and sorted lists of them compare as the third round's lists of ranks.
+``refine_colors`` reads only the order of its colours, so step 6 starts
+from a tie's ints and ends where degree ranks end, one round sooner.  The
+last equitable cell lies inside the last cell of every round, so a reject
+of step 5 is exact, and the accepts of steps 4 and 5 too, since swapping z
 with a twin is an automorphism.  An automorphism of the parent, z fixed,
 maps the child of S onto the child of its image, so steps 1-5 decide an
-orbit's masks alike: a rejected mask is dropped before the walk, which
-closes the survivors' orbits only, and each survivor's orbit keeps its
-least mask as representative.  Masks come bucketed by popcount once per
-parent size; orbits are closed through one image table per generator of
-the parent's group from ``automorphism_generators``, which reads twin cells
-without the search (see :mod:`~stabilitylab.canonical`).
+orbit's masks alike: only the least mask of an orbit is gated, and the walk
+closes the orbit, kept or not.  Once per parent size, masks are bucketed by
+popcount and a table holds each mask's new-vertex bits for the child rows.
+Orbits are closed through one image table per generator of the parent's
+group from ``automorphism_generators``, which reads twin cells without the
+search (see :mod:`~stabilitylab.canonical`).
 
 Every frontier a scan reads is built once per process by :func:`_frontier`
 and kept in ``_FRONTIERS``: the levels up to 9 vertices, as the tuples of
@@ -135,15 +138,14 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from multiprocessing import Pool
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterator, Sequence
 
 from . import __version__, catalog
 from .canonical import (
     automorphism_generators,
     canonical_data,
-    degree_ranks,
-    neighbor_lists,
+    equitable,
     refine_colors,
     shares_orbit,
 )
@@ -209,7 +211,7 @@ def _subset_reps(parent: Code, keep: Callable[[int], int]) -> list[tuple[int, in
     """``(S, keep(S))`` for one attachment subset S per orbit of the parent's
     automorphism group, the least of each orbit in ascending order, keeping
     only subsets that give the new vertex the largest degree in the child
-    and that ``keep``, constant on orbits, maps to a nonzero value."""
+    and that ``keep``, run once per orbit and constant on it, maps to nonzero."""
     m = len(parent)
     degs = [row.bit_count() for row in parent]
     top = max(degs)
@@ -222,9 +224,10 @@ def _subset_reps(parent: Code, keep: Callable[[int], int]) -> list[tuple[int, in
     seen = bytearray(1 << m)
     reps = []
     for s in masks:
-        if seen[s] or not (verdict := keep(s)):
+        if seen[s]:
             continue
-        reps.append((s, verdict))
+        if verdict := keep(s):
+            reps.append((s, verdict))
         stack = [s]
         seen[s] = 1
         while stack:
@@ -248,34 +251,35 @@ def _degree_weights(n: int) -> tuple[int, ...]:
 _REJECT, _ACCEPT, _TIE = 0, 1, 2
 
 
-def _mask_gate(parent: Code, nlists: list[list[int]]) -> Callable[[int], int]:
-    """Steps 2-5 of the gate on a mask S that passed step 1, from tables built
-    once for ``parent`` and its neighbour lists: ``_ACCEPT``, ``_REJECT``, or
-    ``_TIE`` when a vertex that is not a twin of z ties with z in round three.
-    Parent degrees are at most n-2, so n+1 divides ``out_w`` into ``in_w``."""
+def _mask_gate(parent: Code, nlists: list[list[int]]) -> tuple[Callable[[int], int], dict]:
+    """Steps 2-5 of the gate on a mask S that passed step 1, from one table
+    built once for ``parent`` and its neighbour lists: ``_ACCEPT``,
+    ``_REJECT``, or ``_TIE`` when a vertex that is not a twin of z ties with
+    z in round three, and beside it a dict of each tie's round-two colours."""
     n = len(parent) + 1
+    scale = n + 1
     degs = [row.bit_count() for row in parent]
     weights = _degree_weights(n)
-    span = (n + 1) ** (n + 1)
+    span = scale ** (n + 2)
     out_w = _subset_sums([weights[d] for d in degs])
-    in_w = [w // (n + 1) for w in out_w]
     cells = [0] * n
     for v, d in enumerate(degs):
         cells[d] |= 1 << v
+    ties: dict[int, list[int]] = {}
 
     def verdict(s: int) -> int:
         k = s.bit_count()
         top = s & cells[k - 1] | cells[k] & ~s
-        zweight = in_w[s]
+        zweight = out_w[s]
         tied = []
         while top:
             low = top & -top
             top ^= low
             v = low.bit_length() - 1
             row = parent[v]
-            weight = in_w[row & s] + out_w[row & ~s]
+            weight = out_w[row & s] + out_w[row & ~s] * scale
             if s & low:
-                weight += weights[k]
+                weight += weights[k - 1]
             if weight < zweight:
                 return _REJECT
             if weight == zweight and (s ^ row) & ~low:
@@ -284,32 +288,36 @@ def _mask_gate(parent: Code, nlists: list[list[int]]) -> Callable[[int], int]:
             return _ACCEPT
         # round three: each round-two colour (degree, -weight) as one int, z's last
         color = [
-            d * span - in_w[row & s] - out_w[row & ~s] + (s >> v & 1) * (span - weights[k])
+            d * span - out_w[row & s] - out_w[row & ~s] * scale + (s >> v & 1) * (span - weights[k - 1])
             for v, (d, row) in enumerate(zip(degs, parent))
         ]
         color.append(k * span - zweight)
         zsig = sorted(c for v, c in enumerate(color) if s >> v & 1)
         sigs = [sorted(color[u] for u in nlists[v] + [n - 1] * (s >> v & 1)) for v in tied]
+        if zsig in sigs:
+            ties[s] = color
         return _REJECT if max(sigs) > zsig else _TIE if zsig in sigs else _ACCEPT
 
-    return verdict
+    return verdict, ties
+
+
+@lru_cache(maxsize=None)
+def _spread(m: int) -> tuple[tuple[int, ...], ...]:
+    """``table[S][v]`` is the bit of the new vertex ``1 << m`` when v is in S, else 0."""
+    return tuple(tuple((s >> v & 1) << m for v in range(m)) for s in range(1 << m))
 
 
 def _child_code(parent: Code, subset: int) -> Code:
-    z = len(parent)
-    zbit = 1 << z
-    rows = [row | zbit if subset >> v & 1 else row for v, row in enumerate(parent)]
-    rows.append(subset)
-    return tuple(rows)
+    return (*map(or_, parent, _spread(len(parent))[subset]), subset)
 
 
-def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int) -> bool:
+def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int, colors: list[int]) -> bool:
     """Steps 6-8 of the gate on a child that :func:`_mask_gate` left tied,
-    refined on neighbour lists extended from the parent's."""
+    refined from its round-two ``colors`` on lists extended from the parent's."""
     z = len(parent_lists)
     nlists = [nb + [z] if subset >> v & 1 else nb for v, nb in enumerate(parent_lists)]
     nlists.append([v for v in range(z) if subset >> v & 1])
-    colors = refine_colors(nlists, degree_ranks(child))
+    colors = refine_colors(nlists, colors)
     if colors[z] != max(colors):
         return False
     cell = [v for v in range(z) if colors[v] == colors[z]]
@@ -321,10 +329,11 @@ def _tie_accepts(child: Code, parent_lists: list[list[int]], subset: int) -> boo
 
 def _canonical_children(parent: Code) -> Iterator[Code]:
     """Children of ``parent`` on one more vertex whose deletion parent it is."""
-    parent_lists = neighbor_lists(parent)
-    for subset, verdict in _subset_reps(parent, _mask_gate(parent, parent_lists)):
+    parent_lists = equitable(parent)[0]
+    gate, ties = _mask_gate(parent, parent_lists)
+    for subset, verdict in _subset_reps(parent, gate):
         child = _child_code(parent, subset)
-        if verdict == _ACCEPT or _tie_accepts(child, parent_lists, subset):
+        if verdict == _ACCEPT or _tie_accepts(child, parent_lists, subset, ties[subset]):
             yield child
 
 
@@ -1056,5 +1065,7 @@ def _missing(names: tuple[str, ...], n: int, codes: list[Code]) -> list[str]:
     """The graph6 of each catalog graph in ``names`` on ``n`` vertices that
     no code in ``codes`` matches."""
     wanted = tuple(name for name in names if catalog.named_graph(name).n == n)
-    found = {match[0] for code in codes if wanted and (match := catalog_match(Graph(n, code), wanted))}
+    if not wanted:
+        return []
+    found = {match[0] for code in codes if (match := catalog_match(Graph(n, code), wanted))}
     return [encode_rows(catalog.named_graph(name).adj, n) for name in wanted if name not in found]

@@ -341,6 +341,17 @@ def reference_subset_reps(parent: tuple[int, ...], keep) -> list[tuple[int, int]
     return reps
 
 
+def reference_child_code(parent: tuple[int, ...], subset: int) -> tuple[int, ...]:
+    """``enumeration._child_code`` as it was before it read a per-size table:
+    each parent row of a vertex in ``subset`` gains the new vertex's bit, and
+    the new vertex's row is ``subset``."""
+    z = len(parent)
+    zbit = 1 << z
+    rows = [row | zbit if subset >> v & 1 else row for v, row in enumerate(parent)]
+    rows.append(subset)
+    return tuple(rows)
+
+
 def reference_round_three(parent: tuple[int, ...], s: int) -> int:
     """``enumeration._mask_gate``'s verdict on the attachment mask ``s``
     without weights: 0 (reject), 1 (accept) or 2 (tie).  The child is built

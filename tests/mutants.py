@@ -147,6 +147,35 @@ MUTANTS = [
         "return _REJECT if max(sigs) > zsig else _ACCEPT",
         "killed",
     ),
+    # the augmentation's shortcuts: one gate table, tie colours, child rows
+    Mutant(
+        "gate-weight-outside-unscaled",
+        ENUMERATION,
+        "weight = out_w[row & s] + out_w[row & ~s] * scale",
+        "weight = out_w[row & s] + out_w[row & ~s]",
+        "killed",
+    ),
+    Mutant(
+        "tie-colours-drop-degree",
+        ENUMERATION,
+        "            ties[s] = color\n",
+        "            ties[s] = [c % span for c in color]\n",
+        "killed",
+    ),
+    Mutant(
+        "child-rows-table-one-size-up",
+        ENUMERATION,
+        "_spread(len(parent))[subset]",
+        "_spread(len(parent) + 1)[subset]",
+        "killed",
+    ),
+    Mutant(
+        "rejected-orbit-kept",
+        ENUMERATION,
+        "        if verdict := keep(s):\n",
+        "        if (verdict := keep(s)) or True:\n",
+        "killed",
+    ),
     Mutant(
         "child-alpha-stale-witness",
         ENUMERATION,

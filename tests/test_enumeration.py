@@ -21,11 +21,20 @@ from helpers import (
     labeled_codes,
     random_graph,
     reference_canonical_children,
+    reference_child_code,
     reference_round_three,
     reference_scan_chunk,
+    reference_subset_reps,
 )
 from stabilitylab import enumeration, stability, structure
-from stabilitylab.canonical import canonical_data, canonical_key, is_isomorphic, neighbor_lists
+from stabilitylab.canonical import (
+    canonical_data,
+    canonical_key,
+    degree_ranks,
+    is_isomorphic,
+    neighbor_lists,
+    refine_colors,
+)
 from stabilitylab.catalog import named_graph
 from stabilitylab.enumeration import (
     _ACCEPT,
@@ -96,11 +105,13 @@ def _parent_gate(parent):
     ``_canonical_children`` takes it: the mask gate, then the built child
     for a tie."""
     lists = neighbor_lists(parent)
-    verdict = _mask_gate(parent, lists)
+    verdict, ties = _mask_gate(parent, lists)
 
     def decide(s):
         found = verdict(s)
-        return found == _ACCEPT or found == _TIE and _tie_accepts(_child_code(parent, s), lists, s)
+        return found == _ACCEPT or found == _TIE and _tie_accepts(
+            _child_code(parent, s), lists, s, ties[s]
+        )
 
     return decide
 
@@ -259,7 +270,7 @@ def test_gate_exhaustive_level_eight():
     split = Counter()
     for parent in _frontier(8):
         decide = _parent_gate(parent)
-        verdict = _mask_gate(parent, neighbor_lists(parent))
+        verdict = _mask_gate(parent, neighbor_lists(parent))[0]
         for subset in _degree_gated_reps(parent):
             got = decide(subset)
             code = _child_code(parent, subset)
@@ -284,7 +295,7 @@ def test_mask_gate_matches_reference_round_three():
     # child gives after one more round from its sorted round-two colours
     verdicts = Counter()
     for parent, subsets in _gate_candidates():
-        verdict = _mask_gate(parent, neighbor_lists(parent))
+        verdict = _mask_gate(parent, neighbor_lists(parent))[0]
         for subset in subsets:
             found = verdict(subset)
             assert found == reference_round_three(parent, subset), (parent, subset)
@@ -293,16 +304,59 @@ def test_mask_gate_matches_reference_round_three():
 
 
 def test_mask_gate_is_constant_on_orbits():
-    # _subset_reps drops a mask before its orbit is closed, which keeps the
-    # least mask of every surviving orbit only if no automorphism changes
+    # _subset_reps gates only the least mask of each orbit and closes the
+    # orbit, kept or not, which is exact only if no automorphism changes
     # the verdict
     for m in range(1, 8):
         for parent in _frontier(m):
-            verdict = _mask_gate(parent, neighbor_lists(parent))
+            verdict = _mask_gate(parent, neighbor_lists(parent))[0]
             verdicts = [verdict(s) for s in range(1 << m)]
             for g in canonical_data(parent).generators:
                 image = _image_table(g)
                 assert all(verdicts[image[s]] == v for s, v in enumerate(verdicts)), (parent, g)
+
+
+def test_ties_refine_from_round_two_as_from_degree_ranks(monkeypatch):
+    # step 6 refines a tied child from the round-two colours the mask gate
+    # kept for it; refine_colors reads only their order, which is the
+    # round-two ranks', so it ends where refining from degree ranks ends:
+    # every tie met building levels 2-8, then every tie of the candidates
+    seen = []
+    tie_accepts = enumeration._tie_accepts
+
+    def spy(child, parent_lists, subset, colors):
+        seen.append((child, list(colors)))
+        return tie_accepts(child, parent_lists, subset, colors)
+
+    monkeypatch.setattr(enumeration, "_tie_accepts", spy)
+    for m in range(1, 8):
+        extend_level(_frontier(m), m + 1)
+    built = len(seen)
+    for parent, subsets in _gate_candidates():
+        verdict, ties = _mask_gate(parent, neighbor_lists(parent))
+        seen += [(_child_code(parent, s), ties[s]) for s in subsets if verdict(s) == _TIE]
+    assert 0 < built < len(seen)
+    for child, colors in seen:
+        nlists = neighbor_lists(child)
+        assert refine_colors(nlists, colors) == refine_colors(nlists, degree_ranks(child)), child
+
+
+def test_child_code_matches_list_building():
+    for m in range(1, 8):
+        for parent in _frontier(m):
+            for subset in range(1 << m):
+                assert _child_code(parent, subset) == reference_child_code(parent, subset)
+
+
+def test_gate_runs_once_per_orbit():
+    # every orbit of the masks that pass step 1 is gated once, on its least
+    # mask, whether the gate keeps it or not
+    for m in range(1, 8):
+        for parent in _frontier(m):
+            gate = _mask_gate(parent, neighbor_lists(parent))[0]
+            calls = []
+            _subset_reps(parent, lambda s: calls.append(s) or gate(s))
+            assert calls == [s for s, _ in reference_subset_reps(parent, lambda s: 1)], parent
 
 
 @pytest.mark.parametrize("n", [5, 1])
